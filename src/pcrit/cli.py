@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import COMMANDS, ConfigError, RunConfig, parse_config, parse_potential
+from .config import ConfigError, RunConfig, parse_config, parse_potential
 from .criticality import criticality_verdict, ground_state, positivity_weight, q_capacity
 from .energy import (
     energy_Q,
@@ -36,7 +36,6 @@ from .model import (
 from .solver import (
     DEFAULT_CONFIG,
     SolverConfig,
-    classify_sign,
     principal_eigenpair,
     solve_dirichlet,
     wcp_check,

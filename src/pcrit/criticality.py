@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import energy_Q, phi_p
+from .energy import energy_Q
 from .errors import DomainError, PreconditionError, StateError
 from .model import (
     CompactSetSpec,
@@ -51,14 +51,9 @@ from .model import (
 )
 from .solver import (
     DEFAULT_CONFIG,
+    DiscreteOperator,
     SolverConfig,
-    _core_residual,
-    _core_scale,
-    _free_slice,
-    _newton_core,
-    _p2_stiffness,
     principal_eigenpair,
-    smallest_generalized_eigen,
     solve_dirichlet,
 )
 
@@ -224,42 +219,24 @@ def _check_weight(grid: Grid, weight: PotentialSpec) -> np.ndarray:
     wvals = weight.sample(grid.nodes)
     if np.any(wvals < 0):
         raise PreconditionError("probe weight must be nonnegative")
-    free = _free_slice(grid)
-    if not np.any(wvals[free] > 0):
+    if not np.any(wvals[grid.free] > 0):
         raise PreconditionError("probe weight vanishes at every interior node")
     return wvals
 
 
-def _lambda1(problem: RadialProblem, grid: Grid, config: SolverConfig) -> float:
-    return principal_eigenpair(problem, grid, config).lam
-
-
 def _require_nonnegative_form(
     problem: RadialProblem, grid: Grid, config: SolverConfig
-) -> float:
-    lam = _lambda1(problem, grid, config)
+) -> None:
+    lam = principal_eigenpair(problem, grid, config).lam
     if lam < -1e-9:
         raise PreconditionError(
             f"functional is not nonnegative on the level: principal eigenvalue {lam:.3e} < 0"
         )
-    return lam
 
 
 # ---------------------------------------------------------------------------
 # thresholds
 # ---------------------------------------------------------------------------
-
-def _weighted_quotient(
-    grid: Grid, p: float, vvals: np.ndarray, wvals: np.ndarray, u: np.ndarray
-) -> tuple[float, float]:
-    """(p * Q(u) / weighted mass, weighted mass)."""
-    s = np.diff(u) / grid.h
-    num = float(np.sum(np.abs(s) ** p * grid.cell_w)) + float(
-        np.sum(vvals * np.abs(u) ** p * grid.node_w)
-    )
-    mass = float(np.sum(wvals * np.abs(u) ** p * grid.node_w))
-    return num / mass, mass
-
 
 def _threshold_minimizer(
     problem: RadialProblem,
@@ -267,56 +244,14 @@ def _threshold_minimizer(
     wvals: np.ndarray,
     config: SolverConfig,
 ) -> tuple[float, np.ndarray, bool]:
-    """Smallest t with lambda_1(V - t W) = 0 on the grid, with its minimizer.
-
-    p = 2: generalized tridiagonal eigenproblem against the (possibly
-    partially supported) weight mass.  p != 2: weighted inverse power
-    iteration, each step a coercive Dirichlet solve.
-    """
-    p = problem.p
-    vvals = problem.potential.sample(grid.nodes)
-    free = _free_slice(grid)
-
-    if p == 2.0:
-        d, off = _p2_stiffness(grid, vvals, free)
-        mass = (grid.node_w * wvals)[free]
-        t_val, vec = smallest_generalized_eigen(d, off, mass)
-        full = np.zeros(grid.n)
-        full[free] = vec
-        if full[np.argmax(np.abs(full))] < 0:
-            full = -full
-        t_rq, _ = _weighted_quotient(grid, p, vvals, wvals, full)
-        return t_rq, full, True
-
-    a, b = grid.interval
-    if grid.natural_left:
-        u = (b - grid.nodes) / (b - a)
-    else:
-        u = np.minimum(grid.nodes - a, b - grid.nodes) / (b - a)
-    u[grid.dirichlet_mask] = 0.0
-    t_val, mass = _weighted_quotient(grid, p, vvals, wvals, u)
-    u = u / mass ** (1.0 / p)
-
-    converged = False
-    for _ in range(config.eigen_max_iter):
-        load = grid.node_w * wvals * phi_p(u, p)
-        w0 = u * t_val ** (-1.0 / (p - 1.0))
-        w, _, _, _, ok = _newton_core(grid, p, vvals, load, w0, config)
-        if not ok:
-            logger.debug("threshold iteration: inner solve failed")
-            break
-        w = np.maximum(w, 0.0)
-        t_new, mass = _weighted_quotient(grid, p, vvals, wvals, w)
-        if mass <= 0 or not math.isfinite(t_new):
-            logger.debug("threshold iteration: iterate lost the weight mass")
-            break
-        u = w / mass ** (1.0 / p)
-        if abs(t_new - t_val) <= config.eigen_rtol * max(abs(t_new), 1e-300):
-            t_val = t_new
-            converged = True
-            break
-        t_val = t_new
-    return t_val, u, converged
+    """Smallest t with lambda_1(V - t W) = 0 on the grid, with its minimizer:
+    the principal pair of the W-weighted pencil.  At p = 2 the threshold is
+    the quotient at the eigenvector."""
+    op = DiscreteOperator.bind(problem, grid)
+    t, u, _, converged = op.principal(wvals, config)
+    if problem.p == 2.0:
+        t, _ = op.quotient(u, wvals)
+    return t, u, converged
 
 
 def _bisect_threshold(
@@ -326,22 +261,18 @@ def _bisect_threshold(
     config: SolverConfig,
     abs_tol: float = 1e-8,
 ) -> float:
-    """Root of t -> lambda_1(V - t W) on the grid by bracketed bisection."""
+    """Root of t -> lambda_1(V - t W) on the grid by bracketed bisection;
+    the caller has checked that the form with t = 0 is nonnegative."""
 
     def lam_at(t: float) -> float:
         shifted = RadialProblem(
             problem.p,
             problem.d,
             problem.domain,
-            _combined_potential(problem.potential, weight, -t),
+            PotentialSpec.combination(problem.potential, weight, -t),
         )
-        return _lambda1(shifted, grid, config)
+        return principal_eigenpair(shifted, grid, config).lam
 
-    lam0 = lam_at(0.0)
-    if lam0 < -1e-9:
-        raise PreconditionError(
-            f"functional is not nonnegative on the level: principal eigenvalue {lam0:.3e} < 0"
-        )
     hi = 1.0
     for _ in range(200):
         if lam_at(hi) < 0.0:
@@ -357,13 +288,6 @@ def _bisect_threshold(
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _combined_potential(
-    base: PotentialSpec, weight: PotentialSpec, coefficient: float
-) -> PotentialSpec:
-    """Spec evaluating base + coefficient * weight."""
-    return PotentialSpec.combination(base, weight, coefficient)
 
 
 def threshold_tN(
@@ -525,12 +449,12 @@ def _positivity_margins(
     scaled = run.weight.scaled(0.5 * t_star)
     wp = log_reduced_problem(problem) if run.coordinates == "log" else problem
     discounted = RadialProblem(
-        wp.p, wp.d, wp.domain, _combined_potential(wp.potential, run.weight, -0.5 * t_star)
+        wp.p, wp.d, wp.domain, PotentialSpec.combination(wp.potential, run.weight, -0.5 * t_star)
     )
     margins = []
     for entry in run.entries:
         grid = _level_grid(wp, entry.level, run.weight, resolution)
-        margins.append(_lambda1(discounted, grid, config))
+        margins.append(principal_eigenpair(discounted, grid, config).lam)
     margin = min(margins)
     if margin < -1e-8:
         logger.warning("positivity margin is negative: %g", margin)
@@ -639,7 +563,8 @@ def q_capacity(
         )
 
     grid = _capacity_grid(problem, (a, b), (k_lo, k_hi), resolution)
-    vvals = problem.potential.sample(grid.nodes)
+    op = DiscreteOperator.bind(problem, grid)
+    unforced = op.load(None)
     _require_nonnegative_form(problem, grid, config)
 
     nodes = grid.nodes
@@ -658,9 +583,8 @@ def q_capacity(
         u = _capacity_solve(problem, grid, act_lo, act_hi, config)
         if u is None:
             break
-        r = _core_residual(grid, problem.p, vvals, np.zeros(grid.n), u)
-        scale = max(_core_scale(grid, problem.p, vvals, np.zeros(grid.n), u), 1e-300)
-        mult_gate = tol_gate * scale
+        r, scale = op.residual_and_scale(u, unforced)
+        mult_gate = tol_gate * max(scale, 1e-300)
         # multipliers on pinned nodes added beyond the set may not be negative
         bad_left = act_lo < base_lo and r[act_lo] < -mult_gate
         bad_right = act_hi > base_hi and r[act_hi] < -mult_gate
@@ -691,8 +615,8 @@ def q_capacity(
         raise StateError("capacity segment solve failed to converge")
 
     field = Field(grid, u)
-    r = _core_residual(grid, problem.p, vvals, np.zeros(grid.n), u)
-    scale = max(_core_scale(grid, problem.p, vvals, np.zeros(grid.n), u), 1e-300)
+    r, scale = op.residual_and_scale(u, unforced)
+    scale = max(scale, 1e-300)
     active = np.arange(act_lo, act_hi + 1)
     free_mask = np.ones(grid.n, dtype=bool)
     free_mask[active] = False
@@ -724,16 +648,11 @@ def _capacity_grid(
     pieces = []
     n_set = max(resolution // 4, 9)
     if k_lo > a:
-        pieces.append(_segment_nodes(problem, a, k_lo, resolution)[:-1])
+        pieces.append(build_grid(problem, (a, k_lo), resolution).nodes[:-1])
     pieces.append(np.linspace(k_lo, k_hi, n_set))
     if k_hi < b:
-        pieces.append(_segment_nodes(problem, k_hi, b, resolution)[1:])
+        pieces.append(build_grid(problem, (k_hi, b), resolution).nodes[1:])
     return Grid(np.concatenate(pieces), "explicit", problem.weight_exponent)
-
-
-def _segment_nodes(problem: RadialProblem, a: float, b: float, resolution: int) -> np.ndarray:
-    seg = RadialProblem(problem.p, problem.d, problem.domain, problem.potential)
-    return build_grid(seg, (a, b), resolution).nodes
 
 
 def _capacity_solve(

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError
-from .model import Field, PotentialSpec, RadialProblem
+from .model import Field, PotentialSpec, RadialProblem, check_same_grid
 
 __all__ = [
     "phi_p",
@@ -69,13 +69,6 @@ def _slopes(field: Field) -> np.ndarray:
 
 def _midvals(field: Field) -> np.ndarray:
     return 0.5 * (field.values[1:] + field.values[:-1])
-
-
-def _check_same_grid(*fields: Field) -> None:
-    g0 = fields[0].grid
-    for f in fields[1:]:
-        if f.grid is not g0 and not np.array_equal(f.grid.nodes, g0.nodes):
-            raise ValueError("fields must live on the same grid")
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +133,7 @@ def picone_density(u: Field, v: Field, problem: RadialProblem) -> LagrangianFiel
     Cell values use midpoint values and slopes of both fields.  Nonnegativity
     is exact cell by cell (scalar Young inequality), up to roundoff.
     """
-    _check_same_grid(u, v)
+    check_same_grid(u.grid, v.grid)
     if np.any(v.values <= 0.0):
         raise PreconditionError("picone_density needs v > 0 at every node")
     if np.any(u.values < 0.0):
@@ -184,7 +177,7 @@ class SimplifiedEnergy:
 
 def simplified_energy(v: Field, w: Field, problem: RadialProblem) -> SimplifiedEnergy:
     """Comparison integrals for Q(v*w) with v > 0 and w >= 0 compactly supported."""
-    _check_same_grid(v, w)
+    check_same_grid(v.grid, w.grid)
     if np.any(v.values <= 0.0):
         raise PreconditionError("simplified_energy needs v > 0 at every node")
     if np.any(w.values < 0.0):
@@ -336,7 +329,7 @@ def poincare_residual(
     """
     if C <= 0:
         raise ValueError(f"C must be positive, got {C}")
-    _check_same_grid(u, v_ground, psi)
+    check_same_grid(u.grid, v_ground.grid, psi.grid)
     g = u.grid
     p = problem.p
     pairing_ground = float(np.sum(psi.values * v_ground.values * g.node_w))

@@ -35,11 +35,12 @@ from .model import (
     PotentialSpec,
     RadialProblem,
     build_graded_grid,
+    check_same_grid,
 )
 from .solver import (
     DEFAULT_CONFIG,
     SolverConfig,
-    _core_residual,
+    cell_tridiagonal,
     classify_sign,
     principal_eigenpair,
     residual_scale,
@@ -527,12 +528,8 @@ def _certificate_level(
     # p = 2 seed (exact answer at p = 2): substitute w = u * phi
     k = um**2 * grid.cell_w / grid.h**2
     n = grid.n
-    diag = np.zeros(n)
-    diag[:-1] += k
-    diag[1:] += k
     free = slice(0, n - 1)  # inner edge free, outer edge Dirichlet
-    d = diag[free]
-    off = -k[free.start : free.stop - 1]
+    d, off = cell_tridiagonal(k, k, -k, free)
     mass = (grid.node_w * uvals**2 * mass_mask)[free]
     lam, phi = smallest_generalized_eigen(d, off, mass)
     phi_full = np.zeros(n)
@@ -588,14 +585,11 @@ def _irls_minimize(grid, p, w, uvals, us, um, mass_mask, mass_of, objective, rou
         slope_floor = 1e-10 * float(np.max(np.abs(ws)) + np.max(np.abs(z)))
         om = (np.abs(ws) + np.abs(z) + slope_floor) ** (p - 2.0)
         wcell = om * grid.cell_w
-        diag = np.zeros(n)
-        diag[:-1] += wcell * cm**2
-        diag[1:] += wcell * cp**2
-        off = (wcell * cm * cp)[: n - 2]
+        diag, off = cell_tridiagonal(wcell * cm**2, wcell * cp**2, wcell * cm * cp, slice(0, n - 1))
         wfloor = np.maximum(w, 1e-14 * float(np.max(w)))
         msur = grid.node_w * mass_mask * wfloor ** (p - 2.0)
         try:
-            _, vec = smallest_generalized_eigen(diag[:-1], off, msur[:-1])
+            _, vec = smallest_generalized_eigen(diag, off, msur[:-1])
         except (PreconditionError, np.linalg.LinAlgError):
             break
         wn = np.zeros(n)
@@ -767,8 +761,7 @@ def comparison_check(
             "comparison needs a decaying-to-zero certificate for the subsolution"
         )
     grid = u_sub.grid
-    if v_super.grid is not grid and not np.array_equal(v_super.grid.nodes, grid.nodes):
-        raise ValueError("fields must share a grid")
+    check_same_grid(grid, v_super.grid)
     edge = omega2.k_hi
     region = grid.nodes >= edge
     if not np.any(region):

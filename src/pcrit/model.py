@@ -376,11 +376,6 @@ class Grid:
         w.setflags(write=False)
         return w
 
-    @cached_property
-    def spacing_ratio(self) -> float:
-        h = self.h
-        return float(np.median(h[1:] / h[:-1])) if h.size > 1 else 1.0
-
     # -- boundary semantics ---------------------------------------------------
 
     @cached_property
@@ -398,12 +393,17 @@ class Grid:
         mask.setflags(write=False)
         return mask
 
-    def index_of(self, x: float) -> int:
-        """Index of the node nearest to x (x must lie inside the interval)."""
-        a, b = self.interval
-        if not (a <= x <= b):
-            raise ValueError(f"point {x} outside grid interval ({a}, {b})")
-        return int(np.argmin(np.abs(self.nodes - x)))
+    @cached_property
+    def free(self) -> slice:
+        """Slice of the unknowns: every node without a Dirichlet condition."""
+        return slice(0 if self.natural_left else 1, self.n - 1)
+
+
+def check_same_grid(*grids: Grid) -> None:
+    """Raise ValueError unless every grid has the first one's nodes."""
+    for g in grids[1:]:
+        if g is not grids[0] and not np.array_equal(g.nodes, grids[0].nodes):
+            raise ValueError("fields must live on the same grid")
 
 
 def _geometric_nodes(a: float, b: float, n: int) -> np.ndarray:
@@ -716,7 +716,6 @@ def make_exhaustion(
             style = "shrink"
 
     g = float(growth)
-    ks = np.arange(count)
     if style == "line":
         if not (math.isinf(lo) and math.isinf(hi) and problem.d == 1):
             raise ValueError("line style needs d = 1 on the whole line")
@@ -756,7 +755,6 @@ def make_exhaustion(
     else:
         raise ValueError(f"unknown exhaustion style {style!r}")
 
-    del ks
     sched = ExhaustionSchedule(tuple(levels), ref if x0 is None else float(x0), x1)
     sched.validate(problem)
     return sched

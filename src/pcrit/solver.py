@@ -18,25 +18,27 @@ so the converged solution satisfies the true residual tolerance for every
 p and the continuation only steers the iteration.  Solver failure is
 reported, never raised.
 
-Principal eigenpairs: for p = 2 the discrete Rayleigh quotient is minimized
-exactly by a symmetric tridiagonal eigensolve.  For p != 2 an inverse power
-iteration is used: u_{k+1} solves Q'(u_{k+1}) = phi_p(u_k) weakly, with the
-Rayleigh quotient as the eigenvalue estimate; the potential is shifted by a
-reported constant when it is negative somewhere so each iterate solves a
-coercive problem.
+All of this goes through one DiscreteOperator bound to (p, grid, V).  Its
+weighted principal pair serves both the principal eigenpair (weight 1) and
+the probe thresholds of pcrit.criticality: for p = 2 the discrete quotient
+is minimized exactly by a symmetric tridiagonal eigensolve; for p != 2 an
+inverse power iteration is used, u_{k+1} solving Q'(u_{k+1}) = W phi_p(u_k)
+weakly with the quotient as the eigenvalue estimate.  For the eigenpair the
+potential is shifted by a reported constant when it is negative somewhere,
+so each iterate solves a coercive problem.
 """
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, solve_banded, solveh_banded
 
 from .energy import phi_p
 from .errors import PreconditionError
-from .model import Field, Grid, RadialProblem
+from .model import Field, Grid, RadialProblem, check_same_grid
 
 logger = logging.getLogger(__name__)
 
@@ -46,6 +48,7 @@ __all__ = [
     "EigenResult",
     "SignClassification",
     "WcpResult",
+    "DiscreteOperator",
     "weak_residual",
     "residual_scale",
     "solve_dirichlet",
@@ -118,67 +121,175 @@ class WcpResult:
 
 
 # ---------------------------------------------------------------------------
-# residual core
+# the discrete operator
 # ---------------------------------------------------------------------------
 
-def _flux(grid: Grid, p: float, u: np.ndarray) -> np.ndarray:
-    s = np.diff(u) / grid.h
-    return phi_p(s, p) * (grid.cell_w / grid.h)
+def cell_tridiagonal(
+    to_left: np.ndarray, to_right: np.ndarray, coupling: np.ndarray, free: slice
+) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric tridiagonal (diag, offdiag) assembled from cell blocks and
+    restricted to the ``free`` nodes: cell i adds to_left[i] to the diagonal
+    at node i, to_right[i] at node i + 1, and couples the two by
+    coupling[i]."""
+    diag = np.zeros(to_left.size + 1)
+    diag[:-1] += to_left
+    diag[1:] += to_right
+    return diag[free], coupling[free.start : free.stop - 1]
 
 
-def _core_residual(grid: Grid, p: float, vvals: np.ndarray, load: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Residual at every node (values at Dirichlet nodes are reported too,
-    where they equal the boundary flux defect; callers mask them)."""
-    g_flux = _flux(grid, p, u)
-    r = np.empty_like(u)
-    r[0] = -g_flux[0]
-    r[-1] = g_flux[-1]
-    r[1:-1] = g_flux[:-1] - g_flux[1:]
-    r += grid.node_w * vvals * phi_p(u, p) - load
-    return r
+@dataclass(frozen=True, eq=False)
+class DiscreteOperator:
+    """Q'(u) = -Delta_p u + V phi_p(u) in weak form on one grid.
 
+    ``bind`` samples V at the nodes once; residuals, Jacobians, quotients
+    and principal pairs on that (problem, grid) all read the bound samples.
+    Nodal arrays passed in and out cover every node of the grid.
+    """
 
-def _core_scale(grid: Grid, p: float, vvals: np.ndarray, load: np.ndarray, u: np.ndarray) -> float:
-    """Magnitude of the residual's constituent terms before cancellation."""
-    g_flux = np.abs(_flux(grid, p, u))
-    flux_part = np.zeros_like(u)
-    flux_part[:-1] += g_flux
-    flux_part[1:] += g_flux
-    terms = flux_part + np.abs(grid.node_w * vvals * phi_p(u, p)) + np.abs(load)
-    return float(terms.max())
+    p: float
+    grid: Grid
+    vvals: np.ndarray
 
+    @classmethod
+    def bind(cls, problem: RadialProblem, grid: Grid) -> "DiscreteOperator":
+        return cls(problem.p, grid, problem.potential.sample(grid.nodes))
 
-def _free_slice(grid: Grid) -> slice:
-    start = 0 if grid.natural_left else 1
-    return slice(start, grid.n - 1)
+    def load(self, f: Field | None) -> np.ndarray:
+        """Nodal load of the forcing f (zero for None); f must live on the
+        operator's grid."""
+        if f is None:
+            return np.zeros(self.grid.n)
+        check_same_grid(self.grid, f.grid)
+        return self.grid.node_w * f.values
 
+    def _flux_and_potential(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g = self.grid
+        flux = phi_p(np.diff(u) / g.h, self.p) * (g.cell_w / g.h)
+        return flux, g.node_w * self.vvals * phi_p(u, self.p)
 
-def _jacobian_banded(
-    grid: Grid, p: float, vvals: np.ndarray, u: np.ndarray, eps: float, free: slice
-) -> np.ndarray:
-    """Tridiagonal Jacobian of the residual on the free nodes, in
-    solve_banded's (3, m) layout.  Flux and potential derivatives use the
-    eps-regularized powers; at p = 2 the regularization is exactly inert."""
-    s = np.diff(u) / grid.h
-    reg = (s * s + eps * eps) ** (0.5 * (p - 2.0))
-    gp = reg * (1.0 + (p - 2.0) * s * s / (s * s + eps * eps)) * (grid.cell_w / grid.h)
-    kcell = gp / grid.h  # coupling strength of each cell
-    pot = grid.node_w * vvals * (p - 1.0) * (u * u + eps * eps) ** (0.5 * (p - 2.0))
+    @staticmethod
+    def _assemble(flux: np.ndarray, pot: np.ndarray, load: np.ndarray) -> np.ndarray:
+        r = np.empty_like(pot)
+        r[0] = -flux[0]
+        r[-1] = flux[-1]
+        r[1:-1] = flux[:-1] - flux[1:]
+        r += pot - load
+        return r
 
-    diag = np.zeros(grid.n)
-    diag[:-1] += kcell
-    diag[1:] += kcell
-    diag += pot
+    def residual(self, u: np.ndarray, load: np.ndarray) -> np.ndarray:
+        """Residual at every node (values at Dirichlet nodes are reported
+        too, where they equal the boundary flux defect; callers mask them)."""
+        return self._assemble(*self._flux_and_potential(u), load)
 
-    lo_idx = free.start
-    hi_idx = free.stop  # exclusive
-    m = hi_idx - lo_idx
-    ab = np.zeros((3, m))
-    ab[1, :] = diag[lo_idx:hi_idx]
-    off = -kcell[lo_idx : hi_idx - 1]  # couplings between consecutive free nodes
-    ab[0, 1:] = off
-    ab[2, :-1] = off
-    return ab
+    def residual_and_scale(self, u: np.ndarray, load: np.ndarray) -> tuple[np.ndarray, float]:
+        """The residual, and the magnitude of its constituent terms before
+        cancellation (tolerances are taken relative to it)."""
+        flux, pot = self._flux_and_potential(u)
+        g_abs = np.abs(flux)
+        flux_part = np.zeros_like(u)
+        flux_part[:-1] += g_abs
+        flux_part[1:] += g_abs
+        terms = flux_part + np.abs(pot) + np.abs(load)
+        return self._assemble(flux, pot, load), float(terms.max())
+
+    def jacobian(self, u: np.ndarray, eps: float) -> np.ndarray:
+        """Tridiagonal Jacobian of the residual on the free nodes, in
+        solve_banded's (3, m) layout.  Flux and potential derivatives use
+        the eps-regularized powers; at p = 2 the regularization is exactly
+        inert."""
+        g, p = self.grid, self.p
+        s = np.diff(u) / g.h
+        reg = (s * s + eps * eps) ** (0.5 * (p - 2.0))
+        gp = reg * (1.0 + (p - 2.0) * s * s / (s * s + eps * eps)) * (g.cell_w / g.h)
+        kcell = gp / g.h  # coupling strength of each cell
+        pot = g.node_w * self.vvals * (p - 1.0) * (u * u + eps * eps) ** (0.5 * (p - 2.0))
+        diag, off = cell_tridiagonal(kcell, kcell, -kcell, g.free)
+        ab = np.zeros((3, diag.size))
+        ab[1, :] = diag + pot[g.free]
+        ab[0, 1:] = off
+        ab[2, :-1] = off
+        return ab
+
+    def quotient(self, u: np.ndarray, weight: np.ndarray) -> tuple[float, float]:
+        """(p Q(u) / integral(W |u|^p), integral(W |u|^p)) for the nodal
+        weight W."""
+        g, p = self.grid, self.p
+        s = np.diff(u) / g.h
+        up = np.abs(u) ** p
+        num = float(np.sum(np.abs(s) ** p * g.cell_w)) + float(np.sum(self.vvals * up * g.node_w))
+        mass = float(np.sum(weight * up * g.node_w))
+        return num / mass, mass
+
+    def principal(
+        self,
+        weight: np.ndarray,
+        config: SolverConfig,
+        shift: float = 0.0,
+        stop_floor: float = 0.0,
+        initial: Field | None = None,
+    ) -> tuple[float, np.ndarray, int, bool]:
+        """Principal pair of Q'(u) = lam W phi_p(u) for the nodal weight
+        W >= 0: (lam, u, iterations, converged), u >= 0 and zero at the
+        Dirichlet nodes.
+
+        p = 2: one generalized tridiagonal eigensolve against the weight
+        mass, which may vanish outside a window; u is the raw eigenvector.
+        p != 2: weighted inverse power iteration (Biezuner, Ercole &
+        Martins 2009).  u_{k+1} solves Q'(u_{k+1}) + shift phi_p(u_{k+1}) =
+        W phi_p(u_k), with ``shift`` making each solve coercive, and is
+        scaled to unit weighted mass; the quotient estimates lam and the
+        iteration stops once it moves by at most
+        eigen_rtol * max(stop_floor, |lam|).
+        """
+        g, p = self.grid, self.p
+        if p == 2.0:
+            kcell = g.cell_w / g.h**2
+            diag, off = cell_tridiagonal(kcell, kcell, -kcell, g.free)
+            lam, vec = smallest_generalized_eigen(
+                diag + (g.node_w * self.vvals)[g.free], off, (g.node_w * weight)[g.free]
+            )
+            u = np.zeros(g.n)
+            u[g.free] = vec
+            if u[np.argmax(np.abs(u))] < 0:
+                u = -u
+            return lam, u, 1, True
+
+        a, b = g.interval
+        if initial is not None:
+            u = initial.values.copy()
+        elif g.natural_left:  # tent seeds, zero at the Dirichlet ends
+            u = (b - g.nodes) / (b - a)
+        else:
+            u = np.minimum(g.nodes - a, b - g.nodes) / (b - a)
+        u[g.dirichlet_mask] = 0.0
+        u = np.maximum(u, 0.0)
+        if not np.any(u > 0):
+            raise ValueError("initial eigenfunction guess vanishes")
+        lam, mass = self.quotient(u, weight)
+        u = u / mass ** (1.0 / p)
+
+        inner = DiscreteOperator(p, g, self.vvals + shift)
+        converged = False
+        iters = 0
+        for iters in range(1, config.eigen_max_iter + 1):
+            load = g.node_w * weight * phi_p(u, p)
+            w0 = u * (lam + shift) ** (-1.0 / (p - 1.0))
+            w, _, _, _, ok = _newton_core(inner, load, w0, config)
+            if not ok:
+                logger.debug("principal pair: inner solve failed at iteration %d", iters)
+                break
+            w = np.maximum(w, 0.0)
+            lam_new, mass = self.quotient(w, weight)
+            if not (0.0 < mass < math.inf and math.isfinite(lam_new)):
+                logger.debug("principal pair: iterate lost its weighted mass at iteration %d", iters)
+                break
+            u = w / mass ** (1.0 / p)
+            if abs(lam_new - lam) <= config.eigen_rtol * max(stop_floor, abs(lam_new)):
+                lam = lam_new
+                converged = True
+                break
+            lam = lam_new
+        return lam, u, iters, converged
 
 
 def weak_residual(u: Field, problem: RadialProblem, f: Field | None = None) -> Field:
@@ -187,25 +298,16 @@ def weak_residual(u: Field, problem: RadialProblem, f: Field | None = None) -> F
     Entries at Dirichlet nodes are set to zero; everything else is the hat
     function pairing with midpoint fluxes and dual-cell mass weights.
     """
-    grid = u.grid
-    vvals = problem.potential.sample(grid.nodes)
-    if f is None:
-        load = np.zeros(grid.n)
-    else:
-        if f.grid is not grid and not np.array_equal(f.grid.nodes, grid.nodes):
-            raise ValueError("f must live on u's grid")
-        load = grid.node_w * f.values
-    r = _core_residual(grid, problem.p, vvals, load, u.values)
-    r[grid.dirichlet_mask] = 0.0
-    return Field(grid, r)
+    op = DiscreteOperator.bind(problem, u.grid)
+    r = op.residual(u.values, op.load(f))
+    r[u.grid.dirichlet_mask] = 0.0
+    return Field(u.grid, r)
 
 
 def residual_scale(u: Field, problem: RadialProblem, f: Field | None = None) -> float:
     """Size of the residual's terms; tolerances are taken relative to it."""
-    grid = u.grid
-    vvals = problem.potential.sample(grid.nodes)
-    load = np.zeros(grid.n) if f is None else grid.node_w * f.values
-    return _core_scale(grid, problem.p, vvals, load, u.values)
+    op = DiscreteOperator.bind(problem, u.grid)
+    return op.residual_and_scale(u.values, op.load(f))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +315,7 @@ def residual_scale(u: Field, problem: RadialProblem, f: Field | None = None) -> 
 # ---------------------------------------------------------------------------
 
 def _newton_core(
-    grid: Grid,
-    p: float,
-    vvals: np.ndarray,
+    op: DiscreteOperator,
     load: np.ndarray,
     u0: np.ndarray,
     config: SolverConfig,
@@ -223,7 +323,8 @@ def _newton_core(
     """Damped Newton with eps-continuation.  Returns
     (u, iterations, residual_norm, eps_final, converged).  Dirichlet values
     of u0 are held fixed."""
-    free = _free_slice(grid)
+    grid, p = op.grid, op.p
+    free = grid.free
     tol = config.tol_for(p)
     u = u0.copy()
 
@@ -244,13 +345,13 @@ def _newton_core(
         final_stage = stage_idx == len(stages) - 1
         stage_tol_factor = tol if final_stage else max(tol, eps * 1e-2)
         for _ in range(config.max_iter_per_stage):
-            r_full = _core_residual(grid, p, vvals, load, u)
+            r_full, scale = op.residual_and_scale(u, load)
             r = r_full[free]
-            scale = max(_core_scale(grid, p, vvals, load, u), 1e-300)
+            scale = max(scale, 1e-300)
             res_norm = float(np.max(np.abs(r))) if r.size else 0.0
             if res_norm <= stage_tol_factor * scale:
                 break
-            ab = _jacobian_banded(grid, p, vvals, u, eps, free)
+            ab = op.jacobian(u, eps)
             du = None
             shift = 0.0
             for _attempt in range(8):
@@ -274,7 +375,7 @@ def _newton_core(
             for _bt in range(config.backtrack_max):
                 u_try = u.copy()
                 u_try[free] = u[free] + alpha * du
-                r_try = _core_residual(grid, p, vvals, load, u_try)[free]
+                r_try = op.residual(u_try, load)[free]
                 merit_try = 0.5 * float(np.dot(r_try, r_try))
                 if np.isfinite(merit_try) and merit_try <= merit * (1.0 - config.armijo_c * alpha):
                     u = u_try
@@ -286,9 +387,10 @@ def _newton_core(
                 logger.debug("newton: no descent at eps=%g, res=%g", eps, res_norm)
                 break
 
-    r = _core_residual(grid, p, vvals, load, u)[free]
+    r_full, scale = op.residual_and_scale(u, load)
+    r = r_full[free]
     res_norm = float(np.max(np.abs(r))) if r.size else 0.0
-    scale = max(_core_scale(grid, p, vvals, load, u), 1e-300)
+    scale = max(scale, 1e-300)
     converged = res_norm <= tol * scale
     if not converged and res_norm <= 1e-6 * scale:
         # stagnation at the linear-algebra noise floor: near-harmonic
@@ -329,13 +431,10 @@ def solve_dirichlet(
     if br is None or br < 0:
         raise ValueError(f"boundary data must be nonnegative, got right={br}")
 
-    vvals = problem.potential.sample(grid.nodes)
-    if f is not None:
-        if np.any(f.values < 0):
-            raise PreconditionError("forcing f must be nonnegative")
-        load = grid.node_w * f.values
-    else:
-        load = np.zeros(grid.n)
+    op = DiscreteOperator.bind(problem, grid)
+    load = op.load(f)
+    if f is not None and np.any(f.values < 0):
+        raise PreconditionError("forcing f must be nonnegative")
 
     if initial is not None:
         u0 = initial.values.copy()
@@ -347,25 +446,13 @@ def solve_dirichlet(
         u0[0] = bl
     u0[-1] = br
 
-    u, iters, res, eps_final, conv = _newton_core(grid, problem.p, vvals, load, u0, config)
+    u, iters, res, eps_final, conv = _newton_core(op, load, u0, config)
     return SolveReport(Field(grid, u), iters, res, eps_final, conv)
 
 
 # ---------------------------------------------------------------------------
 # eigenpairs
 # ---------------------------------------------------------------------------
-
-def _p2_stiffness(grid: Grid, vvals: np.ndarray, free: slice) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric tridiagonal (diag, offdiag) of the p = 2 form on free nodes."""
-    kcell = grid.cell_w / grid.h**2
-    diag = np.zeros(grid.n)
-    diag[:-1] += kcell
-    diag[1:] += kcell
-    diag += grid.node_w * vvals
-    d = diag[free]
-    off = -kcell[free.start : free.stop - 1]
-    return d, off
-
 
 def smallest_generalized_eigen(
     diag: np.ndarray, off: np.ndarray, mass: np.ndarray
@@ -416,26 +503,6 @@ def smallest_generalized_eigen(
     return 1.0 / nu, vec
 
 
-def _lp_norm(grid: Grid, u: np.ndarray, p: float) -> float:
-    return float(np.sum(np.abs(u) ** p * grid.node_w)) ** (1.0 / p)
-
-
-def _rayleigh(grid: Grid, p: float, vvals: np.ndarray, u: np.ndarray) -> float:
-    s = np.diff(u) / grid.h
-    num = float(np.sum(np.abs(s) ** p * grid.cell_w) + np.sum(vvals * np.abs(u) ** p * grid.node_w))
-    den = float(np.sum(np.abs(u) ** p * grid.node_w))
-    return num / den
-
-
-def _positive_seed(grid: Grid) -> np.ndarray:
-    a, b = grid.interval
-    if grid.natural_left:
-        u = (b - grid.nodes) / (b - a)
-    else:
-        u = np.minimum(grid.nodes - a, b - grid.nodes) / (b - a)
-    return u
-
-
 def principal_eigenpair(
     problem: RadialProblem,
     grid: Grid,
@@ -451,59 +518,20 @@ def principal_eigenpair(
     iteration runs until the Rayleigh quotient stalls at relative
     ``eigen_rtol``.
     """
-    vvals = problem.potential.sample(grid.nodes)
-    free = _free_slice(grid)
-    p = problem.p
+    return _eigenpair(DiscreteOperator.bind(problem, grid), config, initial)
 
-    if p == 2.0:
-        d, off = _p2_stiffness(grid, vvals, free)
-        lam, vec = smallest_generalized_eigen(d, off, grid.node_w[free])
-        full = np.zeros(grid.n)
-        full[free] = vec
-        if full[np.argmax(np.abs(full))] < 0:
-            full = -full
-        full /= _lp_norm(grid, full, p)
-        return EigenResult(lam, Field(grid, full), 1, True, 0.0)
 
-    vmin = float(vvals.min())
-    shift = 0.0 if vmin >= 0 else (1.0 - vmin)
-    v_shifted = vvals + shift
-
-    u = initial.values.copy() if initial is not None else _positive_seed(grid)
-    u[grid.dirichlet_mask] = 0.0
-    u = np.maximum(u, 0.0)
-    if not np.any(u > 0):
-        raise ValueError("initial eigenfunction guess vanishes")
-    u /= _lp_norm(grid, u, p)
-    lam = _rayleigh(grid, p, vvals, u)
-
-    inner_cfg = config
-    converged = False
-    iters = 0
-    for iters in range(1, config.eigen_max_iter + 1):
-        load = grid.node_w * phi_p(u, p)
-        w0 = u * (lam + shift) ** (-1.0 / (p - 1.0))
-        w, _, _, _, ok = _newton_core(grid, p, v_shifted, load, w0, inner_cfg)
-        if not ok:
-            logger.debug("eigen: inner solve failed at iteration %d", iters)
-            break
-        w = np.maximum(w, 0.0)
-        norm = _lp_norm(grid, w, p)
-        if norm == 0.0 or not math.isfinite(norm):
-            logger.debug("eigen: iterate collapsed at iteration %d", iters)
-            break
-        u = w / norm
-        lam_new = _rayleigh(grid, p, vvals, u)
-        if abs(lam_new - lam) <= config.eigen_rtol * max(1.0, abs(lam_new)):
-            lam = lam_new
-            converged = True
-            break
-        lam = lam_new
-
-    full = u.copy()
-    full[grid.dirichlet_mask] = 0.0
-    full /= _lp_norm(grid, full, p)
-    return EigenResult(lam, Field(grid, full), iters, converged, shift)
+def _eigenpair(
+    op: DiscreteOperator, config: SolverConfig, initial: Field | None = None
+) -> EigenResult:
+    vmin = float(op.vvals.min())
+    # only the inner solves of the p != 2 iteration need a coercive potential
+    shift = 0.0 if op.p == 2.0 or vmin >= 0 else (1.0 - vmin)
+    ones = np.ones(op.grid.n)
+    lam, u, iters, converged = op.principal(ones, config, shift, 1.0, initial)
+    u[op.grid.dirichlet_mask] = 0.0
+    u /= op.quotient(u, ones)[1] ** (1.0 / op.p)
+    return EigenResult(lam, Field(op.grid, u), iters, converged, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +548,10 @@ def classify_sign(u: Field, problem: RadialProblem, tol: float) -> SignClassific
     if np.any(u.values < 0):
         raise PreconditionError("classify_sign expects a nonnegative field")
     grid = u.grid
-    r = weak_residual(u, problem).values
-    free = ~grid.dirichlet_mask
-    rfree = r[free]
-    scale = max(residual_scale(u, problem), 1e-300)
+    op = DiscreteOperator.bind(problem, grid)
+    r, scale = op.residual_and_scale(u.values, op.load(None))
+    rfree = r[~grid.dirichlet_mask]
+    scale = max(scale, 1e-300)
     rmin = float(rfree.min()) if rfree.size else 0.0
     rmax = float(rfree.max()) if rfree.size else 0.0
     gate = tol * scale
@@ -556,12 +584,12 @@ def wcp_check(
     the conclusion's violation is returned, not raised.
     """
     grid = u1.grid
-    if u2.grid is not grid and not np.array_equal(u2.grid.nodes, grid.nodes):
-        raise ValueError("u1 and u2 must live on the same grid")
-    r1 = weak_residual(u1, problem).values
-    r2 = weak_residual(u2, problem).values
+    check_same_grid(grid, u2.grid)
+    op = DiscreteOperator.bind(problem, grid)
+    r1, scale1 = op.residual_and_scale(u1.values, op.load(None))
+    r2, scale2 = op.residual_and_scale(u2.values, op.load(None))
     free = ~grid.dirichlet_mask
-    scale = max(residual_scale(u1, problem), residual_scale(u2, problem), 1e-300)
+    scale = max(scale1, scale2, 1e-300)
     gate = hypothesis_tol * scale
     failures = []
     if np.any(r1[free] > r2[free] + gate):
@@ -576,7 +604,7 @@ def wcp_check(
     if np.any(u2.values[bmask] < -bgate):
         failures.append("u2 >= 0 on the boundary")
     if lambda_1 is None:
-        lambda_1 = principal_eigenpair(problem, grid, config).lam
+        lambda_1 = _eigenpair(op, config).lam
     if not lambda_1 > 0:
         failures.append("lambda_1 > 0 on the level")
     if failures:

@@ -11,6 +11,7 @@ from pcrit import (
     ExhaustionSchedule,
     PotentialSpec,
     RadialProblem,
+    build_grid,
     criticality_verdict,
     ground_state,
     classify_sign,
@@ -18,6 +19,7 @@ from pcrit import (
     make_exhaustion,
     null_sequence,
     positivity_weight,
+    principal_eigenpair,
     q_capacity,
     threshold_tN,
 )
@@ -74,6 +76,16 @@ class TestThreshold:
         t_log = threshold_tN(prob, (0.25, 4.0), W, resolution=801, frame="auto")
         t_rad = threshold_tN(prob, (0.25, 4.0), W, resolution=801, frame="radial")
         assert t_log == pytest.approx(t_rad, rel=1e-3)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_unit_weight_threshold_is_principal_eigenvalue(self, p):
+        # with W = 1 the threshold pencil is the principal eigenproblem, and
+        # one routine serves both
+        prob = RadialProblem(p, 1, (0.0, np.inf), PotentialSpec.constant(0.5))
+        level = (0.0, 1.0)
+        t = threshold_tN(prob, level, PotentialSpec.constant(1.0), resolution=201)
+        lam = principal_eigenpair(prob, build_grid(prob, level, 201)).lam
+        assert t == pytest.approx(lam, rel=1e-9)
 
     def test_log_reduced_problem_shape(self):
         red = log_reduced_problem(ray_problem(2, 2.0))

@@ -15,6 +15,7 @@ from pcrit import (
     classify_sign,
     make_field,
     principal_eigenpair,
+    residual_scale,
     solve_dirichlet,
     wcp_check,
     weak_residual,
@@ -56,6 +57,22 @@ class TestWeakResidual:
         g = build_grid(prob, (0.0, 1.0), 32, law="uniform")
         f = make_field(g, np.full(g.n, -1.0))
         with pytest.raises(PreconditionError):
+            solve_dirichlet(prob, g, (0.0, 0.0), f=f)
+
+
+    def test_forcing_on_another_grid_rejected(self):
+        # same node count, different nodes: the load must not be read off
+        # the wrong grid by position
+        prob = line_problem(p=3.0)
+        g = build_grid(prob, (0.0, 1.0), 32, law="uniform")
+        other = build_grid(prob, (0.0, 2.0), 32, law="uniform")
+        u = make_field(g, np.sin(np.pi * g.nodes) + 0.2)
+        f = make_field(other, np.ones(other.n))
+        with pytest.raises(ValueError):
+            weak_residual(u, prob, f=f)
+        with pytest.raises(ValueError):
+            residual_scale(u, prob, f=f)
+        with pytest.raises(ValueError):
             solve_dirichlet(prob, g, (0.0, 0.0), f=f)
 
 

@@ -1,0 +1,112 @@
+"""Structure of the package source: no module reaches into another
+module's private names, no import goes unused, and every solver and
+residual entry point samples the potential once per (problem, grid)."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import pcrit
+from pcrit import (
+    PotentialSpec,
+    RadialProblem,
+    build_grid,
+    classify_sign,
+    make_field,
+    principal_eigenpair,
+    residual_scale,
+    solve_dirichlet,
+    wcp_check,
+    weak_residual,
+)
+
+SOURCES = sorted(Path(pcrit.__file__).parent.glob("*.py"))
+
+
+def _parsed():
+    return [(path.name, ast.parse(path.read_text())) for path in SOURCES]
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_sources_found():
+    assert {"solver.py", "criticality.py", "mingrowth.py"} <= {p.name for p in SOURCES}
+
+
+def test_no_private_imports_across_modules():
+    offenders = []
+    for name, tree in _parsed():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                for alias in node.names:
+                    private = alias.name.startswith("_") and not alias.name.startswith("__")
+                    if private:
+                        offenders.append(f"{name}:{node.lineno} {node.module}.{alias.name}")
+    assert offenders == []
+
+
+def test_no_unused_imports():
+    offenders = []
+    for name, tree in _parsed():
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+        offenders += [f"{name}:{line} {imp}" for imp, line in imported.items() if imp not in used]
+    assert offenders == []
+
+
+@pytest.fixture
+def sample_counter(monkeypatch):
+    calls = []
+    original = PotentialSpec.sample
+
+    def counted(self, r):
+        calls.append(len(r))
+        return original(self, r)
+
+    monkeypatch.setattr(PotentialSpec, "sample", counted)
+    return calls
+
+
+def _setup():
+    prob = RadialProblem(3.0, 1, (0.0, np.inf), PotentialSpec.constant(0.5))
+    grid = build_grid(prob, (0.0, 1.0), 41, law="uniform")
+    bump = np.sin(np.pi * grid.nodes)
+    return prob, grid, make_field(grid, bump), make_field(grid, 2.0 * bump)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["weak_residual", "residual_scale", "solve_dirichlet", "principal_eigenpair",
+     "classify_sign", "wcp_check"],
+)
+def test_potential_sampled_once_per_entry_point(entry, sample_counter):
+    prob, grid, u, v = _setup()
+    calls = {
+        "weak_residual": lambda: weak_residual(u, prob, f=u),
+        "residual_scale": lambda: residual_scale(u, prob, f=u),
+        "solve_dirichlet": lambda: solve_dirichlet(prob, grid, (0.0, 0.0), f=u),
+        "principal_eigenpair": lambda: principal_eigenpair(prob, grid),
+        "classify_sign": lambda: classify_sign(u, prob, 1e-8),
+        "wcp_check": lambda: wcp_check(u, v, prob),
+    }
+    sample_counter.clear()
+    calls[entry]()
+    assert sample_counter == [grid.n]
