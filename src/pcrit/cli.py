@@ -9,7 +9,6 @@ in effect.  Exit status: 0 success, 1 config or precondition failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -29,12 +28,14 @@ from .errors import PcritError, StateError
 from .mingrowth import minimal_growth_certificate, uK_limit
 from .model import (
     CompactSetSpec,
+    ExhaustionSchedule,
     Field,
+    PotentialSpec,
+    RadialProblem,
     build_grid,
     make_field,
 )
 from .solver import (
-    DEFAULT_CONFIG,
     SolverConfig,
     principal_eigenpair,
     solve_dirichlet,
@@ -42,16 +43,6 @@ from .solver import (
 )
 
 __all__ = ["main", "run", "VALIDATION_SUITES"]
-
-
-def _solver_config(tolerances: dict) -> SolverConfig:
-    # config values arrive as floats; iteration-count fields need ints back
-    fields = {f.name: str(f.type) for f in dataclasses.fields(SolverConfig)}
-    overrides = {}
-    for k, v in tolerances.items():
-        if k in fields:
-            overrides[k] = int(v) if fields[k] == "int" else v
-    return dataclasses.replace(DEFAULT_CONFIG, **overrides)
 
 
 def _fmt(x: float) -> str:
@@ -70,56 +61,18 @@ def _write_profile(path: Path, field: Field) -> str:
     return _write_csv(path, "node,value", zip(field.grid.nodes, field.values))
 
 
-def _interval_param(params: dict, key: str) -> tuple[float, float]:
-    if key not in params:
-        raise ConfigError(f"[command] missing {key!r}")
-    toks = params[key].split()
-    if len(toks) != 2:
-        raise ConfigError(f"[command] {key}: expected two numbers")
-    def num(t):
-        tl = t.strip().lower()
-        if tl in ("inf", "+inf"):
-            return float("inf")
-        if tl == "-inf":
-            return float("-inf")
-        try:
-            return float(t)
-        except ValueError:
-            raise ConfigError(f"[command] {key}: {t!r} is not a number") from None
-    return num(toks[0]), num(toks[1])
-
-
-def _int_param(params: dict, key: str, default: int) -> int:
-    if key not in params:
-        return default
-    try:
-        return int(params[key])
-    except ValueError:
-        raise ConfigError(f"[command] {key}: {params[key]!r} is not an integer") from None
-
-
-def _float_param(params: dict, key: str, default: float) -> float:
-    if key not in params:
-        return default
-    try:
-        return float(params[key])
-    except ValueError:
-        raise ConfigError(f"[command] {key}: {params[key]!r} is not a number") from None
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns (results dict, csv file names, exit status)
 # ---------------------------------------------------------------------------
 
 def _cmd_eig(cfg: RunConfig, sc: SolverConfig, out: Path):
-    params = cfg.params
-    if "level" in params:
-        level = _interval_param(params, "level")
+    if "level" in cfg.params:
+        level = cfg.interval("level")
     elif cfg.exhaustion is not None:
         level = cfg.exhaustion.levels[0]
     else:
         raise ConfigError("[command] eig needs level or an [exhaustion] block")
-    resolution = _int_param(params, "resolution", 801)
+    resolution = cfg.integer("resolution", 801)
     grid = build_grid(cfg.problem, level, resolution)
     res = principal_eigenpair(cfg.problem, grid, sc)
     files = [_write_profile(out / "eig_profile.csv", res.eigenfunction)]
@@ -136,8 +89,8 @@ def _cmd_eig(cfg: RunConfig, sc: SolverConfig, out: Path):
 
 def _cmd_solve(cfg: RunConfig, sc: SolverConfig, out: Path):
     params = cfg.params
-    level = _interval_param(params, "level")
-    resolution = _int_param(params, "resolution", 801)
+    level = cfg.interval("level")
+    resolution = cfg.integer("resolution", 801)
     grid = build_grid(cfg.problem, level, resolution)
     bdry_text = params.get("boundary", "0 0").split()
     if len(bdry_text) != 2:
@@ -166,10 +119,10 @@ def _cmd_critical(cfg: RunConfig, sc: SolverConfig, out: Path):
     params = cfg.params
     if cfg.exhaustion is None:
         raise ConfigError("[command] critical needs an [exhaustion] block")
-    resolution = _int_param(params, "resolution", 801)
+    resolution = cfg.integer("resolution", 801)
     frame = params.get("frame", "auto")
-    eps_crit = _float_param(params, "eps_crit", 1e-4)
-    plateau_rtol = _float_param(params, "plateau_rtol", 0.01)
+    eps_crit = cfg.number("eps_crit", 1e-4)
+    plateau_rtol = cfg.number("plateau_rtol", 0.01)
     weight = parse_potential(params["weight"]) if "weight" in params else None
     report = criticality_verdict(
         cfg.problem,
@@ -215,10 +168,9 @@ def _cmd_critical(cfg: RunConfig, sc: SolverConfig, out: Path):
 
 
 def _cmd_capacity(cfg: RunConfig, sc: SolverConfig, out: Path):
-    params = cfg.params
-    k_lo, k_hi = _interval_param(params, "set")
-    level = _interval_param(params, "level")
-    resolution = _int_param(params, "resolution", 1201)
+    k_lo, k_hi = cfg.interval("set")
+    level = cfg.interval("level")
+    resolution = cfg.integer("resolution", 1201)
     compact = CompactSetSpec(k_lo, k_hi)
     rep = q_capacity(cfg.problem, compact, level, resolution=resolution, config=sc)
     files = [_write_profile(out / "capacity_profile.csv", rep.minimizer)]
@@ -235,13 +187,12 @@ def _cmd_capacity(cfg: RunConfig, sc: SolverConfig, out: Path):
 
 
 def _cmd_mingrowth(cfg: RunConfig, sc: SolverConfig, out: Path):
-    params = cfg.params
     if cfg.exhaustion is None:
         raise ConfigError("[command] mingrowth needs an [exhaustion] block")
-    k_lo, k_hi = _interval_param(params, "set")
-    trace = _interval_param(params, "trace") if "trace" in params else (1.0, 1.0)
-    resolution = _int_param(params, "resolution", 601)
-    cauchy_tol = _float_param(params, "cauchy_tol", 1e-5)
+    k_lo, k_hi = cfg.interval("set")
+    trace = cfg.interval("trace") if "trace" in cfg.params else (1.0, 1.0)
+    resolution = cfg.integer("resolution", 601)
+    cauchy_tol = cfg.number("cauchy_tol", 1e-5)
     run_res = uK_limit(
         cfg.problem,
         CompactSetSpec(k_lo, k_hi),
@@ -270,9 +221,9 @@ def _cmd_certify(cfg: RunConfig, sc: SolverConfig, out: Path):
     params = cfg.params
     if cfg.exhaustion is None:
         raise ConfigError("[command] certify needs an [exhaustion] block")
-    o_lo, o_hi = _interval_param(params, "omega2")
-    window = _interval_param(params, "window")
-    resolution = _int_param(params, "resolution", 601)
+    o_lo, o_hi = cfg.interval("omega2")
+    window = cfg.interval("window")
+    resolution = cfg.integer("resolution", 601)
     if "candidate" not in params:
         raise ConfigError("[command] certify needs candidate (e.g. 'power 1 -1')")
     toks = params["candidate"].split()
@@ -296,7 +247,6 @@ def _cmd_certify(cfg: RunConfig, sc: SolverConfig, out: Path):
         window,
         cfg.exhaustion,
         resolution=resolution,
-        config=sc,
     )
     files = [
         _write_csv(
@@ -342,8 +292,6 @@ def _random_nonneg_compact(rng: np.random.Generator, grid) -> Field:
 
 
 def _suite_picone(rng: np.random.Generator, sc: SolverConfig):
-    from .model import PotentialSpec, RadialProblem
-
     ok = True
     details = []
     for p in (2.0, 3.0):
@@ -372,8 +320,6 @@ def _suite_picone(rng: np.random.Generator, sc: SolverConfig):
 
 
 def _suite_eigen_shift(rng: np.random.Generator, sc: SolverConfig):
-    from .model import PotentialSpec, RadialProblem
-
     ok = True
     details = []
     for p in (2.0, 3.0):
@@ -394,8 +340,6 @@ def _suite_eigen_shift(rng: np.random.Generator, sc: SolverConfig):
 
 
 def _suite_wcp(rng: np.random.Generator, sc: SolverConfig):
-    from .model import PotentialSpec, RadialProblem
-
     ok = True
     worst = 0.0
     count = 0
@@ -427,8 +371,6 @@ def _suite_wcp(rng: np.random.Generator, sc: SolverConfig):
 
 
 def _suite_uk_monotone(rng: np.random.Generator, sc: SolverConfig):
-    from .model import ExhaustionSchedule, PotentialSpec, RadialProblem
-
     prob = RadialProblem(p=2.0, d=3, domain=(0.0, float("inf")), potential=PotentialSpec.zero())
     levels = tuple((0.0, 2.0**k) for k in range(1, 6))
     run_res = uK_limit(
@@ -445,15 +387,13 @@ def _suite_uk_monotone(rng: np.random.Generator, sc: SolverConfig):
 
 
 def _suite_certificate_mass(rng: np.random.Generator, sc: SolverConfig):
-    from .model import ExhaustionSchedule, PotentialSpec, RadialProblem
-
     prob = RadialProblem(p=2.0, d=3, domain=(0.0, float("inf")), potential=PotentialSpec.zero())
     master = build_grid(prob, (1e-2, 2.0**7), 2001)
     u = make_field(master, 1.0 / master.nodes)
     levels = tuple((0.0, 2.0**k) for k in range(4, 8))
     cert = minimal_growth_certificate(
         prob, u, CompactSetSpec(0.0, 2.0), (3.0, 4.0),
-        ExhaustionSchedule(levels, x0=1.0), resolution=301, config=sc,
+        ExhaustionSchedule(levels, x0=1.0), resolution=301,
     )
     mass_dev = max(abs(m - 1.0) for m in cert.masses)
     decreasing = all(b < a for a, b in zip(cert.mus, cert.mus[1:]))
@@ -472,15 +412,14 @@ VALIDATION_SUITES = {
 
 
 def _cmd_validate(cfg: RunConfig, sc: SolverConfig, out: Path):
-    seed = int(cfg.params.get("seed", "12345"))
     suites = {}
     all_ok = True
     for idx, (name, fn) in enumerate(VALIDATION_SUITES.items()):
-        rng = np.random.default_rng([seed, idx])
+        rng = np.random.default_rng([cfg.seed, idx])
         ok, detail = fn(rng, sc)
         suites[name] = {"pass": bool(ok), "detail": detail}
         all_ok &= ok
-    results = {"suites": suites, "all_pass": bool(all_ok), "seed": seed}
+    results = {"suites": suites, "all_pass": bool(all_ok), "seed": cfg.seed}
     return results, [], 0
 
 
@@ -497,7 +436,7 @@ _HANDLERS = {
 
 def run(cfg: RunConfig) -> int:
     """Dispatch a parsed config; write the report; return the exit status."""
-    sc = _solver_config(cfg.tolerances)
+    sc = cfg.solver
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     results, files, status = _HANDLERS[cfg.command](cfg, sc, out)
@@ -509,7 +448,7 @@ def run(cfg: RunConfig) -> int:
         "command": cfg.command,
         "config_sha256": cfg.config_sha256,
         "config_path": str(cfg.source_path),
-        "seed": int(cfg.params.get("seed", "12345")),
+        "seed": cfg.seed,
         "problem": {
             "p": cfg.problem.p,
             "d": cfg.problem.d,
@@ -557,10 +496,7 @@ def main(argv=None) -> int:
     except StateError as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return 2
-    except PcritError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (PcritError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -20,8 +20,14 @@ command with its parameters, an output directory, and tolerance overrides:
     name = critical
     resolution = 801
 
+    [tolerances]
+    residual_tol = 1e-10
+
     [output]
     dir = out
+
+[tolerances] keys are SolverConfig field names; integer fields take
+integers.
 
 Potentials are written as "zero", "constant <c>", "power <c> <s>" (c * |r|^s),
 "bump <center> <radius> <height>", or a sum of those joined with " + ".
@@ -32,11 +38,12 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import DomainError, PcritError
 from .model import ExhaustionSchedule, PotentialSpec, RadialProblem, make_exhaustion
+from .solver import DEFAULT_CONFIG, SolverConfig
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_potential", "COMMANDS"]
 
@@ -49,6 +56,10 @@ class ConfigError(PcritError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed run: ``params`` holds the raw [command] values, which the
+    typed getters below parse; ``tolerances`` holds the parsed overrides
+    that ``solver`` applies."""
+
     problem: RadialProblem
     exhaustion: ExhaustionSchedule | None
     command: str
@@ -57,6 +68,30 @@ class RunConfig:
     tolerances: dict
     config_sha256: str
     source_path: Path
+    seed: int
+    solver: SolverConfig
+
+    def interval(self, key: str) -> tuple[float, float]:
+        if key not in self.params:
+            raise ConfigError(f"[command] missing {key!r}")
+        return _parse_interval(self.params[key], f"[command] {key}")
+
+    def number(self, key: str, default: float) -> float:
+        if key not in self.params:
+            return default
+        return _parse_number(self.params[key], f"[command] {key}")
+
+    def integer(self, key: str, default: int) -> int:
+        if key not in self.params:
+            return default
+        return _parse_int(self.params[key], f"[command] {key}")
+
+
+def _parse_int(tok: str, where: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ConfigError(f"{where}: {tok!r} is not an integer") from None
 
 
 def _parse_number(tok: str, where: str) -> float:
@@ -159,11 +194,7 @@ def parse_config(
         raise ConfigError(f"{path}: missing [problem] section")
     prob_sec = cp["problem"]
     p = _parse_number(_get(prob_sec, "p", "problem"), "[problem] p")
-    d_raw = _get(prob_sec, "d", "problem")
-    try:
-        d = int(d_raw)
-    except ValueError:
-        raise ConfigError(f"[problem] d: {d_raw!r} is not an integer") from None
+    d = _parse_int(_get(prob_sec, "d", "problem"), "[problem] d")
     domain = _parse_interval(_get(prob_sec, "domain", "problem"), "[problem] domain")
     potential = parse_potential(prob_sec.get("potential", "zero"))
     try:
@@ -174,7 +205,7 @@ def parse_config(
     exhaustion = None
     if "exhaustion" in cp:
         ex_sec = cp["exhaustion"]
-        count = int(ex_sec.get("count", "8"))
+        count = _parse_int(ex_sec.get("count", "8"), "[exhaustion] count")
         if levels_override is not None:
             count = levels_override
         if "levels" in ex_sec:
@@ -216,19 +247,21 @@ def parse_config(
         raise ConfigError(
             f"[command] name: unknown command {command!r} (one of {', '.join(COMMANDS)})"
         )
-    params = {k: v for k, v in cmd_sec.items() if k != "name"}
-    if seed is not None:
-        params["seed"] = str(seed)
-    params.setdefault("seed", "12345")
+    params = {k: v for k, v in cmd_sec.items() if k not in ("name", "seed")}
+    file_seed = _parse_int(cmd_sec.get("seed", "12345"), "[command] seed")
 
     out_dir = Path(cp["output"].get("dir", ".")) if "output" in cp else Path(".")
     if out_override is not None:
         out_dir = Path(out_override)
 
+    # each [tolerances] key is a SolverConfig field, parsed by its default's type
+    defaults = {f.name: f.default for f in fields(SolverConfig)}
     tolerances: dict = {}
-    if "tolerances" in cp:
-        for k, v in cp["tolerances"].items():
-            tolerances[k] = _parse_number(v, f"[tolerances] {k}")
+    for k, v in (cp["tolerances"] if "tolerances" in cp else {}).items():
+        if k not in defaults:
+            raise ConfigError(f"[tolerances] {k}: unknown key (one of {', '.join(defaults)})")
+        parse = _parse_int if isinstance(defaults[k], int) else _parse_number
+        tolerances[k] = parse(v, f"[tolerances] {k}")
     if tol_override is not None:
         tolerances["residual_tol"] = float(tol_override)
 
@@ -241,4 +274,6 @@ def parse_config(
         tolerances=tolerances,
         config_sha256=digest,
         source_path=path,
+        seed=file_seed if seed is None else seed,
+        solver=replace(DEFAULT_CONFIG, **tolerances),
     )

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import energy_Q
-from .errors import DomainError, PreconditionError, StateError
+from .errors import PreconditionError, StateError
 from .model import (
     CompactSetSpec,
     ExhaustionSchedule,
@@ -420,7 +420,7 @@ def criticality_verdict(
 
     pos_weight = None
     if verdict == "subcritical":
-        cert = _positivity_margins(problem, run, t_star, resolution, config)
+        cert = _positivity_margins(problem, run, t_star, config)
         pos_weight = (cert.weight, cert.margin)
 
     return CriticalityReport(
@@ -442,7 +442,6 @@ def _positivity_margins(
     problem: RadialProblem,
     run: NullSequenceRun,
     t_star: float,
-    resolution: int,
     config: SolverConfig,
 ) -> PositivityCertificate:
     """Margins of the discounted form V - (t*/2) W across the run's levels."""
@@ -451,10 +450,10 @@ def _positivity_margins(
     discounted = RadialProblem(
         wp.p, wp.d, wp.domain, PotentialSpec.combination(wp.potential, run.weight, -0.5 * t_star)
     )
-    margins = []
-    for entry in run.entries:
-        grid = _level_grid(wp, entry.level, run.weight, resolution)
-        margins.append(principal_eigenpair(discounted, grid, config).lam)
+    margins = [
+        principal_eigenpair(discounted, entry.minimizer.grid, config).lam
+        for entry in run.entries
+    ]
     margin = min(margins)
     if margin < -1e-8:
         logger.warning("positivity margin is negative: %g", margin)
@@ -517,8 +516,9 @@ def positivity_weight(
     plateau threshold times the probe, with the discounted form's principal
     eigenvalue margin on every level (smallest margin reported first).
 
-    Pass a precomputed ``report`` to skip rerunning the exhaustion.  A
-    critical or undetermined verdict raises StateError.
+    Pass a precomputed ``report`` to skip rerunning the exhaustion; the
+    margins are then taken on its levels' grids.  A critical or
+    undetermined verdict raises StateError.
     """
     if report is None:
         report = criticality_verdict(
@@ -528,9 +528,7 @@ def positivity_weight(
         raise StateError(
             f"positivity weight requires a subcritical verdict, got {report.verdict!r}"
         )
-    return _positivity_margins(
-        problem, report.run, report.t_star_estimate, resolution, config
-    )
+    return _positivity_margins(problem, report.run, report.t_star_estimate, config)
 
 
 # ---------------------------------------------------------------------------
@@ -555,12 +553,8 @@ def q_capacity(
     """
     a, b = problem.require_level(level)
     compact.validate(problem)
+    compact.require_inside((a, b), problem)
     k_lo, k_hi = compact.k_lo, compact.k_hi
-    center_touch = k_lo == a == 0.0 and problem.d > 1
-    if not ((k_lo > a or center_touch) and k_hi < b):
-        raise DomainError(
-            f"compact set [{k_lo}, {k_hi}] must sit strictly inside the level ({a}, {b})"
-        )
 
     grid = _capacity_grid(problem, (a, b), (k_lo, k_hi), resolution)
     op = DiscreteOperator.bind(problem, grid)
@@ -666,16 +660,15 @@ def _capacity_solve(
     side of the pinned run is an unforced Dirichlet solve on its subgrid."""
     u = np.zeros(grid.n)
     u[act_lo : act_hi + 1] = 1.0
-    nodes = grid.nodes
     if act_lo > 0:
-        sub = Grid(nodes[: act_lo + 1], "explicit", grid.weight_exponent)
+        sub = grid.restrict(0, act_lo + 1)
         left_bc = None if sub.natural_left else 0.0
         rep = solve_dirichlet(problem, sub, (left_bc, 1.0), config=config)
         if not rep.converged:
             return None
         u[: act_lo + 1] = rep.solution.values
     if act_hi < grid.n - 1:
-        sub = Grid(nodes[act_hi:], "explicit", grid.weight_exponent)
+        sub = grid.restrict(act_hi)
         rep = solve_dirichlet(problem, sub, (1.0, 0.0), config=config)
         if not rep.converged:
             return None

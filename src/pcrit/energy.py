@@ -45,6 +45,7 @@ __all__ = [
     "VectorIneqRatio",
     "EnvelopeReport",
     "energy_Q",
+    "picone_cells",
     "picone_density",
     "picone_gap",
     "simplified_energy",
@@ -127,6 +128,17 @@ class LagrangianField:
         object.__setattr__(self, "cell_values", vals)
 
 
+def picone_cells(p: float, us, um, vs, vm) -> np.ndarray:
+    """Cellwise L(u, v) from the cell slopes (us, vs) and midpoint values
+    (um, vm) of u >= 0 and v > 0."""
+    ratio = um / vm
+    return (
+        np.abs(us) ** p
+        + (p - 1.0) * ratio**p * np.abs(vs) ** p
+        - p * ratio ** (p - 1.0) * us * phi_p(vs, p)
+    ) / p
+
+
 def picone_density(u: Field, v: Field, problem: RadialProblem) -> LagrangianField:
     """Cellwise density L(u, v) >= 0 for u >= 0 against v > 0.
 
@@ -138,18 +150,9 @@ def picone_density(u: Field, v: Field, problem: RadialProblem) -> LagrangianFiel
         raise PreconditionError("picone_density needs v > 0 at every node")
     if np.any(u.values < 0.0):
         raise PreconditionError("picone_density needs u >= 0 at every node")
-    p = problem.p
     g = u.grid
-    us, vs = _slopes(u), _slopes(v)
-    um, vm = _midvals(u), _midvals(v)
-    ratio = um / vm
-    cells = (
-        np.abs(us) ** p
-        + (p - 1.0) * ratio**p * np.abs(vs) ** p
-        - p * ratio ** (p - 1.0) * us * phi_p(vs, p)
-    ) / p
-    total = float(np.sum(cells * g.cell_w))
-    return LagrangianField(g, cells, total)
+    cells = picone_cells(problem.p, _slopes(u), _midvals(u), _slopes(v), _midvals(v))
+    return LagrangianField(g, cells, float(np.sum(cells * g.cell_w)))
 
 
 def picone_gap(u: Field, v: Field, problem: RadialProblem) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import phi_p
+from .energy import phi_p, picone_cells
 from .errors import DomainError, PreconditionError, StateError
 from .model import (
     CompactSetSpec,
@@ -140,32 +140,33 @@ def _master_side(
     return Grid(nodes, "explicit", problem.weight_exponent)
 
 
-def _sub_solve(
+def _side_level(
     problem: RadialProblem,
     master: Grid,
-    stop: float,
-    boundary: tuple[float | None, float],
+    level: tuple[float, float],
+    trace: float,
+    toward_zero: bool,
     config: SolverConfig,
-    from_right: bool,
-    initial: np.ndarray | None = None,
-):
-    """Dirichlet solve on the master-grid prefix (or suffix) ending at
-    ``stop``; returns (values on the subgrid, index range, report)."""
-    nodes = master.nodes
-    if from_right:
-        i0 = int(np.searchsorted(nodes, stop))
-        sub_nodes = nodes[i0:]
+    initial: np.ndarray | None,
+) -> tuple[np.ndarray, float] | None:
+    """One level on one side of the compact set: the Dirichlet solve on the
+    master-grid piece between the set (held at ``trace``) and the level's
+    endpoint on that side (held at 0), extended by zero to the whole master
+    grid, and the piece's principal eigenvalue.  None when the solve fails."""
+    if toward_zero:
+        i = int(np.searchsorted(master.nodes, level[0]))
+        piece, boundary = slice(i, None), (0.0, trace)
     else:
-        i1 = int(np.searchsorted(nodes, stop))
-        sub_nodes = nodes[: i1 + 1]
-        i0 = 0
-    sub = Grid(sub_nodes, "explicit", master.weight_exponent)
-    init = None
-    if initial is not None:
-        vals = initial[i0 : i0 + sub.n]
-        init = Field(sub, vals)
+        i = int(np.searchsorted(master.nodes, level[1]))
+        piece, boundary = slice(0, i + 1), (trace, 0.0)
+    sub = master.restrict(piece.start, piece.stop)
+    init = None if initial is None else Field(sub, initial[piece])
     rep = solve_dirichlet(problem, sub, boundary, config=config, initial=init)
-    return sub, i0, rep
+    if not rep.converged:
+        return None
+    vals = np.zeros(master.n)
+    vals[piece] = rep.solution.values
+    return vals, principal_eigenpair(problem, sub, config).lam
 
 
 def uK_limit(
@@ -193,12 +194,8 @@ def uK_limit(
     if t_lo <= 0 or t_hi <= 0:
         raise ValueError("trace values must be positive")
     levels = exhaustion.levels
-    for a, b in levels:
-        center_touch = k_lo == a == 0.0 and problem.d > 1
-        if not ((a < k_lo or center_touch) and k_hi < b):
-            raise DomainError(
-                f"compact set [{k_lo}, {k_hi}] must sit strictly inside level ({a}, {b})"
-            )
+    for level in levels:
+        compact.require_inside(level, problem)
 
     has_left = levels[0][0] < k_lo
     right_master = _master_side(
@@ -226,44 +223,37 @@ def uK_limit(
     gaps: list[float] = []
     window = (k_hi, levels[0][1])
     win_mask = (full.nodes >= window[0]) & (full.nodes <= window[1])
-    prev_right = None
-    prev_left = None
+    # (name, master grid, trace, toward_zero) per side of the set
+    sides = [("right", right_master, t_hi, False)]
+    if left_master is not None:
+        sides.append(("left", left_master, t_lo, True))
+    prev: dict[str, np.ndarray] = {}
     for a, b in levels:
-        sub_r, i0_r, rep_r = _sub_solve(
-            problem, right_master, b, (t_hi, 0.0), config, from_right=False,
-            initial=prev_right,
-        )
-        if not rep_r.converged:
-            logger.warning("level (%g, %g): right solve failed, truncating", a, b)
-            break
-        lam = principal_eigenpair(problem, sub_r, config).lam
-        vals_left = None
-        if left_master is not None:
-            sub_l, i0_l, rep_l = _sub_solve(
-                problem, left_master, a, (0.0, t_lo), config, from_right=True,
-                initial=prev_left,
+        solved = {}
+        for name, master, t_side, toward_zero in sides:
+            got = _side_level(
+                problem, master, (a, b), t_side, toward_zero, config, prev.get(name)
             )
-            if not rep_l.converged:
-                logger.warning("level (%g, %g): left solve failed, truncating", a, b)
+            if got is None:
+                logger.warning("level (%g, %g): %s solve failed, truncating", a, b, name)
                 break
-            lam = min(lam, principal_eigenpair(problem, sub_l, config).lam)
-            vals_left = np.zeros(left_master.n)
-            vals_left[i0_l:] = rep_l.solution.values
-            prev_left = vals_left
+            solved[name] = got
+        if len(solved) < len(sides):
+            break
+        lam = min(lam_side for _, lam_side in solved.values())
         if not lam > 0:
             raise PreconditionError(
                 f"principal eigenvalue on level ({a}, {b}) minus the set is {lam:.3e} <= 0"
             )
         lam1s.append(lam)
-        vals_right = np.zeros(right_master.n)
-        vals_right[: sub_r.n] = rep_r.solution.values
-        prev_right = vals_right
+        prev = {name: vals for name, (vals, _) in solved.items()}
 
+        # the write order decides which value lands on the shared nodes
         u_full = np.empty(full.n)
-        if left_master is not None:
-            u_full[: left_master.n] = vals_left
+        if "left" in prev:
+            u_full[: left_master.n] = prev["left"]
         u_full[set_start : set_start + n_set] = set_vals
-        u_full[set_start + n_set - 1 :] = vals_right
+        u_full[set_start + n_set - 1 :] = prev["right"]
         field = Field(full, u_full)
         if fields:
             diff = fields[-1].values - u_full
@@ -455,10 +445,8 @@ def removability_test(
     if len(sups) < 4:
         raise ValueError("grid resolves too few dyadic windows near x0")
 
-    away = nodes >= x0 + first
-    away_grid = Grid(nodes[away], "explicit", u.grid.weight_exponent)
-    away_field = Field(away_grid, u.values[away])
-    cls = classify_sign(away_field, problem, classify_tol)
+    away = int(np.searchsorted(nodes, x0 + first))
+    cls = classify_sign(Field(u.grid.restrict(away), u.values[away:]), problem, classify_tol)
     if cls.kind not in ("solution",):
         raise PreconditionError(
             f"field does not solve the equation away from x0 (classified {cls.kind!r})"
@@ -514,7 +502,6 @@ def _certificate_level(
     grid: Grid,
     uvals: np.ndarray,
     mass_mask: np.ndarray,
-    config: SolverConfig,
 ) -> tuple[float, np.ndarray, float]:
     """One level of the certificate: minimize the Picone density of u over
     nonnegative w vanishing at the outer edge with unit p-mass on the
@@ -534,8 +521,6 @@ def _certificate_level(
     lam, phi = smallest_generalized_eigen(d, off, mass)
     phi_full = np.zeros(n)
     phi_full[free] = phi
-    if phi_full[np.argmax(np.abs(phi_full))] < 0:
-        phi_full = -phi_full
     w = np.maximum(uvals * phi_full, 0.0)
     w[-1] = 0.0
 
@@ -543,7 +528,7 @@ def _certificate_level(
         return float(np.sum(grid.node_w * mass_mask * wv**p))
 
     def objective(wv: np.ndarray) -> float:
-        return _picone_total(grid, p, wv, uvals, us, um)
+        return _picone_total(grid, p, wv, us, um)
 
     m = mass_of(w)
     if m <= 0:
@@ -557,12 +542,12 @@ def _certificate_level(
                 "candidate solution has a critical point on the region; the"
                 " certificate needs a nonvanishing slope for p != 2"
             )
-        w, mu = _irls_minimize(grid, p, w, uvals, us, um, mass_mask, mass_of, objective)
-        w, mu = _polish_descent(grid, p, w, uvals, us, um, mass_of, objective)
+        w, mu = _irls_minimize(grid, p, w, us, um, mass_mask, mass_of, objective)
+        w, mu = _polish_descent(grid, p, w, us, um, mass_of, objective)
     return mu, w, mass_of(w)
 
 
-def _irls_minimize(grid, p, w, uvals, us, um, mass_mask, mass_of, objective, rounds: int = 40):
+def _irls_minimize(grid, p, w, us, um, mass_mask, mass_of, objective, rounds: int = 40):
     """Reweighted quadratic relaxations of the Picone objective.
 
     Each round freezes the degree-(p-2) factors of the density at the
@@ -594,8 +579,6 @@ def _irls_minimize(grid, p, w, uvals, us, um, mass_mask, mass_of, objective, rou
             break
         wn = np.zeros(n)
         wn[:-1] = vec
-        if wn[np.argmax(np.abs(wn))] < 0:
-            wn = -wn
         wn = np.maximum(wn, 0.0)
         wn[-1] = 0.0
         m = mass_of(wn)
@@ -618,12 +601,12 @@ def _irls_minimize(grid, p, w, uvals, us, um, mass_mask, mass_of, objective, rou
     return best_w, best
 
 
-def _polish_descent(grid, p, w, uvals, us, um, mass_of, objective, iters: int = 200):
+def _polish_descent(grid, p, w, us, um, mass_of, objective, iters: int = 200):
     """Short projected-descent polish after the reweighted rounds."""
     mu = objective(w)
     step = 1.0
     for _ in range(iters):
-        g = _picone_grad(grid, p, w, uvals, us, um)
+        g = _picone_grad(grid, p, w, us, um)
         g[-1] = 0.0
         gnorm = float(np.max(np.abs(g)))
         if gnorm == 0.0:
@@ -647,19 +630,12 @@ def _polish_descent(grid, p, w, uvals, us, um, mass_of, objective, iters: int = 
     return w, mu
 
 
-def _picone_total(grid, p, w, uvals, us, um) -> float:
-    ws = np.diff(w) / grid.h
-    wm = 0.5 * (w[:-1] + w[1:])
-    ratio = wm / um
-    cells = (
-        np.abs(ws) ** p
-        + (p - 1.0) * ratio**p * np.abs(us) ** p
-        - p * ratio ** (p - 1.0) * ws * phi_p(us, p)
-    ) / p
+def _picone_total(grid, p, w, us, um) -> float:
+    cells = picone_cells(p, np.diff(w) / grid.h, 0.5 * (w[:-1] + w[1:]), us, um)
     return float(np.sum(cells * grid.cell_w))
 
 
-def _picone_grad(grid, p, w, uvals, us, um) -> np.ndarray:
+def _picone_grad(grid, p, w, us, um) -> np.ndarray:
     ws = np.diff(w) / grid.h
     wm = 0.5 * (w[:-1] + w[1:])
     ratio = wm / um
@@ -682,7 +658,6 @@ def minimal_growth_certificate(
     window: tuple[float, float],
     exhaustion: ExhaustionSchedule,
     resolution: int = 601,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> CertificateRun:
     """Per-level infima of the candidate's Picone density over unit-mass
     fields, and the trend verdict.
@@ -712,7 +687,7 @@ def minimal_growth_certificate(
         grid = _certificate_grid(problem, edge, b, window, resolution)
         uvals = np.asarray(u.at(grid.nodes))
         mass_mask = ((grid.nodes >= b_lo) & (grid.nodes <= b_hi)).astype(float)
-        mu, w, m = _certificate_level(problem, grid, uvals, mass_mask, config)
+        mu, w, m = _certificate_level(problem, grid, uvals, mass_mask)
         mus.append(mu)
         masses.append(m)
         mins.append(Field(grid, w))
@@ -762,13 +737,12 @@ def comparison_check(
         )
     grid = u_sub.grid
     check_same_grid(grid, v_super.grid)
-    edge = omega2.k_hi
-    region = grid.nodes >= edge
-    if not np.any(region):
+    start = int(np.searchsorted(grid.nodes, omega2.k_hi))
+    if start == grid.n:
         raise ValueError("grid does not reach beyond omega2")
-    sub_grid = Grid(grid.nodes[region], "explicit", grid.weight_exponent)
-    u_r = Field(sub_grid, u_sub.values[region])
-    v_r = Field(sub_grid, v_super.values[region])
+    sub_grid = grid.restrict(start)
+    u_r = Field(sub_grid, u_sub.values[start:])
+    v_r = Field(sub_grid, v_super.values[start:])
     cls_u = classify_sign(u_r, problem, classify_tol)
     if cls_u.kind not in ("subsolution", "solution"):
         raise PreconditionError(f"u_sub classifies as {cls_u.kind!r} on the region")

@@ -297,7 +297,7 @@ def _weight_antiderivative(r: np.ndarray, exponent: float) -> np.ndarray:
     return np.sign(r) * np.abs(r) ** (exponent + 1.0) / (exponent + 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Strictly increasing nodes with the radial quadrature attached.
 
@@ -307,6 +307,8 @@ class Grid:
     against dual-cell weights: node j gets the exact integral of
     |r|**(d-1) over the half-cells adjacent to it, which reduces to the
     trapezoid weight (h_{j-1} + h_j)/2 when d = 1.
+
+    Grids compare and hash by identity; check_same_grid compares nodes.
     """
 
     nodes: np.ndarray
@@ -369,13 +371,6 @@ class Grid:
         w.setflags(write=False)
         return w
 
-    @cached_property
-    def rho(self) -> np.ndarray:
-        """Pointwise weight |r|**(d-1) at the nodes."""
-        w = np.abs(self.nodes) ** self.weight_exponent
-        w.setflags(write=False)
-        return w
-
     # -- boundary semantics ---------------------------------------------------
 
     @cached_property
@@ -397,6 +392,10 @@ class Grid:
     def free(self) -> slice:
         """Slice of the unknowns: every node without a Dirichlet condition."""
         return slice(0 if self.natural_left else 1, self.n - 1)
+
+    def restrict(self, start: int, stop: int | None = None) -> "Grid":
+        """The grid on the nodes[start:stop], with the same weight exponent."""
+        return Grid(self.nodes[start:stop], "explicit", self.weight_exponent)
 
 
 def check_same_grid(*grids: Grid) -> None:
@@ -521,7 +520,7 @@ def build_graded_grid(
 # fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field:
     """Nodal values of a piecewise linear function on a grid."""
 
@@ -625,6 +624,16 @@ class CompactSetSpec:
                 )
         elif not self.k_lo > lo:
             raise DomainError(f"compact set [{self.k_lo}, {self.k_hi}] must stay above r_lo={lo}")
+
+    def require_inside(self, level: tuple[float, float], problem: RadialProblem) -> None:
+        """Raise DomainError unless the set sits strictly inside the level;
+        it may touch the level only at a ball center (k_lo = a = 0, d > 1)."""
+        a, b = level
+        center_touch = self.k_lo == a == 0.0 and problem.d > 1
+        if not ((a < self.k_lo or center_touch) and self.k_hi < b):
+            raise DomainError(
+                f"compact set [{self.k_lo}, {self.k_hi}] must sit strictly inside the level ({a}, {b})"
+            )
 
 
 @dataclass(frozen=True)

@@ -233,7 +233,7 @@ class DiscreteOperator:
         Dirichlet nodes.
 
         p = 2: one generalized tridiagonal eigensolve against the weight
-        mass, which may vanish outside a window; u is the raw eigenvector.
+        mass, which may vanish outside a window; u is the eigenvector.
         p != 2: weighted inverse power iteration (Biezuner, Ercole &
         Martins 2009).  u_{k+1} solves Q'(u_{k+1}) + shift phi_p(u_{k+1}) =
         W phi_p(u_k), with ``shift`` making each solve coercive, and is
@@ -250,8 +250,6 @@ class DiscreteOperator:
             )
             u = np.zeros(g.n)
             u[g.free] = vec
-            if u[np.argmax(np.abs(u))] < 0:
-                u = -u
             return lam, u, 1, True
 
         a, b = g.interval
@@ -464,7 +462,8 @@ def smallest_generalized_eigen(
     tridiagonal eigenproblem.  With a partially supported mass (zeros
     outside a window) the smallest eigenvalue is 1 / nu_max of
     M^(1/2) A^(-1) M^(1/2), computed through banded Cholesky solves; A must
-    then be positive definite.
+    then be positive definite.  The eigenvector is returned with its
+    largest-magnitude entry positive.
     """
     m = diag.size
     if np.any(mass < 0):
@@ -474,8 +473,7 @@ def smallest_generalized_eigen(
         d2 = diag * dinv * dinv
         e2 = off * dinv[:-1] * dinv[1:]
         vals, vecs = eigh_tridiagonal(d2, e2, select="i", select_range=(0, 0))
-        vec = vecs[:, 0] * dinv
-        return float(vals[0]), vec
+        return float(vals[0]), _oriented(vecs[:, 0] * dinv)
     support = np.flatnonzero(mass > 0)
     if support.size == 0:
         raise ValueError("mass diagonal vanishes identically")
@@ -498,9 +496,11 @@ def smallest_generalized_eigen(
     nu = float(vals[-1])
     if nu <= 0:
         raise PreconditionError("partial-mass eigenvalue came out nonpositive")
-    z = vecs[:, -1]
-    vec = x @ (sq * z)
-    return 1.0 / nu, vec
+    return 1.0 / nu, _oriented(x @ (sq * vecs[:, -1]))
+
+
+def _oriented(vec: np.ndarray) -> np.ndarray:
+    return -vec if vec[np.argmax(np.abs(vec))] < 0 else vec
 
 
 def principal_eigenpair(

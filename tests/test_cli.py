@@ -86,6 +86,22 @@ STUCK_SOLVE_INI = dedent(
 )
 
 
+# (config text, stderr prefix, whether --out names an existing file)
+REFUSED = {
+    "count-not-an-integer": (CRIT_INI.replace("count = 15", "count = abc"), "config error:", False),
+    "iteration-cap-inf": (
+        STUCK_SOLVE_INI.replace("max_iter_per_stage = 2", "max_iter_per_stage = inf"),
+        "config error:",
+        False,
+    ),
+    "unknown-tolerance-key": (
+        EIG_INI + "\n[tolerances]\nresdual_tol = 1e-3\n", "config error:", False
+    ),
+    "seed-not-an-integer": (EIG_INI + "seed = abc\n", "config error:", False),
+    "out-is-a-file": (EIG_INI, "error:", True),
+}
+
+
 def run_cli(tmp_path, ini_text, *extra):
     cfg = tmp_path / "run.ini"
     cfg.write_text(ini_text)
@@ -194,3 +210,15 @@ class TestFailureModes:
         assert proc.returncode == 2
         assert report["status"] == "non-convergence"
         assert not report["results"]["converged"]
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_refused_with_exit_1_and_no_traceback(self, tmp_path, case):
+        ini_text, prefix, out_is_file = REFUSED[case]
+        if out_is_file:
+            (tmp_path / "out").write_text("")
+        proc, out, report = run_cli(tmp_path, ini_text)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(prefix), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert report is None
+        assert out.is_file() if out_is_file else not out.exists()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pcrit import (
     CompactSetSpec,
+    DomainError,
     ExhaustionSchedule,
     Field,
     PotentialSpec,
@@ -69,6 +70,26 @@ class TestBuildGrid:
         prob = ball_problem()
         with pytest.raises(ValueError):
             build_grid(prob, (1.0, 2.0), 2)
+
+
+class TestGridIdentity:
+    def test_equality_is_a_bool_and_grids_hash(self):
+        g1 = build_grid(ball_problem(), (0.0, 1.0), 5)
+        g2 = build_grid(ball_problem(), (0.0, 1.0), 5)
+        assert (g1 == g2) is False
+        assert (g1 == g1) is True
+        assert len({g1, g2, g1}) == 2
+        f = make_field(g1, 1.0)
+        assert (f == make_field(g1, 1.0)) is False
+        assert {f: 1}[f] == 1
+
+    def test_restrict_keeps_node_slice_and_weight_exponent(self):
+        g = build_grid(ball_problem(d=3), (0.0, 2.0), 11)
+        head, tail = g.restrict(0, 7), g.restrict(4)
+        assert np.array_equal(head.nodes, g.nodes[:7])
+        assert np.array_equal(tail.nodes, g.nodes[4:])
+        assert head.weight_exponent == tail.weight_exponent == g.weight_exponent == 2.0
+        assert head.natural_left and not tail.natural_left
 
 
 class TestField:
@@ -202,3 +223,21 @@ class TestCompactSetSpec:
     def test_interior_set_needs_positive_width(self):
         with pytest.raises(ValueError):
             CompactSetSpec(2.0, 1.0, (1.0, 1.0))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_set_may_touch_the_level_at_a_ball_center(self, d):
+        CompactSetSpec(0.0, 1.0).require_inside((0.0, 4.0), ball_problem(d=d))
+
+    @pytest.mark.parametrize(
+        "k_lo, k_hi, level, d",
+        [
+            (0.0, 1.0, (0.0, 4.0), 1),  # r = 0 is no ball center in d = 1
+            (0.5, 1.0, (0.5, 4.0), 3),  # left touch away from the center
+            (0.5, 4.0, (0.0, 4.0), 3),  # right touch
+            (0.0, 1.0, (0.5, 4.0), 3),  # the set sticks out on the left
+        ],
+    )
+    def test_any_other_touch_raises(self, k_lo, k_hi, level, d):
+        prob = RadialProblem(2.0, d, (0.0, np.inf), PotentialSpec.zero())
+        with pytest.raises(DomainError):
+            CompactSetSpec(k_lo, k_hi).require_inside(level, prob)

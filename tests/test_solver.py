@@ -21,6 +21,7 @@ from pcrit import (
     weak_residual,
 )
 from pcrit.errors import PreconditionError
+from pcrit.solver import smallest_generalized_eigen
 
 
 def line_problem(p=2.0, V=None):
@@ -168,6 +169,22 @@ class TestEigen:
         rep = principal_eigenpair(prob, g)
         assert rep.converged
         assert rep.lam == pytest.approx(oracles.FROZEN["eig_shoot_p3"], rel=5e-3)
+
+
+class TestSmallestGeneralizedEigen:
+    @pytest.mark.parametrize("m", [8, 13, 40])
+    @pytest.mark.parametrize("branch", ["full-mass", "partial-mass"])
+    def test_vector_is_positively_oriented(self, m, branch):
+        diag, off = 2.0 * np.ones(m), -np.ones(m - 1)
+        if branch == "full-mass":
+            mass = np.linspace(1.0, 2.0, m)
+        else:
+            mass = np.zeros(m)
+            mass[m // 3 : 2 * m // 3] = 1.0
+        _, vec = smallest_generalized_eigen(diag, off, mass)
+        assert vec[np.argmax(np.abs(vec))] > 0
+        # the principal vector of an irreducible M-matrix pencil is one-signed
+        assert np.all(vec > 0)
 
 
 class TestClassifySign:

@@ -1,6 +1,7 @@
 """Structure of the package source: no module reaches into another
-module's private names, no import goes unused, and every solver and
-residual entry point samples the potential once per (problem, grid)."""
+module's private names, no import goes unused, package imports sit at
+module top level, and every solver and residual entry point samples the
+potential once per (problem, grid)."""
 
 from __future__ import annotations
 
@@ -69,6 +70,18 @@ def test_no_unused_imports():
                     imported[alias.asname or alias.name] = node.lineno
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
         offenders += [f"{name}:{line} {imp}" for imp, line in imported.items() if imp not in used]
+    assert offenders == []
+
+
+def test_no_function_level_package_imports():
+    offenders = []
+    for name, tree in _parsed():
+        top = set(map(id, tree.body))
+        offenders += [
+            f"{name}:{node.lineno} from .{node.module}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0 and id(node) not in top
+        ]
     assert offenders == []
 
 
