@@ -53,6 +53,7 @@ def _write_csv(path: Path, header: str, rows) -> str:
     lines = [header]
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
     return path.name
 
@@ -88,20 +89,15 @@ def _cmd_eig(cfg: RunConfig, sc: SolverConfig, out: Path):
 
 
 def _cmd_solve(cfg: RunConfig, sc: SolverConfig, out: Path):
-    params = cfg.params
     level = cfg.interval("level")
     resolution = cfg.integer("resolution", 801)
+    boundary = cfg.boundary()
     grid = build_grid(cfg.problem, level, resolution)
-    bdry_text = params.get("boundary", "0 0").split()
-    if len(bdry_text) != 2:
-        raise ConfigError("[command] boundary: expected two entries")
-    left = None if bdry_text[0].lower() == "none" else float(bdry_text[0])
-    right = float(bdry_text[1])
     f = None
-    if "forcing" in params:
-        spec = parse_potential(params["forcing"])
+    if "forcing" in cfg.params:
+        spec = parse_potential(cfg.params["forcing"])
         f = make_field(grid, spec.sample(grid.nodes))
-    rep = solve_dirichlet(cfg.problem, grid, (left, right), f=f, config=sc)
+    rep = solve_dirichlet(cfg.problem, grid, boundary, f=f, config=sc)
     files = [_write_profile(out / "solve_profile.csv", rep.solution)]
     results = {
         "level": list(level),
@@ -218,27 +214,20 @@ def _cmd_mingrowth(cfg: RunConfig, sc: SolverConfig, out: Path):
 
 
 def _cmd_certify(cfg: RunConfig, sc: SolverConfig, out: Path):
-    params = cfg.params
     if cfg.exhaustion is None:
         raise ConfigError("[command] certify needs an [exhaustion] block")
     o_lo, o_hi = cfg.interval("omega2")
     window = cfg.interval("window")
     resolution = cfg.integer("resolution", 601)
-    if "candidate" not in params:
-        raise ConfigError("[command] certify needs candidate (e.g. 'power 1 -1')")
-    toks = params["candidate"].split()
+    kind, coeffs = cfg.candidate()
     b_last = max(b for _, b in cfg.exhaustion.levels)
     lo = o_hi * 1e-3 if o_hi > 0 else 1e-3
     master = build_grid(cfg.problem, (max(lo, cfg.problem.domain[0]), b_last), 4001)
-    if toks[0] == "power" and len(toks) == 3:
-        c, alpha = float(toks[1]), float(toks[2])
+    if kind == "power":
+        c, alpha = coeffs
         uvals = c * master.nodes**alpha
-    elif toks[0] == "constant" and len(toks) == 2:
-        uvals = float(toks[1]) * np.ones(master.n)
     else:
-        raise ConfigError(
-            "[command] candidate: expected 'power <c> <alpha>' or 'constant <c>'"
-        )
+        uvals = coeffs[0] * np.ones(master.n)
     u = make_field(master, uvals)
     cert = minimal_growth_certificate(
         cfg.problem,
@@ -438,7 +427,9 @@ def run(cfg: RunConfig) -> int:
     """Dispatch a parsed config; write the report; return the exit status."""
     sc = cfg.solver
     out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    # out is made only when written to, so a refused config leaves no output
+    if out.exists() and not out.is_dir():
+        raise NotADirectoryError(f"output path {out} is not a directory")
     results, files, status = _HANDLERS[cfg.command](cfg, sc, out)
     tol_record = dict(cfg.tolerances)
     tol_record.setdefault("residual_tol", sc.tol_for(cfg.problem.p))
@@ -460,6 +451,7 @@ def run(cfg: RunConfig) -> int:
         "files": files,
         "status": "ok" if status == 0 else "non-convergence",
     }
+    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return status
 

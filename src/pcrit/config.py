@@ -86,6 +86,28 @@ class RunConfig:
             return default
         return _parse_int(self.params[key], f"[command] {key}")
 
+    def boundary(self) -> tuple[float | None, float]:
+        """Dirichlet data "<left> <right>" (default "0 0"); a left value of
+        "none" marks a ball center, where there is no boundary."""
+        text = self.params.get("boundary", "0 0")
+        toks = text.split()
+        if len(toks) != 2:
+            raise ConfigError(f"[command] boundary: expected two entries, got {text!r}")
+        left = None if toks[0].lower() == "none" else _parse_number(toks[0], "[command] boundary")
+        return left, _parse_number(toks[1], "[command] boundary")
+
+    def candidate(self) -> tuple[str, tuple[float, ...]]:
+        """The certify candidate, "power <c> <alpha>" (c * r^alpha) or
+        "constant <c>", as (kind, numbers)."""
+        text = self.params.get("candidate", "")
+        toks = text.split()
+        if not toks or {"power": 3, "constant": 2}.get(toks[0]) != len(toks):
+            raise ConfigError(
+                "[command] candidate: expected 'power <c> <alpha>' or 'constant <c>',"
+                f" got {text!r}"
+            )
+        return toks[0], tuple(_parse_number(t, "[command] candidate") for t in toks[1:])
+
 
 def _parse_int(tok: str, where: str) -> int:
     try:

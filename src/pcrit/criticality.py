@@ -9,11 +9,9 @@ nonnegative probe weight W supported near the reference point,
 the largest coupling for which the functional with potential V - t W stays
 nonnegative on the level.  The infimum is computed as the principal
 eigenvalue of the weighted pencil (direct tridiagonal algebra at p = 2,
-weighted inverse power iteration otherwise); bisection on the sign of the
-shifted principal eigenvalue is kept as an independent cross-check method.
-Minimizers of the quotient are the null-sequence elements: normalizing them
-at the reference point turns a decaying t_N into a locally uniform limit,
-the ground state.
+weighted inverse power iteration otherwise).  Minimizers of the quotient
+are the null-sequence elements: normalizing them at the reference point
+turns a decaying t_N into a locally uniform limit, the ground state.
 
 As the levels exhaust the domain, t_N decreases.  Two regimes are told
 apart: t_N sinking below an absolute cut (critical: the functional admits
@@ -31,7 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,6 +91,7 @@ class NullSequenceRun:
     coordinates: str  # "radial" | "log"
     weight: PotentialSpec
     failures: tuple[int, ...]  # level indices whose eigensolve failed
+    problem: RadialProblem  # in the working coordinates
 
 
 @dataclass(frozen=True)
@@ -254,71 +253,25 @@ def _threshold_minimizer(
     return t, u, converged
 
 
-def _bisect_threshold(
-    problem: RadialProblem,
-    grid: Grid,
-    weight: PotentialSpec,
-    config: SolverConfig,
-    abs_tol: float = 1e-8,
-) -> float:
-    """Root of t -> lambda_1(V - t W) on the grid by bracketed bisection;
-    the caller has checked that the form with t = 0 is nonnegative."""
-
-    def lam_at(t: float) -> float:
-        shifted = RadialProblem(
-            problem.p,
-            problem.d,
-            problem.domain,
-            PotentialSpec.combination(problem.potential, weight, -t),
-        )
-        return principal_eigenpair(shifted, grid, config).lam
-
-    hi = 1.0
-    for _ in range(200):
-        if lam_at(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise PreconditionError("no finite threshold: lambda_1 stayed nonnegative")
-    lo = 0.0
-    while hi - lo > abs_tol:
-        mid = 0.5 * (lo + hi)
-        if lam_at(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def threshold_tN(
     problem: RadialProblem,
     level: tuple[float, float],
     weight: PotentialSpec,
     resolution: int = 801,
-    method: str = "eigen",
     config: SolverConfig = DEFAULT_CONFIG,
     frame: str = "auto",
 ) -> float:
     """Largest t keeping the functional with potential V - t W nonnegative
-    on the level.
-
-    ``method`` "eigen" computes it as the weighted principal eigenvalue
-    (exact algebra at p = 2, inverse iteration otherwise); "bisect" locates
-    the sign change of the shifted principal eigenvalue, an independent and
-    slower route kept for cross-checking.
-    """
+    on the level, computed as the weighted principal eigenvalue (exact
+    algebra at p = 2, inverse iteration otherwise)."""
     wp, (wl,), _, ww, _ = _working_frame(problem, (tuple(level),), None, weight, frame)
     grid = _level_grid(wp, wl, ww, resolution)
     wvals = _check_weight(grid, ww)
     _require_nonnegative_form(wp, grid, config)
-    if method == "eigen":
-        t, _, ok = _threshold_minimizer(wp, grid, wvals, config)
-        if not ok:
-            raise StateError("threshold iteration did not converge on the level")
-        return t
-    if method == "bisect":
-        return _bisect_threshold(wp, grid, ww, config)
-    raise ValueError(f"unknown threshold method {method!r}")
+    t, _, ok = _threshold_minimizer(wp, grid, wvals, config)
+    if not ok:
+        raise StateError("threshold iteration did not converge on the level")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +324,7 @@ def null_sequence(
         vvals_w = wvals * np.abs(v) ** wp.p * grid.node_w
         mass = float(np.sum(vvals_w))
         entries.append(LevelThreshold(idx, lv, t, field, energy, mass, ok))
-    return NullSequenceRun(tuple(entries), wx0, coords, ww, tuple(failures))
+    return NullSequenceRun(tuple(entries), wx0, coords, ww, tuple(failures), wp)
 
 
 def criticality_verdict(
@@ -420,7 +373,7 @@ def criticality_verdict(
 
     pos_weight = None
     if verdict == "subcritical":
-        cert = _positivity_margins(problem, run, t_star, config)
+        cert = _positivity_margins(run, t_star, config)
         pos_weight = (cert.weight, cert.margin)
 
     return CriticalityReport(
@@ -439,16 +392,13 @@ def criticality_verdict(
 
 
 def _positivity_margins(
-    problem: RadialProblem,
-    run: NullSequenceRun,
-    t_star: float,
-    config: SolverConfig,
+    run: NullSequenceRun, t_star: float, config: SolverConfig
 ) -> PositivityCertificate:
     """Margins of the discounted form V - (t*/2) W across the run's levels."""
     scaled = run.weight.scaled(0.5 * t_star)
-    wp = log_reduced_problem(problem) if run.coordinates == "log" else problem
-    discounted = RadialProblem(
-        wp.p, wp.d, wp.domain, PotentialSpec.combination(wp.potential, run.weight, -0.5 * t_star)
+    discounted = replace(
+        run.problem,
+        potential=PotentialSpec.combination(run.problem.potential, run.weight, -0.5 * t_star),
     )
     margins = [
         principal_eigenpair(discounted, entry.minimizer.grid, config).lam
@@ -486,10 +436,9 @@ def ground_state(
         )
     run = report.run
     last = run.entries[-1]
-    wp = log_reduced_problem(problem) if run.coordinates == "log" else problem
-    grid2 = _level_grid(wp, last.level, run.weight, 2 * resolution)
+    grid2 = _level_grid(run.problem, last.level, run.weight, 2 * resolution)
     wvals2 = _check_weight(grid2, run.weight)
-    _, v2, ok = _threshold_minimizer(wp, grid2, wvals2, config)
+    _, v2, ok = _threshold_minimizer(run.problem, grid2, wvals2, config)
     if not ok:
         logger.warning("refinement solve failed; returning the coarse ground state")
         return last.minimizer
@@ -528,7 +477,7 @@ def positivity_weight(
         raise StateError(
             f"positivity weight requires a subcritical verdict, got {report.verdict!r}"
         )
-    return _positivity_margins(problem, report.run, report.t_star_estimate, config)
+    return _positivity_margins(report.run, report.t_star_estimate, config)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +505,7 @@ def q_capacity(
     compact.require_inside((a, b), problem)
     k_lo, k_hi = compact.k_lo, compact.k_hi
 
-    grid = _capacity_grid(problem, (a, b), (k_lo, k_hi), resolution)
+    grid = _capacity_grid(problem, (a, b), compact, resolution)
     op = DiscreteOperator.bind(problem, grid)
     unforced = op.load(None)
     _require_nonnegative_form(problem, grid, config)
@@ -633,20 +582,19 @@ def q_capacity(
 def _capacity_grid(
     problem: RadialProblem,
     level: tuple[float, float],
-    kset: tuple[float, float],
+    compact: CompactSetSpec,
     resolution: int,
 ) -> Grid:
     """Level grid with the compact set's endpoints as exact nodes."""
     a, b = level
-    k_lo, k_hi = kset
+    k_lo, k_hi = compact.k_lo, compact.k_hi
     pieces = []
-    n_set = max(resolution // 4, 9)
     if k_lo > a:
         pieces.append(build_grid(problem, (a, k_lo), resolution).nodes[:-1])
-    pieces.append(np.linspace(k_lo, k_hi, n_set))
+    pieces.append(compact.nodes(resolution))
     if k_hi < b:
         pieces.append(build_grid(problem, (k_hi, b), resolution).nodes[1:])
-    return Grid(np.concatenate(pieces), "explicit", problem.weight_exponent)
+    return Grid(np.concatenate(pieces), problem.weight_exponent)
 
 
 def _capacity_solve(

@@ -51,6 +51,8 @@ from .solver import (
 
 logger = logging.getLogger(__name__)
 
+CLASSIFY_TOL = 1e-6  # residual gate of the input sign checks below
+
 __all__ = [
     "MinimalGrowthRun",
     "PointSingularityRun",
@@ -137,7 +139,7 @@ def _master_side(
     focus = (max(lo, inner - span), inner) if toward_zero else (inner, min(hi, inner + span))
     base = build_graded_grid(problem, (lo, hi), focus, resolution)
     nodes = np.union1d(base.nodes, np.asarray(outers, dtype=float))
-    return Grid(nodes, "explicit", problem.weight_exponent)
+    return Grid(nodes, problem.weight_exponent)
 
 
 def _side_level(
@@ -207,13 +209,13 @@ def uK_limit(
             problem, k_lo, tuple(a for a, _ in levels), resolution, toward_zero=True
         )
 
-    n_set = max(resolution // 4, 9)
-    set_nodes = np.linspace(k_lo, k_hi, n_set)
+    set_nodes = compact.nodes(resolution)
+    n_set = set_nodes.size
     pieces = [set_nodes, right_master.nodes[1:]]
     if left_master is not None:
         pieces.insert(0, left_master.nodes[:-1])
     full_nodes = np.concatenate(pieces)
-    full = Grid(full_nodes, "explicit", problem.weight_exponent)
+    full = Grid(full_nodes, problem.weight_exponent)
     set_start = left_master.n - 1 if left_master is not None else 0
     set_vals = t_lo + (set_nodes - k_lo) / max(k_hi - k_lo, 1e-300) * (t_hi - t_lo)
 
@@ -289,8 +291,7 @@ def point_singularity_solution(
     x1: float | None = None,
     resolution: int = 801,
     config: SolverConfig = DEFAULT_CONFIG,
-    return_run: bool = False,
-):
+) -> PointSingularityRun:
     """Positive solution of the unforced equation away from an isolated
     point, built as a limit of punctured solves.
 
@@ -299,8 +300,8 @@ def point_singularity_solution(
     forcing is a unit bump on the annulus between one and two puncture
     radii, boundary data is zero at both ends, and the solve is rescaled to
     equal 1 at x1 afterwards (exact by degree-(p-1) homogeneity).  The
-    limit carries the singularity profile on windows between the final
-    puncture and x1.
+    run's ``limit`` carries the singularity profile on windows between the
+    final puncture and x1.
     """
     exhaustion.validate(problem)
     levels = exhaustion.levels
@@ -342,7 +343,7 @@ def point_singularity_solution(
         fields.append(field)
     if not fields:
         raise StateError("no puncture level solved")
-    run = PointSingularityRun(
+    return PointSingularityRun(
         x0=x0,
         x1=float(x1),
         levels=tuple(levels[: len(fields)]),
@@ -351,7 +352,6 @@ def point_singularity_solution(
         window_gaps=tuple(gaps),
         converged=bool(gaps) and gaps[-1] <= 1e-4,
     )
-    return run if return_run else run.limit
 
 
 def singularity_exponent(
@@ -407,15 +407,13 @@ def removability_test(
     u: Field,
     x0: float,
     tol: float = 1e-8,
-    growth_factor: float = 5.0,
-    classify_tol: float = 1e-6,
 ) -> RemovabilityReport:
     """Decide whether an isolated singular point of a positive solution is
     removable.
 
     First the sup of u is probed on dyadic windows shrinking onto x0 from
-    the right: sustained growth by more than ``growth_factor`` overall is a
-    blowup (nonremovable).  A bounded u is extended continuously across x0
+    the right: sustained growth by more than a factor 5 overall is a blowup
+    (nonremovable).  A bounded u is extended continuously across x0
     and the weak residual paired with the hat function at x0 is measured:
     above 10 * tol * scale it is a concentrated flux (nonremovable), below
     it the point is removable.  Solutions that neither settle nor grow are
@@ -446,7 +444,7 @@ def removability_test(
         raise ValueError("grid resolves too few dyadic windows near x0")
 
     away = int(np.searchsorted(nodes, x0 + first))
-    cls = classify_sign(Field(u.grid.restrict(away), u.values[away:]), problem, classify_tol)
+    cls = classify_sign(Field(u.grid.restrict(away), u.values[away:]), problem, CLASSIFY_TOL)
     if cls.kind not in ("solution",):
         raise PreconditionError(
             f"field does not solve the equation away from x0 (classified {cls.kind!r})"
@@ -454,8 +452,8 @@ def removability_test(
 
     steps = np.array(sups[1:]) / np.array(sups[:-1])
     total_growth = sups[-1] / sups[0]
-    growing = total_growth > growth_factor and float(np.median(steps[-4:])) > 1.1
-    settled = abs(sups[-1] / sups[-2] - 1.0) < 0.05 and total_growth < growth_factor
+    growing = total_growth > 5.0 and float(np.median(steps[-4:])) > 1.1
+    settled = abs(sups[-1] / sups[-2] - 1.0) < 0.05 and total_growth < 5.0
 
     if growing:
         return RemovabilityReport("nonremovable-blowup", tuple(sups), math.nan, math.nan, math.nan)
@@ -471,9 +469,7 @@ def removability_test(
         val0 = float(u.values[first_right])  # continuous extension value
         ext_nodes = np.concatenate(([x0], nodes[right]))
         ext_vals = np.concatenate(([val0], u.values[right]))
-        ext = Field(
-            Grid(ext_nodes, "explicit", u.grid.weight_exponent), ext_vals
-        )
+        ext = Field(Grid(ext_nodes, u.grid.weight_exponent), ext_vals)
         j0 = 0
     r_ext = weak_residual(ext, problem).values
     if j0 == 0:
@@ -715,7 +711,7 @@ def _certificate_grid(
     focus = (edge, window[1])
     base = build_graded_grid(problem, (edge, outer), focus, resolution)
     nodes = np.union1d(base.nodes, np.asarray([window[0], window[1]], dtype=float))
-    return Grid(nodes, "explicit", problem.weight_exponent)
+    return Grid(nodes, problem.weight_exponent)
 
 
 def comparison_check(
@@ -725,7 +721,6 @@ def comparison_check(
     omega2: CompactSetSpec,
     certificate: CertificateRun,
     tol: float = 1e-8,
-    classify_tol: float = 1e-6,
 ) -> ComparisonResult:
     """Comparison beyond omega2 for a certified-minimal subsolution: checks
     u_sub <= v_super + tol nodewise outside the set, after verifying the
@@ -743,10 +738,10 @@ def comparison_check(
     sub_grid = grid.restrict(start)
     u_r = Field(sub_grid, u_sub.values[start:])
     v_r = Field(sub_grid, v_super.values[start:])
-    cls_u = classify_sign(u_r, problem, classify_tol)
+    cls_u = classify_sign(u_r, problem, CLASSIFY_TOL)
     if cls_u.kind not in ("subsolution", "solution"):
         raise PreconditionError(f"u_sub classifies as {cls_u.kind!r} on the region")
-    cls_v = classify_sign(v_r, problem, classify_tol)
+    cls_v = classify_sign(v_r, problem, CLASSIFY_TOL)
     if cls_v.kind not in ("supersolution", "solution"):
         raise PreconditionError(f"v_super classifies as {cls_v.kind!r} on the region")
     edge_u = float(u_r.values[0])

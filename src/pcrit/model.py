@@ -62,8 +62,6 @@ class PotentialSpec:
                              smooth compactly supported bump, equal to
                              height * exp(1 - 1/(1 - y**2)) for
                              y = (r - center)/radius inside |y| < 1
-        tabulated(r, v)      piecewise linear interpolation of samples,
-                             zero outside the tabulated range
         logmap(inner, p)     exp(p*s) * inner(exp(s)); the image of
                              ``inner`` under the log-radius substitution
                              used for d == p problems
@@ -74,7 +72,6 @@ class PotentialSpec:
 
     kind: str
     coeffs: tuple[float, ...] = ()
-    table: tuple[tuple[float, ...], tuple[float, ...]] | None = None
     inner: "PotentialSpec | tuple[PotentialSpec, PotentialSpec] | None" = None
 
     # -- constructors -------------------------------------------------------
@@ -96,16 +93,6 @@ class PotentialSpec:
         if radius <= 0:
             raise ValueError(f"bump radius must be positive, got {radius}")
         return cls("bump", (float(center), float(radius), float(height)))
-
-    @classmethod
-    def tabulated(cls, r, v) -> "PotentialSpec":
-        r = np.asarray(r, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if r.ndim != 1 or r.shape != v.shape or r.size < 2:
-            raise ValueError("tabulated potential needs matching 1D arrays with >= 2 samples")
-        if not np.all(np.diff(r) > 0):
-            raise ValueError("tabulated potential sample points must be strictly increasing")
-        return cls("tabulated", table=(tuple(r.tolist()), tuple(v.tolist())))
 
     @classmethod
     def log_reduced(cls, inner: "PotentialSpec", p: float) -> "PotentialSpec":
@@ -144,9 +131,6 @@ class PotentialSpec:
             with np.errstate(divide="ignore", over="ignore"):
                 out[mask] = height * np.exp(1.0 - 1.0 / (1.0 - y[mask] ** 2))
             return out
-        if self.kind == "tabulated":
-            tr, tv = self.table
-            return np.interp(r, tr, tv, left=0.0, right=0.0)
         if self.kind == "logmap":
             (p,) = self.coeffs
             with np.errstate(over="ignore"):
@@ -174,9 +158,6 @@ class PotentialSpec:
         if self.kind == "bump":
             center, radius, height = self.coeffs
             return PotentialSpec.bump(center, radius, c * height)
-        if self.kind == "tabulated":
-            tr, tv = self.table
-            return PotentialSpec.tabulated(np.asarray(tr), c * np.asarray(tv))
         if self.kind == "logmap":
             return PotentialSpec("logmap", self.coeffs, inner=self.inner.scaled(c))
         if self.kind == "combo":
@@ -201,9 +182,6 @@ class PotentialSpec:
         if self.kind == "bump":
             center, radius, _ = self.coeffs
             return (center - radius, center + radius)
-        if self.kind == "tabulated":
-            tr = self.table[0]
-            return (float(tr[0]), float(tr[-1]))
         if self.kind == "logmap":
             inner_hint = self.inner.support_hint()
             if inner_hint is not None and inner_hint[0] > 0.0:
@@ -221,8 +199,6 @@ class PotentialSpec:
         if self.kind == "bump":
             c, r, h = self.coeffs
             return f"bump(center={c:g}, radius={r:g}, height={h:g})"
-        if self.kind == "tabulated":
-            return f"tabulated({len(self.table[0])} samples)"
         if self.kind == "logmap":
             return f"logmap(p={self.coeffs[0]:g}, {self.inner.describe()})"
         if self.kind == "combo":
@@ -312,7 +288,6 @@ class Grid:
     """
 
     nodes: np.ndarray
-    spacing_law: str
     weight_exponent: float
 
     def __post_init__(self):
@@ -330,8 +305,6 @@ class Grid:
             raise ValueError(f"weight exponent must be >= 0, got {self.weight_exponent}")
         if self.weight_exponent > 0 and nodes[0] < 0:
             raise ValueError("negative radii require weight exponent 0 (d = 1)")
-        if self.spacing_law not in ("uniform", "geometric", "explicit"):
-            raise ValueError(f"unknown spacing law {self.spacing_law!r}")
 
     # -- derived geometry ----------------------------------------------------
 
@@ -395,7 +368,7 @@ class Grid:
 
     def restrict(self, start: int, stop: int | None = None) -> "Grid":
         """The grid on the nodes[start:stop], with the same weight exponent."""
-        return Grid(self.nodes[start:stop], "explicit", self.weight_exponent)
+        return Grid(self.nodes[start:stop], self.weight_exponent)
 
 
 def check_same_grid(*grids: Grid) -> None:
@@ -462,12 +435,10 @@ def build_grid(
     if law == "uniform":
         nodes = np.linspace(a, b, resolution)
     elif law == "geometric":
-        if a < 0:
-            raise ValueError("geometric spacing requires a nonnegative left endpoint")
         nodes = _geometric_nodes(a, b, resolution)
     else:
         raise ValueError(f"unknown spacing law {law!r}")
-    return Grid(nodes, law, problem.weight_exponent)
+    return Grid(nodes, problem.weight_exponent)
 
 
 def build_graded_grid(
@@ -475,11 +446,10 @@ def build_graded_grid(
     level: tuple[float, float],
     focus: tuple[float, float],
     resolution: int,
-    rel_step: float = 0.02,
 ) -> Grid:
     """Grid that is uniformly fine on the focus window and coarsens outward.
 
-    Outside the focus the local cell size is max(h_fine, rel_step * |r|), so
+    Outside the focus the local cell size is max(h_fine, 0.02 * |r|), so
     the spacing is position-geometric far from the origin and floors at the
     fine spacing near it.  On levels spanning many decades this keeps the
     node count logarithmic in the span while fully resolving the window
@@ -489,8 +459,6 @@ def build_graded_grid(
     resolution = int(resolution)
     if resolution < 3:
         raise ValueError(f"resolution must be >= 3 nodes, got {resolution}")
-    if not (0.0 < rel_step < 1.0):
-        raise ValueError(f"rel_step must be in (0, 1), got {rel_step}")
     fa = max(float(focus[0]), a)
     fb = min(float(focus[1]), b)
     if not fa < fb:
@@ -501,7 +469,7 @@ def build_graded_grid(
         out = []
         r = start
         while True:
-            step = max(h0, rel_step * abs(r))
+            step = max(h0, 0.02 * abs(r))
             remaining = (target - r) * sign
             if remaining <= 1.5 * step:
                 out.append(target)
@@ -513,7 +481,7 @@ def build_graded_grid(
     left = march(fa, a, -1.0)[::-1] if fa > a else []
     right = march(fb, b, +1.0) if fb < b else []
     nodes = np.concatenate((left, core, right))
-    return Grid(nodes, "explicit", problem.weight_exponent)
+    return Grid(nodes, problem.weight_exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -592,23 +560,19 @@ def embed(field: Field, target: Grid) -> Field:
 
 @dataclass(frozen=True)
 class CompactSetSpec:
-    """A compact radial set [k_lo, k_hi] with optional boundary trace values.
+    """A compact radial set [k_lo, k_hi].
 
     For d > 1 the set may reach the origin (k_lo == 0 == r_lo), representing
     a closed ball through the center; otherwise it must sit strictly inside
-    the domain.  ``trace`` holds the prescribed boundary values at
-    (k_lo, k_hi); the value at a center endpoint is ignored.
+    the domain.
     """
 
     k_lo: float
     k_hi: float
-    trace: tuple[float, float] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "k_lo", float(self.k_lo))
         object.__setattr__(self, "k_hi", float(self.k_hi))
-        if self.trace is not None:
-            object.__setattr__(self, "trace", (float(self.trace[0]), float(self.trace[1])))
         if not self.k_lo <= self.k_hi:
             raise ValueError(f"compact set needs k_lo <= k_hi, got [{self.k_lo}, {self.k_hi}]")
 
@@ -624,6 +588,11 @@ class CompactSetSpec:
                 )
         elif not self.k_lo > lo:
             raise DomainError(f"compact set [{self.k_lo}, {self.k_hi}] must stay above r_lo={lo}")
+
+    def nodes(self, resolution: int) -> np.ndarray:
+        """The set's own nodes in grids of the given resolution: uniform,
+        endpoints included, a quarter of the resolution but at least 9."""
+        return np.linspace(self.k_lo, self.k_hi, max(resolution // 4, 9))
 
     def require_inside(self, level: tuple[float, float], problem: RadialProblem) -> None:
         """Raise DomainError unless the set sits strictly inside the level;
@@ -663,9 +632,6 @@ class ExhaustionSchedule:
         a1, b1 = levels[0]
         if not (a1 <= self.x0 <= b1):
             raise ValueError(f"x0={self.x0} must lie in the first level ({a1}, {b1})")
-
-    def __len__(self) -> int:
-        return len(self.levels)
 
     def validate(self, problem: RadialProblem) -> None:
         lo, hi = problem.domain

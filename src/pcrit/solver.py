@@ -59,22 +59,27 @@ __all__ = [
 ]
 
 
+# Newton's fixed schedule: Jacobian eps from EPS_START down by EPS_FACTOR to
+# EPS_FLOOR (p = 2 uses EPS_FLOOR only); at most BACKTRACK_MAX step halvings.
+EPS_START, EPS_FACTOR, EPS_FLOOR = 1e-1, 0.1, 1e-8
+ARMIJO_C = 1e-4
+BACKTRACK_MAX = 40
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the damped Newton continuation and the eigen iterations.
+    """Tolerances and iteration caps for the Newton solves and the eigen
+    iterations.
 
     residual_tol is relative to the magnitude of the residual's constituent
     terms (fluxes, potential and load terms); None picks 1e-10 for p = 2 and
-    1e-8 otherwise.
+    1e-8 otherwise.  max_iter_per_stage caps the Newton iterations of each
+    eps stage.  eigen_rtol is the relative stop of the p != 2 inverse power
+    iteration on the quotient, and eigen_max_iter caps its outer iterations.
     """
 
     residual_tol: float | None = None
     max_iter_per_stage: int = 200
-    eps_start: float = 1e-1
-    eps_floor: float = 1e-8
-    eps_factor: float = 0.1
-    armijo_c: float = 1e-4
-    backtrack_max: int = 40
     eigen_rtol: float = 1e-8
     eigen_max_iter: int = 400
 
@@ -327,14 +332,14 @@ def _newton_core(
     u = u0.copy()
 
     if p == 2.0:
-        stages = [config.eps_floor]
+        stages = [EPS_FLOOR]
     else:
         stages = []
-        e = config.eps_start
-        while e > config.eps_floor * 1.0000001:
+        e = EPS_START
+        while e > EPS_FLOOR * 1.0000001:
             stages.append(e)
-            e *= config.eps_factor
-        stages.append(config.eps_floor)
+            e *= EPS_FACTOR
+        stages.append(EPS_FLOOR)
 
     total_iter = 0
     res_norm = math.inf
@@ -370,12 +375,12 @@ def _newton_core(
             merit = 0.5 * float(np.dot(r, r))
             alpha = 1.0
             accepted = False
-            for _bt in range(config.backtrack_max):
+            for _bt in range(BACKTRACK_MAX):
                 u_try = u.copy()
                 u_try[free] = u[free] + alpha * du
                 r_try = op.residual(u_try, load)[free]
                 merit_try = 0.5 * float(np.dot(r_try, r_try))
-                if np.isfinite(merit_try) and merit_try <= merit * (1.0 - config.armijo_c * alpha):
+                if np.isfinite(merit_try) and merit_try <= merit * (1.0 - ARMIJO_C * alpha):
                     u = u_try
                     accepted = True
                     break

@@ -85,6 +85,27 @@ STUCK_SOLVE_INI = dedent(
     """
 )
 
+CERTIFY_INI = dedent(
+    """\
+    [problem]
+    p = 2.0
+    d = 3
+    domain = 0 inf
+    potential = zero
+
+    [exhaustion]
+    levels = 0 16; 0 32
+    x0 = 1
+
+    [command]
+    name = certify
+    omega2 = 0 2
+    window = 3 4
+    candidate = power 1 -1
+    resolution = 301
+    """
+)
+
 
 # (config text, stderr prefix, whether --out names an existing file)
 REFUSED = {
@@ -98,6 +119,33 @@ REFUSED = {
         EIG_INI + "\n[tolerances]\nresdual_tol = 1e-3\n", "config error:", False
     ),
     "seed-not-an-integer": (EIG_INI + "seed = abc\n", "config error:", False),
+    "empty-candidate": (
+        CERTIFY_INI.replace("candidate = power 1 -1", "candidate ="),
+        "config error: [command] candidate:",
+        False,
+    ),
+    "candidate-not-a-number": (
+        CERTIFY_INI.replace("candidate = power 1 -1", "candidate = power 1 abc"),
+        "config error: [command] candidate:",
+        False,
+    ),
+    "boundary-not-a-number": (
+        STUCK_SOLVE_INI.replace("boundary = 0.0 1.0", "boundary = abc 0"),
+        "config error: [command] boundary:",
+        False,
+    ),
+    # the Newton eps schedule and line search are fixed, not configurable:
+    # at p = 3 an eps_factor >= 1 would never finish building the schedule
+    "eps-factor-removed": (
+        STUCK_SOLVE_INI.replace("max_iter_per_stage = 2", "eps_factor = 1"),
+        "config error: [tolerances] eps_factor: unknown key",
+        False,
+    ),
+    "backtrack-max-removed": (
+        STUCK_SOLVE_INI.replace("max_iter_per_stage = 2", "backtrack_max = 3"),
+        "config error: [tolerances] backtrack_max: unknown key",
+        False,
+    ),
     "out-is-a-file": (EIG_INI, "error:", True),
 }
 

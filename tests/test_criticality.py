@@ -3,6 +3,8 @@ capacity, and positivity weights."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,35 @@ def ray_problem(d, p):
 BUMP = PotentialSpec.bump(0.0, 1.0, 1.0)
 
 
+def bisected_threshold(problem, level, weight, resolution, x0, abs_tol=1e-8):
+    """t_N on one level two ways, as (eigenvalue route, bisection route).
+
+    A one-level null sequence gives the package's t_N and fixes the level's
+    grid and working problem; bisection then locates the sign change of
+    lambda_1(V - t W) on that grid, an independent and slower route.
+    """
+    run = null_sequence(problem, ExhaustionSchedule((level,), x0), weight, resolution)
+    (entry,) = run.entries
+    grid, wp = entry.minimizer.grid, run.problem
+
+    def lam_at(t):
+        shifted = PotentialSpec.combination(wp.potential, run.weight, -t)
+        return principal_eigenpair(replace(wp, potential=shifted), grid).lam
+
+    hi = 1.0
+    for _ in range(60):
+        if lam_at(hi) < 0.0:
+            break
+        hi *= 2.0
+    else:
+        pytest.fail("lambda_1(V - t W) stayed nonnegative up to t = 2**60")
+    lo = 0.0
+    while hi - lo > abs_tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if lam_at(mid) >= 0.0 else (lo, mid)
+    return entry.t, 0.5 * (lo + hi)
+
+
 class TestThreshold:
     def test_decreasing_in_level(self):
         prob = line_problem()
@@ -48,15 +79,17 @@ class TestThreshold:
 
     def test_bisect_agrees_with_eigen(self):
         prob = line_problem()
-        te = threshold_tN(prob, (-4.0, 4.0), BUMP, resolution=801, method="eigen")
-        tb = threshold_tN(prob, (-4.0, 4.0), BUMP, resolution=801, method="bisect")
+        te = threshold_tN(prob, (-4.0, 4.0), BUMP, resolution=801)
+        t_run, tb = bisected_threshold(prob, (-4.0, 4.0), BUMP, 801, x0=0.0)
+        assert t_run == te
         assert tb == pytest.approx(te, rel=1e-6)
 
     def test_bisect_agrees_on_annulus(self):
         prob = ray_problem(3, 2.0)
         W = PotentialSpec.bump(2.0, 0.5, 1.0)
-        te = threshold_tN(prob, (1.0, 8.0), W, resolution=801, method="eigen")
-        tb = threshold_tN(prob, (1.0, 8.0), W, resolution=801, method="bisect")
+        te = threshold_tN(prob, (1.0, 8.0), W, resolution=801)
+        t_run, tb = bisected_threshold(prob, (1.0, 8.0), W, 801, x0=2.0)
+        assert t_run == te
         assert tb == pytest.approx(te, rel=1e-6)
 
     def test_weight_scaling_halves_threshold(self):

@@ -34,7 +34,7 @@ PROB3 = ray_problem(3)
 @pytest.fixture(scope="module")
 def cert_grid():
     nodes = np.geomspace(0.5, 2.0**13 * 1.01, 2001)
-    return Grid(nodes, "explicit", 2)
+    return Grid(nodes, 2)
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +89,7 @@ class TestUkLimit:
 class TestSingularityExponent:
     def _field(self, vals_of):
         nodes = np.geomspace(0.01, 1.0, 601)
-        g = Grid(nodes, "explicit", 2)
+        g = Grid(nodes, 2)
         return Field(g, vals_of(nodes))
 
     def test_exact_inverse_power(self):
@@ -123,9 +123,7 @@ class TestSingularityExponent:
 class TestPointSingularity:
     def test_d3_green_exponent(self):
         ex = make_exhaustion(PROB3, 9, base=1.0, growth=2.0, style="annuli")
-        run = point_singularity_solution(
-            PROB3, 0.0, ex, x1=1.0, resolution=801, return_run=True
-        )
+        run = point_singularity_solution(PROB3, 0.0, ex, x1=1.0, resolution=801)
         assert abs(run.limit.at(1.0) - 1.0) <= 1e-12
         slope, rms = singularity_exponent(run.limit, 0.0, (0.05, 0.5), mode="power")
         assert slope == pytest.approx(-1.0, abs=0.01)
@@ -134,7 +132,7 @@ class TestPointSingularity:
     def test_d5_green_exponent(self):
         prob = ray_problem(5)
         ex = make_exhaustion(prob, 9, base=1.0, growth=2.0, style="annuli")
-        u = point_singularity_solution(prob, 0.0, ex, x1=1.0, resolution=801)
+        u = point_singularity_solution(prob, 0.0, ex, x1=1.0, resolution=801).limit
         slope, _ = singularity_exponent(u, 0.0, (0.05, 0.5), mode="power")
         assert slope == pytest.approx(-3.0, abs=1e-6)
 
@@ -143,9 +141,7 @@ class TestPointSingularity:
         # the constant ground state
         prob = ray_problem(1)
         ex = ExhaustionSchedule(tuple((2.0**-k, 2.0**k) for k in range(1, 11)), 1.0)
-        run = point_singularity_solution(
-            prob, 0.0, ex, x1=1.0, resolution=601, return_run=True
-        )
+        run = point_singularity_solution(prob, 0.0, ex, x1=1.0, resolution=601)
         xs = np.linspace(0.25, 2.0, 21)
         dev = max(abs(run.limit.at(float(x)) - 1.0) for x in xs)
         assert dev <= 0.02
@@ -154,11 +150,11 @@ class TestPointSingularity:
 class TestRemovability:
     def _line_grid(self):
         nodes = np.linspace(0.01, 4.0, 1201)
-        return Grid(nodes, "explicit", 0)
+        return Grid(nodes, 0)
 
     def test_blowup_detected(self):
         nodes = np.geomspace(0.005, 8.0, 1201)
-        u = Field(Grid(nodes, "explicit", 2), 1.0 / nodes)
+        u = Field(Grid(nodes, 2), 1.0 / nodes)
         rep = removability_test(PROB3, u, 0.0)
         assert rep.verdict == "nonremovable-blowup"
         sups = rep.window_sups
@@ -175,7 +171,7 @@ class TestRemovability:
     def test_interior_kink_flux(self):
         prob = ray_problem(1)
         nodes = np.linspace(0.2, 2.0, 901)
-        u = Field(Grid(nodes, "explicit", 0), 1.0 + 0.7 * np.abs(nodes - 1.0))
+        u = Field(Grid(nodes, 0), 1.0 + 0.7 * np.abs(nodes - 1.0))
         rep = removability_test(prob, u, 1.0)
         assert rep.verdict == "nonremovable-flux"
         assert abs(rep.flux_residual) == pytest.approx(1.4, abs=1e-9)
@@ -277,6 +273,6 @@ class TestComparison:
         nodes = cert_grid.nodes
         u_sub = Field(cert_grid, 1.0 / nodes)
         other = np.geomspace(0.5, 2.0**13 * 1.01, 1001)
-        v_sup = Field(Grid(other, "explicit", 2), 1.0 / other)
+        v_sup = Field(Grid(other, 2), 1.0 / other)
         with pytest.raises(ValueError):
             comparison_check(PROB3, u_sub, v_sup, CompactSetSpec(0.0, 2.0), decay_cert)

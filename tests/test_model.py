@@ -135,7 +135,7 @@ class TestEmbed:
         )
         from pcrit.model import Grid
 
-        outer = Grid(outer_nodes, inner.spacing_law, inner.weight_exponent)
+        outer = Grid(outer_nodes, inner.weight_exponent)
         vals = rng.uniform(0.0, 2.0, 17)
         vals[0] = vals[-1] = 0.0
         f = make_field(inner, vals)
@@ -222,7 +222,7 @@ class TestPotentials:
 class TestCompactSetSpec:
     def test_interior_set_needs_positive_width(self):
         with pytest.raises(ValueError):
-            CompactSetSpec(2.0, 1.0, (1.0, 1.0))
+            CompactSetSpec(2.0, 1.0)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_set_may_touch_the_level_at_a_ball_center(self, d):

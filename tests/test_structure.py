@@ -1,11 +1,13 @@
 """Structure of the package source: no module reaches into another
 module's private names, no import goes unused, package imports sit at
-module top level, and every solver and residual entry point samples the
-potential once per (problem, grid)."""
+module top level, every SolverConfig field is read somewhere, and every
+solver and residual entry point samples the potential once per (problem,
+grid)."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ import pcrit
 from pcrit import (
     PotentialSpec,
     RadialProblem,
+    SolverConfig,
     build_grid,
     classify_sign,
     make_field,
@@ -83,6 +86,19 @@ def test_no_function_level_package_imports():
             if isinstance(node, ast.ImportFrom) and node.level > 0 and id(node) not in top
         ]
     assert offenders == []
+
+
+def test_every_solver_config_field_is_read():
+    # a knob nothing reads is an option without a caller; the field
+    # declarations themselves are annotated names, never attribute reads
+    read = {
+        node.attr
+        for _, tree in _parsed()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [f.name for f in dataclasses.fields(SolverConfig) if f.name not in read]
+    assert unread == []
 
 
 @pytest.fixture
