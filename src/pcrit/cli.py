@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +105,6 @@ def _cmd_solve(cfg: RunConfig, sc: SolverConfig, out: Path):
         "resolution": resolution,
         "iterations": rep.iterations,
         "final_residual_norm": rep.final_residual_norm,
-        "regularization_eps_final": rep.regularization_eps_final,
         "converged": rep.converged,
         "energy": energy_Q(rep.solution, cfg.problem, free_boundary=True).total,
     }
@@ -431,9 +431,7 @@ def run(cfg: RunConfig) -> int:
     if out.exists() and not out.is_dir():
         raise NotADirectoryError(f"output path {out} is not a directory")
     results, files, status = _HANDLERS[cfg.command](cfg, sc, out)
-    tol_record = dict(cfg.tolerances)
-    tol_record.setdefault("residual_tol", sc.tol_for(cfg.problem.p))
-    tol_record.setdefault("eigen_rtol", sc.eigen_rtol)
+    tol_record = {**asdict(sc), "residual_tol": sc.tol_for(cfg.problem.p)}
     report = {
         "tool": f"pcrit {__version__}",
         "command": cfg.command,

@@ -57,15 +57,14 @@ class ConfigError(PcritError):
 @dataclass(frozen=True)
 class RunConfig:
     """A parsed run: ``params`` holds the raw [command] values, which the
-    typed getters below parse; ``tolerances`` holds the parsed overrides
-    that ``solver`` applies."""
+    typed getters below parse; ``solver`` carries the [tolerances]
+    overrides."""
 
     problem: RadialProblem
     exhaustion: ExhaustionSchedule | None
     command: str
     params: dict
     out_dir: Path
-    tolerances: dict
     config_sha256: str
     source_path: Path
     seed: int
@@ -293,7 +292,6 @@ def parse_config(
         command=command,
         params=params,
         out_dir=out_dir,
-        tolerances=tolerances,
         config_sha256=digest,
         source_path=path,
         seed=file_seed if seed is None else seed,

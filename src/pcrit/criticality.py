@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import energy_Q
+from .energy import q_parts
 from .errors import PreconditionError, StateError
 from .model import (
     CompactSetSpec,
@@ -95,12 +95,20 @@ class NullSequenceRun:
 
 
 @dataclass(frozen=True)
+class PositivityCertificate:
+    weight: PotentialSpec
+    margin: float  # smallest principal eigenvalue of the discounted form
+    margins: tuple[float, ...]  # one per level, largest level last
+    coordinates: str
+
+
+@dataclass(frozen=True)
 class CriticalityReport:
     thresholds: tuple[tuple[int, float], ...]
     verdict: str  # "critical" | "subcritical" | "undetermined"
     t_star_estimate: float
     ground_state: Field | None
-    positivity_weight: tuple[PotentialSpec, float] | None
+    certificate: PositivityCertificate | None  # subcritical verdicts only
     energies: tuple[float, ...]
     levels: tuple[tuple[float, float], ...]
     coordinates: str
@@ -108,13 +116,11 @@ class CriticalityReport:
     x0: float
     run: NullSequenceRun
 
-
-@dataclass(frozen=True)
-class PositivityCertificate:
-    weight: PotentialSpec
-    margin: float  # smallest principal eigenvalue of the discounted form
-    margins: tuple[float, ...]  # one per level, largest level last
-    coordinates: str
+    @property
+    def positivity_weight(self) -> tuple[PotentialSpec, float] | None:
+        """(weight, margin) of the certificate, None without one."""
+        cert = self.certificate
+        return None if cert is None else (cert.weight, cert.margin)
 
 
 @dataclass(frozen=True)
@@ -195,38 +201,35 @@ def _working_frame(
     return wp, wl, wx0, ww, "log"
 
 
-def _level_grid(
+def _level(
     problem: RadialProblem,
     level: tuple[float, float],
     weight: PotentialSpec,
     resolution: int,
-) -> Grid:
-    """Grid for one level: fine around the probe support, coarse outward."""
+) -> tuple[DiscreteOperator, np.ndarray]:
+    """The operator on one level's grid, which is fine around the probe
+    support and coarse outward, and the probe weight's nodal values."""
     a, b = level
     hint = weight.support_hint()
-    if hint is None:
-        return build_grid(problem, level, resolution)
-    width = hint[1] - hint[0]
-    fa = max(a, hint[0] - 0.5 * width)
-    fb = min(b, hint[1] + 0.5 * width)
-    if not fa < fb or (fb - fa) >= 0.6 * (b - a):
-        return build_grid(problem, level, resolution)
-    return build_graded_grid(problem, level, (fa, fb), resolution)
-
-
-def _check_weight(grid: Grid, weight: PotentialSpec) -> np.ndarray:
+    grid = None
+    if hint is not None:
+        width = hint[1] - hint[0]
+        fa = max(a, hint[0] - 0.5 * width)
+        fb = min(b, hint[1] + 0.5 * width)
+        if fa < fb and (fb - fa) < 0.6 * (b - a):
+            grid = build_graded_grid(problem, level, (fa, fb), resolution)
+    if grid is None:
+        grid = build_grid(problem, level, resolution)
     wvals = weight.sample(grid.nodes)
     if np.any(wvals < 0):
         raise PreconditionError("probe weight must be nonnegative")
     if not np.any(wvals[grid.free] > 0):
         raise PreconditionError("probe weight vanishes at every interior node")
-    return wvals
+    return DiscreteOperator.bind(problem, grid), wvals
 
 
-def _require_nonnegative_form(
-    problem: RadialProblem, grid: Grid, config: SolverConfig
-) -> None:
-    lam = principal_eigenpair(problem, grid, config).lam
+def _require_nonnegative_form(op: DiscreteOperator, config: SolverConfig) -> None:
+    lam = op.eigenpair(config).lam
     if lam < -1e-9:
         raise PreconditionError(
             f"functional is not nonnegative on the level: principal eigenvalue {lam:.3e} < 0"
@@ -238,17 +241,13 @@ def _require_nonnegative_form(
 # ---------------------------------------------------------------------------
 
 def _threshold_minimizer(
-    problem: RadialProblem,
-    grid: Grid,
-    wvals: np.ndarray,
-    config: SolverConfig,
+    op: DiscreteOperator, wvals: np.ndarray, config: SolverConfig
 ) -> tuple[float, np.ndarray, bool]:
     """Smallest t with lambda_1(V - t W) = 0 on the grid, with its minimizer:
     the principal pair of the W-weighted pencil.  At p = 2 the threshold is
     the quotient at the eigenvector."""
-    op = DiscreteOperator.bind(problem, grid)
     t, u, _, converged = op.principal(wvals, config)
-    if problem.p == 2.0:
+    if op.p == 2.0:
         t, _ = op.quotient(u, wvals)
     return t, u, converged
 
@@ -265,10 +264,9 @@ def threshold_tN(
     on the level, computed as the weighted principal eigenvalue (exact
     algebra at p = 2, inverse iteration otherwise)."""
     wp, (wl,), _, ww, _ = _working_frame(problem, (tuple(level),), None, weight, frame)
-    grid = _level_grid(wp, wl, ww, resolution)
-    wvals = _check_weight(grid, ww)
-    _require_nonnegative_form(wp, grid, config)
-    t, _, ok = _threshold_minimizer(wp, grid, wvals, config)
+    op, wvals = _level(wp, wl, ww, resolution)
+    _require_nonnegative_form(op, config)
+    t, _, ok = _threshold_minimizer(op, wvals, config)
     if not ok:
         raise StateError("threshold iteration did not converge on the level")
     return t
@@ -299,30 +297,27 @@ def null_sequence(
     )
     exhaustion.validate(wp if frame == "log" else problem)
 
+    levels = [_level(wp, lv, ww, resolution) for lv in wlevels]
     # nonnegativity on the largest level covers every smaller one
-    last_grid = _level_grid(wp, wlevels[-1], ww, resolution)
-    _require_nonnegative_form(wp, last_grid, config)
+    _require_nonnegative_form(levels[-1][0], config)
 
     entries: list[LevelThreshold] = []
     failures: list[int] = []
-    for idx, lv in enumerate(wlevels, start=1):
-        grid = _level_grid(wp, lv, ww, resolution)
-        wvals = _check_weight(grid, ww)
-        t, v, ok = _threshold_minimizer(wp, grid, wvals, config)
+    for idx, (lv, (op, wvals)) in enumerate(zip(wlevels, levels), start=1):
+        t, v, ok = _threshold_minimizer(op, wvals, config)
         if not ok:
             failures.append(idx)
             logger.warning("level %d: threshold eigensolve failed, truncating", idx)
             break
-        ref_val = float(np.interp(wx0, grid.nodes, v))
-        if not ref_val > 0:
+        try:
+            field = _normalized(op.grid, v, wx0)
+        except StateError:
             failures.append(idx)
             logger.warning("level %d: minimizer vanishes at the reference point", idx)
             break
-        v = v / ref_val
-        field = Field(grid, v)
-        energy = energy_Q(field, wp).total
-        vvals_w = wvals * np.abs(v) ** wp.p * grid.node_w
-        mass = float(np.sum(vvals_w))
+        v = field.values
+        energy = q_parts(op.grid, wp.p, op.vvals, v).total
+        mass = float(np.sum(wvals * np.abs(v) ** wp.p * op.grid.node_w))
         entries.append(LevelThreshold(idx, lv, t, field, energy, mass, ok))
     return NullSequenceRun(tuple(entries), wx0, coords, ww, tuple(failures), wp)
 
@@ -371,17 +366,13 @@ def criticality_verdict(
     gs = run.entries[-1].minimizer if verdict == "critical" else None
     t_star = 0.0 if verdict == "critical" else t_last
 
-    pos_weight = None
-    if verdict == "subcritical":
-        cert = _positivity_margins(run, t_star, config)
-        pos_weight = (cert.weight, cert.margin)
-
+    cert = _positivity_margins(run, t_star, config) if verdict == "subcritical" else None
     return CriticalityReport(
         thresholds=tuple((e.index, e.t) for e in run.entries),
         verdict=verdict,
         t_star_estimate=t_star,
         ground_state=gs,
-        positivity_weight=pos_weight,
+        certificate=cert,
         energies=tuple(e.energy for e in run.entries),
         levels=tuple(e.level for e in run.entries),
         coordinates=run.coordinates,
@@ -436,13 +427,12 @@ def ground_state(
         )
     run = report.run
     last = run.entries[-1]
-    grid2 = _level_grid(run.problem, last.level, run.weight, 2 * resolution)
-    wvals2 = _check_weight(grid2, run.weight)
-    _, v2, ok = _threshold_minimizer(run.problem, grid2, wvals2, config)
+    op2, wvals2 = _level(run.problem, last.level, run.weight, 2 * resolution)
+    _, v2, ok = _threshold_minimizer(op2, wvals2, config)
     if not ok:
         logger.warning("refinement solve failed; returning the coarse ground state")
         return last.minimizer
-    return _normalized(grid2, v2, run.x0)
+    return _normalized(op2.grid, v2, run.x0)
 
 
 def _normalized(grid: Grid, v: np.ndarray, x0: float) -> Field:
@@ -465,9 +455,9 @@ def positivity_weight(
     plateau threshold times the probe, with the discounted form's principal
     eigenvalue margin on every level (smallest margin reported first).
 
-    Pass a precomputed ``report`` to skip rerunning the exhaustion; the
-    margins are then taken on its levels' grids.  A critical or
-    undetermined verdict raises StateError.
+    Pass a precomputed ``report`` to skip rerunning the exhaustion; its
+    certificate, computed with the verdict, is returned as is.  A critical
+    or undetermined verdict raises StateError.
     """
     if report is None:
         report = criticality_verdict(
@@ -477,7 +467,7 @@ def positivity_weight(
         raise StateError(
             f"positivity weight requires a subcritical verdict, got {report.verdict!r}"
         )
-    return _positivity_margins(report.run, report.t_star_estimate, config)
+    return report.certificate
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +498,7 @@ def q_capacity(
     grid = _capacity_grid(problem, (a, b), compact, resolution)
     op = DiscreteOperator.bind(problem, grid)
     unforced = op.load(None)
-    _require_nonnegative_form(problem, grid, config)
+    _require_nonnegative_form(op, config)
 
     nodes = grid.nodes
     in_set = (nodes >= k_lo - 1e-14 * max(1.0, abs(k_lo))) & (
@@ -566,9 +556,8 @@ def q_capacity(
     free_mask[grid.dirichlet_mask] = False
     min_mult = float(r[active].min()) if active.size else 0.0
     max_off = float(np.max(np.abs(r[free_mask]))) if np.any(free_mask) else 0.0
-    value = energy_Q(field, problem).total
     return CapacityReport(
-        value=value,
+        value=q_parts(grid, problem.p, op.vvals, u).total,
         minimizer=field,
         active_set=active,
         min_multiplier=min_mult,

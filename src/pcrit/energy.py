@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError
-from .model import Field, PotentialSpec, RadialProblem, check_same_grid
+from .model import Field, Grid, PotentialSpec, RadialProblem, check_same_grid
 
 __all__ = [
     "phi_p",
@@ -45,6 +45,7 @@ __all__ = [
     "VectorIneqRatio",
     "EnvelopeReport",
     "energy_Q",
+    "q_parts",
     "picone_cells",
     "picone_density",
     "picone_gap",
@@ -102,11 +103,15 @@ def energy_Q(u: Field, problem: RadialProblem, free_boundary: bool = False) -> E
             "energy_Q needs a compactly supported field; pass free_boundary=True"
             " to evaluate a field with nonzero boundary trace"
         )
-    g = u.grid
-    p = problem.p
-    vvals = problem.potential.sample(g.nodes)
-    grad = float(np.sum(np.abs(_slopes(u)) ** p * g.cell_w))
-    pot = float(np.sum(vvals * np.abs(u.values) ** p * g.node_w))
+    return q_parts(u.grid, problem.p, problem.potential.sample(u.grid.nodes), u.values)
+
+
+def q_parts(grid: Grid, p: float, vvals: np.ndarray, u: np.ndarray) -> EnergyBreakdown:
+    """Q of the nodal values u on the grid, with V given by its nodal
+    samples vvals: exact slopes per cell, nodal values against the dual-cell
+    weights.  Every evaluation of Q in the package goes through here."""
+    grad = float(np.sum(np.abs(np.diff(u) / grid.h) ** p * grid.cell_w))
+    pot = float(np.sum(vvals * np.abs(u) ** p * grid.node_w))
     return EnergyBreakdown(grad, pot, (grad + pot) / p)
 
 
@@ -274,27 +279,22 @@ class EnvelopeReport:
 
 
 def vector_inequality_envelope(
-    p: float,
-    samples: int,
-    rng: np.random.Generator,
-    dim: int = 3,
-    mag_range: tuple[float, float] = (1e-3, 1e3),
+    p: float, samples: int, rng: np.random.Generator
 ) -> EnvelopeReport:
-    """Vectorized sweep of the inequality's ratio over random pairs.
+    """Vectorized sweep of the inequality's ratio over random pairs in R^3.
 
-    Directions are uniform on the sphere and magnitudes log-uniform over
-    ``mag_range`` relative to |a| = 1 (the ratio is scale invariant).
+    Directions are uniform on the sphere and magnitudes |b| log-uniform over
+    [1e-3, 1e3] relative to |a| = 1 (the ratio is scale invariant).
     """
     n = int(samples)
-    a = rng.normal(size=(n, dim))
+    a = rng.normal(size=(n, 3))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
-    bdir = rng.normal(size=(n, dim))
+    bdir = rng.normal(size=(n, 3))
     bdir /= np.linalg.norm(bdir, axis=1, keepdims=True)
-    lo, hi = mag_range
-    mags = np.exp(rng.uniform(math.log(lo), math.log(hi), size=n))
+    mags = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=n))
     # when |b| << |a| the numerator loses ~ (|a+b|/|b|)^2 relative digits to
-    # cancellation, which at the bottom of mag_range swamps the p = 2
-    # constancy of the ratio; extended precision keeps the sweep honest
+    # cancellation, which at the bottom of the magnitude range swamps the
+    # p = 2 constancy of the ratio; extended precision keeps the sweep honest
     al = a.astype(np.longdouble)
     bl = (bdir * mags[:, None]).astype(np.longdouble)
     na = np.sqrt(np.einsum("ij,ij->i", al, al))

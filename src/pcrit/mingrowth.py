@@ -39,14 +39,12 @@ from .model import (
 )
 from .solver import (
     DEFAULT_CONFIG,
+    DiscreteOperator,
     SolverConfig,
     cell_tridiagonal,
     classify_sign,
-    principal_eigenpair,
-    residual_scale,
     smallest_generalized_eigen,
     solve_dirichlet,
-    weak_residual,
 )
 
 logger = logging.getLogger(__name__)
@@ -161,14 +159,14 @@ def _side_level(
     else:
         i = int(np.searchsorted(master.nodes, level[1]))
         piece, boundary = slice(0, i + 1), (trace, 0.0)
-    sub = master.restrict(piece.start, piece.stop)
-    init = None if initial is None else Field(sub, initial[piece])
-    rep = solve_dirichlet(problem, sub, boundary, config=config, initial=init)
+    op = DiscreteOperator.bind(problem, master.restrict(piece.start, piece.stop))
+    init = None if initial is None else Field(op.grid, initial[piece])
+    rep = op.dirichlet(boundary, None, config, init)
     if not rep.converged:
         return None
     vals = np.zeros(master.n)
     vals[piece] = rep.solution.values
-    return vals, principal_eigenpair(problem, sub, config).lam
+    return vals, op.eigenpair(config).lam
 
 
 def uK_limit(
@@ -471,19 +469,20 @@ def removability_test(
         ext_vals = np.concatenate(([val0], u.values[right]))
         ext = Field(Grid(ext_nodes, u.grid.weight_exponent), ext_vals)
         j0 = 0
-    r_ext = weak_residual(ext, problem).values
+    op = DiscreteOperator.bind(problem, ext.grid)
+    r_ext, scale = op.residual_and_scale(ext.values, op.load(None))
     if j0 == 0:
         # the extension is flat on its first cell, so the pairing that sees
         # the incoming flux is the hat at the first real node
         j0 = 1
-    # hats at end nodes are zeroed rows; the nearest interior hat is the one
-    # that can carry a concentrated residual
+    # hats at end nodes are boundary rows; the nearest interior hat is the
+    # one that can carry a concentrated residual
     j0 = min(max(j0, 1), ext.grid.n - 2)
     flux = float(r_ext[j0])
     # floor at the rounding level of the flux terms so that fields with
     # vanishing residual scale (constants with V = 0) still get a sane gate
     hard = float(np.max(ext.grid.cell_w / ext.grid.h)) * float(np.max(np.abs(ext.values)))
-    scale = max(residual_scale(ext, problem), 1e-6 * hard, 1e-300)
+    scale = max(scale, 1e-6 * hard, 1e-300)
     gate = 10.0 * tol * scale
     verdict = "nonremovable-flux" if abs(flux) > gate else "removable"
     return RemovabilityReport(verdict, tuple(sups), flux, scale, gate)
@@ -543,21 +542,21 @@ def _certificate_level(
     return mu, w, mass_of(w)
 
 
-def _irls_minimize(grid, p, w, us, um, mass_mask, mass_of, objective, rounds: int = 40):
+def _irls_minimize(grid, p, w, us, um, mass_mask, mass_of, objective):
     """Reweighted quadratic relaxations of the Picone objective.
 
-    Each round freezes the degree-(p-2) factors of the density at the
-    current iterate, leaving a tridiagonal quadratic form whose smallest
-    generalized eigenvector (against the similarly frozen window mass) is
-    the next profile.  Iterates stay feasible, so the best objective seen
-    is always a valid upper bound.
+    Each of up to 40 rounds freezes the degree-(p-2) factors of the density
+    at the current iterate, leaving a tridiagonal quadratic form whose
+    smallest generalized eigenvector (against the similarly frozen window
+    mass) is the next profile.  Iterates stay feasible, so the best
+    objective seen is always a valid upper bound.
     """
     n = grid.n
     q = us / um
     cp = 1.0 / grid.h - 0.5 * q
     cm = -(1.0 / grid.h + 0.5 * q)
     best_w, best = w.copy(), objective(w)
-    for _ in range(rounds):
+    for _ in range(40):
         ws = np.diff(w) / grid.h
         wm = 0.5 * (w[:-1] + w[1:])
         z = wm / um * us
@@ -597,11 +596,12 @@ def _irls_minimize(grid, p, w, us, um, mass_mask, mass_of, objective, rounds: in
     return best_w, best
 
 
-def _polish_descent(grid, p, w, us, um, mass_of, objective, iters: int = 200):
-    """Short projected-descent polish after the reweighted rounds."""
+def _polish_descent(grid, p, w, us, um, mass_of, objective):
+    """Short projected-descent polish (at most 200 steps) after the
+    reweighted rounds."""
     mu = objective(w)
     step = 1.0
-    for _ in range(iters):
+    for _ in range(200):
         g = _picone_grad(grid, p, w, us, um)
         g[-1] = 0.0
         gnorm = float(np.max(np.abs(g)))

@@ -515,10 +515,10 @@ class Field:
         out = np.interp(x_arr, self.grid.nodes, self.values)
         return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
-    def is_compactly_supported(self, rtol: float = 1e-12) -> bool:
-        """Vanishes (relatively) at every Dirichlet end of its grid."""
+    def is_compactly_supported(self) -> bool:
+        """Vanishes, to 1e-12 relative, at every Dirichlet end of its grid."""
         scale = float(np.max(np.abs(self.values), initial=0.0))
-        tol = rtol * max(scale, 1.0)
+        tol = 1e-12 * max(scale, 1.0)
         ends = self.values[self.grid.dirichlet_mask]
         return bool(np.all(np.abs(ends) <= tol))
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, solve_banded, solveh_banded
 
-from .energy import phi_p
+from .energy import phi_p, q_parts
 from .errors import PreconditionError
 from .model import Field, Grid, RadialProblem, check_same_grid
 
@@ -97,7 +97,6 @@ class SolveReport:
     solution: Field
     iterations: int
     final_residual_norm: float
-    regularization_eps_final: float
     converged: bool
 
 
@@ -146,9 +145,10 @@ def cell_tridiagonal(
 class DiscreteOperator:
     """Q'(u) = -Delta_p u + V phi_p(u) in weak form on one grid.
 
-    ``bind`` samples V at the nodes once; residuals, Jacobians, quotients
-    and principal pairs on that (problem, grid) all read the bound samples.
-    Nodal arrays passed in and out cover every node of the grid.
+    ``bind`` samples V at the nodes once; residuals, Jacobians, quotients,
+    principal pairs, eigenpairs and Dirichlet solves on that (problem,
+    grid) all read the bound samples.  Nodal arrays passed in and out cover
+    every node of the grid.
     """
 
     p: float
@@ -218,12 +218,9 @@ class DiscreteOperator:
     def quotient(self, u: np.ndarray, weight: np.ndarray) -> tuple[float, float]:
         """(p Q(u) / integral(W |u|^p), integral(W |u|^p)) for the nodal
         weight W."""
-        g, p = self.grid, self.p
-        s = np.diff(u) / g.h
-        up = np.abs(u) ** p
-        num = float(np.sum(np.abs(s) ** p * g.cell_w)) + float(np.sum(self.vvals * up * g.node_w))
-        mass = float(np.sum(weight * up * g.node_w))
-        return num / mass, mass
+        q = q_parts(self.grid, self.p, self.vvals, u)
+        mass = float(np.sum(weight * np.abs(u) ** self.p * self.grid.node_w))
+        return (q.gradient_term + q.potential_term) / mass, mass
 
     def principal(
         self,
@@ -277,7 +274,7 @@ class DiscreteOperator:
         for iters in range(1, config.eigen_max_iter + 1):
             load = g.node_w * weight * phi_p(u, p)
             w0 = u * (lam + shift) ** (-1.0 / (p - 1.0))
-            w, _, _, _, ok = _newton_core(inner, load, w0, config)
+            w, _, _, ok = _newton_core(inner, load, w0, config)
             if not ok:
                 logger.debug("principal pair: inner solve failed at iteration %d", iters)
                 break
@@ -293,6 +290,57 @@ class DiscreteOperator:
                 break
             lam = lam_new
         return lam, u, iters, converged
+
+    def eigenpair(self, config: SolverConfig) -> EigenResult:
+        """Principal Dirichlet eigenpair of Q on the grid (see
+        principal_eigenpair)."""
+        vmin = float(self.vvals.min())
+        # only the inner solves of the p != 2 iteration need a coercive potential
+        shift = 0.0 if self.p == 2.0 or vmin >= 0 else (1.0 - vmin)
+        ones = np.ones(self.grid.n)
+        lam, u, iters, converged = self.principal(ones, config, shift, 1.0)
+        u[self.grid.dirichlet_mask] = 0.0
+        u /= self.quotient(u, ones)[1] ** (1.0 / self.p)
+        return EigenResult(lam, Field(self.grid, u), iters, converged, shift)
+
+    def dirichlet(
+        self,
+        boundary: tuple[float | None, float],
+        f: Field | None,
+        config: SolverConfig,
+        initial: Field | None,
+    ) -> SolveReport:
+        """Solve Q'(u) = f with prescribed boundary data (see
+        solve_dirichlet)."""
+        grid = self.grid
+        bl, br = boundary
+        if grid.natural_left:
+            if bl is not None:
+                raise ValueError("grid starts at a ball center; left boundary value must be None")
+        else:
+            if bl is None:
+                raise ValueError("left boundary value required for this grid")
+            if bl < 0:
+                raise ValueError(f"boundary data must be nonnegative, got left={bl}")
+        if br is None or br < 0:
+            raise ValueError(f"boundary data must be nonnegative, got right={br}")
+
+        load = self.load(f)
+        if f is not None and np.any(f.values < 0):
+            raise PreconditionError("forcing f must be nonnegative")
+
+        if initial is not None:
+            u0 = initial.values.copy()
+        else:
+            a, b = grid.interval
+            left_anchor = br if bl is None else bl
+            u0 = left_anchor + (grid.nodes - a) / (b - a) * (br - left_anchor)
+        if not grid.natural_left:
+            u0[0] = bl
+        u0[-1] = br
+
+        u, iters, res, conv = _newton_core(self, load, u0, config)
+        return SolveReport(Field(grid, u), iters, res, conv)
 
 
 def weak_residual(u: Field, problem: RadialProblem, f: Field | None = None) -> Field:
@@ -322,10 +370,10 @@ def _newton_core(
     load: np.ndarray,
     u0: np.ndarray,
     config: SolverConfig,
-) -> tuple[np.ndarray, int, float, float, bool]:
+) -> tuple[np.ndarray, int, float, bool]:
     """Damped Newton with eps-continuation.  Returns
-    (u, iterations, residual_norm, eps_final, converged).  Dirichlet values
-    of u0 are held fixed."""
+    (u, iterations, residual_norm, converged).  Dirichlet values of u0 are
+    held fixed."""
     grid, p = op.grid, op.p
     free = grid.free
     tol = config.tol_for(p)
@@ -404,7 +452,7 @@ def _newton_core(
         hard = float(np.max(grid.cell_w / grid.h * np.max(np.abs(u), initial=0.0)))
         if res_norm <= 1e4 * np.finfo(float).eps * max(hard, scale):
             converged = True
-    return u, total_iter, res_norm, stages[-1], converged
+    return u, total_iter, res_norm, converged
 
 
 def solve_dirichlet(
@@ -422,35 +470,7 @@ def solve_dirichlet(
     there).  f, when given, must be a nonnegative field on the same grid.
     Non-convergence is reported through the ``converged`` flag.
     """
-    bl, br = boundary
-    if grid.natural_left:
-        if bl is not None:
-            raise ValueError("grid starts at a ball center; left boundary value must be None")
-    else:
-        if bl is None:
-            raise ValueError("left boundary value required for this grid")
-        if bl < 0:
-            raise ValueError(f"boundary data must be nonnegative, got left={bl}")
-    if br is None or br < 0:
-        raise ValueError(f"boundary data must be nonnegative, got right={br}")
-
-    op = DiscreteOperator.bind(problem, grid)
-    load = op.load(f)
-    if f is not None and np.any(f.values < 0):
-        raise PreconditionError("forcing f must be nonnegative")
-
-    if initial is not None:
-        u0 = initial.values.copy()
-    else:
-        a, b = grid.interval
-        left_anchor = br if bl is None else bl
-        u0 = left_anchor + (grid.nodes - a) / (b - a) * (br - left_anchor)
-    if not grid.natural_left:
-        u0[0] = bl
-    u0[-1] = br
-
-    u, iters, res, eps_final, conv = _newton_core(op, load, u0, config)
-    return SolveReport(Field(grid, u), iters, res, eps_final, conv)
+    return DiscreteOperator.bind(problem, grid).dirichlet(boundary, f, config, initial)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +532,6 @@ def principal_eigenpair(
     problem: RadialProblem,
     grid: Grid,
     config: SolverConfig = DEFAULT_CONFIG,
-    initial: Field | None = None,
 ) -> EigenResult:
     """Principal Dirichlet eigenpair of Q on the grid.
 
@@ -523,20 +542,7 @@ def principal_eigenpair(
     iteration runs until the Rayleigh quotient stalls at relative
     ``eigen_rtol``.
     """
-    return _eigenpair(DiscreteOperator.bind(problem, grid), config, initial)
-
-
-def _eigenpair(
-    op: DiscreteOperator, config: SolverConfig, initial: Field | None = None
-) -> EigenResult:
-    vmin = float(op.vvals.min())
-    # only the inner solves of the p != 2 iteration need a coercive potential
-    shift = 0.0 if op.p == 2.0 or vmin >= 0 else (1.0 - vmin)
-    ones = np.ones(op.grid.n)
-    lam, u, iters, converged = op.principal(ones, config, shift, 1.0, initial)
-    u[op.grid.dirichlet_mask] = 0.0
-    u /= op.quotient(u, ones)[1] ** (1.0 / op.p)
-    return EigenResult(lam, Field(op.grid, u), iters, converged, shift)
+    return DiscreteOperator.bind(problem, grid).eigenpair(config)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +615,7 @@ def wcp_check(
     if np.any(u2.values[bmask] < -bgate):
         failures.append("u2 >= 0 on the boundary")
     if lambda_1 is None:
-        lambda_1 = _eigenpair(op, config).lam
+        lambda_1 = op.eigenpair(config).lam
     if not lambda_1 > 0:
         failures.append("lambda_1 > 0 on the level")
     if failures:

@@ -187,8 +187,13 @@ class TestEigCommand:
         assert proc.returncode == 0
         digest = report["config_sha256"]
         assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
-        tol = report["tolerances"]
-        assert "residual_tol" in tol and "eigen_rtol" in tol
+        # every SolverConfig value in effect, with residual_tol resolved for p = 2
+        assert report["tolerances"] == {
+            "residual_tol": 1e-10,
+            "max_iter_per_stage": 200,
+            "eigen_rtol": 1e-8,
+            "eigen_max_iter": 400,
+        }
 
     def test_tol_flag_lands_in_report(self, tmp_path):
         proc, _, report = run_cli(tmp_path, EIG_INI, "--tol", "3e-9")

@@ -1,13 +1,15 @@
 """Structure of the package source: no module reaches into another
 module's private names, no import goes unused, package imports sit at
-module top level, every SolverConfig field is read somewhere, and every
+module top level, every SolverConfig field is read somewhere, every
 solver and residual entry point samples the potential once per (problem,
-grid)."""
+grid), no driver samples one (potential, grid) pair twice, and a verdict's
+positivity certificate is computed once."""
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,18 +17,30 @@ import pytest
 
 import pcrit
 from pcrit import (
+    CompactSetSpec,
+    Field,
+    Grid,
     PotentialSpec,
     RadialProblem,
     SolverConfig,
     build_grid,
     classify_sign,
+    criticality_verdict,
+    make_exhaustion,
     make_field,
+    null_sequence,
+    positivity_weight,
     principal_eigenpair,
+    q_capacity,
+    removability_test,
     residual_scale,
     solve_dirichlet,
+    threshold_tN,
+    uK_limit,
     wcp_check,
     weak_residual,
 )
+from pcrit.solver import DiscreteOperator
 
 SOURCES = sorted(Path(pcrit.__file__).parent.glob("*.py"))
 
@@ -103,11 +117,12 @@ def test_every_solver_config_field_is_read():
 
 @pytest.fixture
 def sample_counter(monkeypatch):
+    """Records each sample as its (potential, node bytes) pair."""
     calls = []
     original = PotentialSpec.sample
 
     def counted(self, r):
-        calls.append(len(r))
+        calls.append((self, np.asarray(r, dtype=float).tobytes()))
         return original(self, r)
 
     monkeypatch.setattr(PotentialSpec, "sample", counted)
@@ -138,4 +153,67 @@ def test_potential_sampled_once_per_entry_point(entry, sample_counter):
     }
     sample_counter.clear()
     calls[entry]()
-    assert sample_counter == [grid.n]
+    assert sample_counter == [(prob.potential, grid.nodes.tobytes())]
+
+
+BUMP = PotentialSpec.bump(2.0, 0.5, 1.0)
+RAY3 = RadialProblem(2.0, 3, (0.0, np.inf), PotentialSpec.constant(0.5))
+LINE = RadialProblem(2.0, 1, (-np.inf, np.inf), PotentialSpec.zero())
+HALF_LINE = RadialProblem(2.0, 1, (0.0, np.inf), PotentialSpec.zero())
+SUBCRITICAL = RadialProblem(2.0, 3, (0.0, np.inf), PotentialSpec.zero())
+
+
+_RAMP_NODES = np.linspace(0.01, 4.0, 401)
+RAMP = Field(Grid(_RAMP_NODES, 0), 1.0 + _RAMP_NODES)
+
+
+def _annuli(count):
+    return make_exhaustion(SUBCRITICAL, count, base=1.0, growth=2.0, style="annuli")
+
+
+DRIVERS = {
+    "threshold_tN": lambda: threshold_tN(RAY3, (1.0, 4.0), BUMP, resolution=201),
+    "null_sequence": lambda: null_sequence(
+        LINE,
+        make_exhaustion(LINE, 5, base=1.0, growth=2.0, style="line", x0=0.0),
+        weight=PotentialSpec.bump(0.0, 1.0, 1.0),
+        resolution=201,
+    ),
+    # subcritical, so the verdict also computes its positivity margins
+    "criticality_verdict": lambda: criticality_verdict(SUBCRITICAL, _annuli(9), resolution=201),
+    "q_capacity": lambda: q_capacity(RAY3, CompactSetSpec(0.0, 1.0), (0.0, 4.0), resolution=301),
+    "uK_limit": lambda: uK_limit(
+        RAY3,
+        CompactSetSpec(0.0, 1.0),
+        (1.0, 1.0),
+        make_exhaustion(RAY3, 3, base=1.0, growth=2.0, style="balls"),
+        resolution=201,
+    ),
+    # bounded, so the flux pairing on the extended grid runs
+    "removability_test": lambda: removability_test(HALF_LINE, RAMP, 0.0),
+}
+
+
+@pytest.mark.parametrize("driver", list(DRIVERS))
+def test_drivers_sample_each_potential_grid_pair_once(driver, sample_counter):
+    DRIVERS[driver]()
+    assert sample_counter, "the driver sampled nothing"
+    repeated = sorted(n for n in Counter(sample_counter).values() if n > 1)
+    assert repeated == []
+
+
+def test_positivity_weight_returns_the_verdicts_certificate(monkeypatch):
+    rep = criticality_verdict(SUBCRITICAL, _annuli(9), resolution=201)
+    assert rep.verdict == "subcritical"
+    solves = []
+    original = DiscreteOperator.principal
+
+    def counted(self, *args, **kwargs):
+        solves.append(self.grid.n)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiscreteOperator, "principal", counted)
+    cert = positivity_weight(SUBCRITICAL, _annuli(9), resolution=201, report=rep)
+    assert cert is rep.certificate
+    assert rep.positivity_weight == (cert.weight, cert.margin)
+    assert solves == []
