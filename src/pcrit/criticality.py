@@ -44,6 +44,7 @@ from .model import (
     RadialProblem,
     build_graded_grid,
     build_grid,
+    embed,
     log_reduced_level,
     log_reduced_problem,
 )
@@ -241,12 +242,16 @@ def _require_nonnegative_form(op: DiscreteOperator, config: SolverConfig) -> Non
 # ---------------------------------------------------------------------------
 
 def _threshold_minimizer(
-    op: DiscreteOperator, wvals: np.ndarray, config: SolverConfig
+    op: DiscreteOperator,
+    wvals: np.ndarray,
+    config: SolverConfig,
+    initial: Field | None = None,
 ) -> tuple[float, np.ndarray, bool]:
     """Smallest t with lambda_1(V - t W) = 0 on the grid, with its minimizer:
-    the principal pair of the W-weighted pencil.  At p = 2 the threshold is
-    the quotient at the eigenvector."""
-    t, u, _, converged = op.principal(wvals, config)
+    the principal pair of the W-weighted pencil, started from ``initial``
+    when p != 2.  At p = 2 the threshold is the quotient at the
+    eigenvector."""
+    t, u, _, converged = op.principal(wvals, config, initial=initial)
     if op.p == 2.0:
         t, _ = op.quotient(u, wvals)
     return t, u, converged
@@ -290,7 +295,9 @@ def null_sequence(
     Each minimizer solves the level's weighted eigenproblem at eigenvalue
     t_N, so its energy satisfies Q(v_N) = (t_N / p) * integral(W |v_N|^p)
     identically.  Levels whose eigensolve fails are recorded in ``failures``
-    and the sequence is truncated there.
+    and the sequence is truncated there.  At p != 2 each level's iteration
+    starts from the previous level's minimizer, which the nested levels
+    carry over by extension with zero.
     """
     wp, wlevels, wx0, ww, coords = _working_frame(
         problem, exhaustion.levels, exhaustion.x0, weight, frame
@@ -304,7 +311,8 @@ def null_sequence(
     entries: list[LevelThreshold] = []
     failures: list[int] = []
     for idx, (lv, (op, wvals)) in enumerate(zip(wlevels, levels), start=1):
-        t, v, ok = _threshold_minimizer(op, wvals, config)
+        warm = embed(entries[-1].minimizer, op.grid) if entries else None
+        t, v, ok = _threshold_minimizer(op, wvals, config, warm)
         if not ok:
             failures.append(idx)
             logger.warning("level %d: threshold eigensolve failed, truncating", idx)
@@ -412,10 +420,11 @@ def ground_state(
 ) -> Field:
     """Limit profile of the normalized null sequence in the critical case.
 
-    Recomputes the last level at doubled resolution and reports the limit
-    from the finer grid; a StateError is raised when the verdict is not
-    critical.  The returned field is 1 at the reference point and lives in
-    the run's working coordinates (log-radius when the reduction applies).
+    Recomputes the last level at doubled resolution, starting from the
+    coarse minimizer, and reports the limit from the finer grid; a
+    StateError is raised when the verdict is not critical.  The returned
+    field is 1 at the reference point and lives in the run's working
+    coordinates (log-radius when the reduction applies).
     """
     if report is None:
         report = criticality_verdict(
@@ -428,7 +437,7 @@ def ground_state(
     run = report.run
     last = run.entries[-1]
     op2, wvals2 = _level(run.problem, last.level, run.weight, 2 * resolution)
-    _, v2, ok = _threshold_minimizer(op2, wvals2, config)
+    _, v2, ok = _threshold_minimizer(op2, wvals2, config, embed(last.minimizer, op2.grid))
     if not ok:
         logger.warning("refinement solve failed; returning the coarse ground state")
         return last.minimizer
@@ -508,12 +517,13 @@ def q_capacity(
     base_hi = int(grid.n - 1 - np.argmax(in_set[::-1]))
 
     act_lo, act_hi = base_lo, base_hi
+    sides: dict[tuple[int, int], np.ndarray | None] = {}
     u = np.zeros(grid.n)
     tol_gate = 1e-8
     converged = False
     iterations = 0
     for iterations in range(1, 31):
-        u = _capacity_solve(problem, grid, act_lo, act_hi, config)
+        u = _capacity_solve(problem, grid, act_lo, act_hi, config, sides)
         if u is None:
             break
         r, scale = op.residual_and_scale(u, unforced)
@@ -592,23 +602,30 @@ def _capacity_solve(
     act_lo: int,
     act_hi: int,
     config: SolverConfig,
+    sides: dict[tuple[int, int], np.ndarray | None],
 ) -> np.ndarray | None:
     """Equality-constrained capacity profile for a pinned interval: each
-    side of the pinned run is an unforced Dirichlet solve on its subgrid."""
+    side of the pinned run is an unforced Dirichlet solve on its subgrid.
+    ``sides`` keeps each side's profile (None if its solve failed) by the
+    subgrid's node range, so a side whose pinned end did not move is not
+    solved again."""
+
+    def side(start: int, stop: int, boundary: tuple[float | None, float]) -> np.ndarray | None:
+        if (start, stop) not in sides:
+            rep = solve_dirichlet(problem, grid.restrict(start, stop), boundary, config=config)
+            sides[start, stop] = rep.solution.values if rep.converged else None
+        return sides[start, stop]
+
     u = np.zeros(grid.n)
-    u[act_lo : act_hi + 1] = 1.0
     if act_lo > 0:
-        sub = grid.restrict(0, act_lo + 1)
-        left_bc = None if sub.natural_left else 0.0
-        rep = solve_dirichlet(problem, sub, (left_bc, 1.0), config=config)
-        if not rep.converged:
+        left = side(0, act_lo + 1, (None if grid.natural_left else 0.0, 1.0))
+        if left is None:
             return None
-        u[: act_lo + 1] = rep.solution.values
+        u[: act_lo + 1] = left
     if act_hi < grid.n - 1:
-        sub = grid.restrict(act_hi)
-        rep = solve_dirichlet(problem, sub, (1.0, 0.0), config=config)
-        if not rep.converged:
+        right = side(act_hi, grid.n, (1.0, 0.0))
+        if right is None:
             return None
-        u[act_hi:] = rep.solution.values
+        u[act_hi:] = right
     u[act_lo : act_hi + 1] = 1.0
     return u

@@ -481,8 +481,7 @@ def removability_test(
     flux = float(r_ext[j0])
     # floor at the rounding level of the flux terms so that fields with
     # vanishing residual scale (constants with V = 0) still get a sane gate
-    hard = float(np.max(ext.grid.cell_w / ext.grid.h)) * float(np.max(np.abs(ext.values)))
-    scale = max(scale, 1e-6 * hard, 1e-300)
+    scale = max(scale, 1e-6 * op.flux_floor(ext.values), 1e-300)
     gate = 10.0 * tol * scale
     verdict = "nonremovable-flux" if abs(flux) > gate else "removable"
     return RemovabilityReport(verdict, tuple(sups), flux, scale, gate)

@@ -61,7 +61,10 @@ __all__ = [
 
 # Newton's fixed schedule: Jacobian eps from EPS_START down by EPS_FACTOR to
 # EPS_FLOOR (p = 2 uses EPS_FLOOR only); at most BACKTRACK_MAX step halvings.
+# Inner solves of the inverse power iteration that start from a warm iterate
+# begin the walk at EPS_WARM instead.
 EPS_START, EPS_FACTOR, EPS_FLOOR = 1e-1, 0.1, 1e-8
+EPS_WARM = 1e-6
 ARMIJO_C = 1e-4
 BACKTRACK_MAX = 40
 
@@ -222,6 +225,12 @@ class DiscreteOperator:
         mass = float(np.sum(weight * np.abs(u) ** self.p * self.grid.node_w))
         return (q.gradient_term + q.potential_term) / mass, mass
 
+    def flux_floor(self, u: np.ndarray) -> float:
+        """max(cell_w / h) * max|u|: the size of the flux terms at u's
+        magnitude, whose rounding bounds how small a residual can get."""
+        g = self.grid
+        return float(np.max(g.cell_w / g.h)) * float(np.max(np.abs(u), initial=0.0))
+
     def principal(
         self,
         weight: np.ndarray,
@@ -241,7 +250,10 @@ class DiscreteOperator:
         W phi_p(u_k), with ``shift`` making each solve coercive, and is
         scaled to unit weighted mass; the quotient estimates lam and the
         iteration stops once it moves by at most
-        eigen_rtol * max(stop_floor, |lam|).
+        eigen_rtol * max(stop_floor, |lam|).  The iteration starts from
+        ``initial`` when given (a tent otherwise); p = 2 ignores it.  Inner
+        solves from a warm iterate (any after the first, and the first from
+        ``initial``) start their eps walk at EPS_WARM.
         """
         g, p = self.grid, self.p
         if p == 2.0:
@@ -269,12 +281,14 @@ class DiscreteOperator:
         u = u / mass ** (1.0 / p)
 
         inner = DiscreteOperator(p, g, self.vvals + shift)
+        eps_start = EPS_START if initial is None else EPS_WARM
         converged = False
         iters = 0
         for iters in range(1, config.eigen_max_iter + 1):
             load = g.node_w * weight * phi_p(u, p)
             w0 = u * (lam + shift) ** (-1.0 / (p - 1.0))
-            w, _, _, ok = _newton_core(inner, load, w0, config)
+            w, _, _, ok = _newton_core(inner, load, w0, config, eps_start)
+            eps_start = EPS_WARM
             if not ok:
                 logger.debug("principal pair: inner solve failed at iteration %d", iters)
                 break
@@ -370,8 +384,9 @@ def _newton_core(
     load: np.ndarray,
     u0: np.ndarray,
     config: SolverConfig,
+    eps_start: float = EPS_START,
 ) -> tuple[np.ndarray, int, float, bool]:
-    """Damped Newton with eps-continuation.  Returns
+    """Damped Newton with eps-continuation from ``eps_start``.  Returns
     (u, iterations, residual_norm, converged).  Dirichlet values of u0 are
     held fixed."""
     grid, p = op.grid, op.p
@@ -383,7 +398,7 @@ def _newton_core(
         stages = [EPS_FLOOR]
     else:
         stages = []
-        e = EPS_START
+        e = eps_start
         while e > EPS_FLOOR * 1.0000001:
             stages.append(e)
             e *= EPS_FACTOR
@@ -437,6 +452,11 @@ def _newton_core(
             if not accepted:
                 logger.debug("newton: no descent at eps=%g, res=%g", eps, res_norm)
                 break
+        else:
+            logger.debug(
+                "newton: eps=%g stage hit its %d-iteration cap, res=%g > gate %g",
+                eps, config.max_iter_per_stage, res_norm, stage_tol_factor * scale,
+            )
 
     r_full, scale = op.residual_and_scale(u, load)
     r = r_full[free]
@@ -449,8 +469,7 @@ def _newton_core(
         # relative gate can undershoot what a backward-stable banded solve
         # delivers; accept when the defect is at rounding level on that
         # larger scale
-        hard = float(np.max(grid.cell_w / grid.h * np.max(np.abs(u), initial=0.0)))
-        if res_norm <= 1e4 * np.finfo(float).eps * max(hard, scale):
+        if res_norm <= 1e4 * np.finfo(float).eps * max(op.flux_floor(u), scale):
             converged = True
     return u, total_iter, res_norm, converged
 

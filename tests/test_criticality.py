@@ -25,6 +25,7 @@ from pcrit import (
     q_capacity,
     threshold_tN,
 )
+from pcrit import solver
 from pcrit.errors import StateError
 
 
@@ -193,6 +194,52 @@ class TestNullSequence:
         masses = np.array([e.weighted_mass for e in run.entries])
         assert masses.min() > 0.0
         assert masses.max() / masses.min() < 10.0
+
+
+D4_P3 = ray_problem(4, 3.0)
+D4_ANNULI = make_exhaustion(D4_P3, 6, base=1.0, growth=2.0, style="annuli")
+D3_LOG = ExhaustionSchedule(tuple((-(2.0**k), 2.0**k) for k in range(1, 7)), 0.0)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize(
+        "problem, exhaustion, frame",
+        [(D4_P3, D4_ANNULI, "auto"), (ray_problem(3, 3.0), D3_LOG, "log")],
+        ids=["d4-annuli", "d3-log"],
+    )
+    def test_warm_thresholds_match_cold_levels(self, problem, exhaustion, frame):
+        # each level solved again on its own, from a cold start
+        run = null_sequence(problem, exhaustion, resolution=301, frame=frame)
+        cold = [
+            threshold_tN(problem, e.level, run.weight, resolution=301, frame=frame)
+            for e in run.entries
+        ]
+        assert run.failures == () and len(run.entries) == 6
+        assert [e.t for e in run.entries] == pytest.approx(cold, rel=1e-9)
+
+    def test_p2_sequence_is_bit_identical_to_levels(self):
+        prob = line_problem()
+        ex = make_exhaustion(prob, 6, base=1.0, growth=2.0, style="line", x0=0.0)
+        run = null_sequence(prob, ex, weight=BUMP, resolution=301)
+        cold = [threshold_tN(prob, e.level, BUMP, resolution=301) for e in run.entries]
+        assert [e.t for e in run.entries] == cold
+
+    def test_warm_sequence_halves_the_banded_solves(self, monkeypatch):
+        # a work count, not a wall time: the same on every machine
+        calls = []
+        original = solver.solve_banded
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_banded", counted)
+        run = null_sequence(D4_P3, D4_ANNULI, resolution=301)
+        warm = len(calls)
+        calls.clear()
+        for e in run.entries:
+            threshold_tN(D4_P3, e.level, run.weight, resolution=301)
+        assert warm < 0.5 * len(calls)
 
 
 class TestGroundState:

@@ -11,6 +11,7 @@ from conftest import random_compact_field
 from pcrit import (
     PotentialSpec,
     RadialProblem,
+    SolverConfig,
     build_grid,
     classify_sign,
     make_field,
@@ -134,6 +135,13 @@ class TestSolveDirichlet:
             for r in np.linspace(1.05, 1.95, 9)
         )
         assert err <= 1e-4
+
+    def test_stage_cap_hits_are_logged(self, caplog):
+        prob = RadialProblem(3.0, 4, (0.0, np.inf), PotentialSpec.zero())
+        g = build_grid(prob, (1.0, 2.0), 801, law="uniform")
+        with caplog.at_level("DEBUG", logger="pcrit.solver"):
+            solve_dirichlet(prob, g, (1.0, 0.25), config=SolverConfig(max_iter_per_stage=1))
+        assert any("iteration cap" in rec.getMessage() for rec in caplog.records)
 
     def test_negative_boundary_rejected(self):
         prob = line_problem()

@@ -160,6 +160,7 @@ BUMP = PotentialSpec.bump(2.0, 0.5, 1.0)
 RAY3 = RadialProblem(2.0, 3, (0.0, np.inf), PotentialSpec.constant(0.5))
 LINE = RadialProblem(2.0, 1, (-np.inf, np.inf), PotentialSpec.zero())
 HALF_LINE = RadialProblem(2.0, 1, (0.0, np.inf), PotentialSpec.zero())
+WELL3 = RadialProblem(3.0, 3, (0.0, np.inf), PotentialSpec.constant(-0.05))
 SUBCRITICAL = RadialProblem(2.0, 3, (0.0, np.inf), PotentialSpec.zero())
 
 
@@ -182,6 +183,10 @@ DRIVERS = {
     # subcritical, so the verdict also computes its positivity margins
     "criticality_verdict": lambda: criticality_verdict(SUBCRITICAL, _annuli(9), resolution=201),
     "q_capacity": lambda: q_capacity(RAY3, CompactSetSpec(0.0, 1.0), (0.0, 4.0), resolution=301),
+    # the active set moves once, so one side's pinned end stays put
+    "q_capacity_two_iterations": lambda: q_capacity(
+        WELL3, CompactSetSpec(0.5, 1.0), (0.0, 4.0), resolution=401
+    ),
     "uK_limit": lambda: uK_limit(
         RAY3,
         CompactSetSpec(0.0, 1.0),
