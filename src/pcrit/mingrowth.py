@@ -569,7 +569,7 @@ def _irls_minimize(grid, p, w, us, um, mass_mask, mass_of, objective):
         msur = grid.node_w * mass_mask * wfloor ** (p - 2.0)
         try:
             _, vec = smallest_generalized_eigen(diag, off, msur[:-1])
-        except (PreconditionError, np.linalg.LinAlgError):
+        except PreconditionError:
             break
         wn = np.zeros(n)
         wn[:-1] = vec

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh, solveh_banded
 
 import oracles
 from conftest import random_compact_field
@@ -21,6 +22,7 @@ from pcrit import (
     wcp_check,
     weak_residual,
 )
+from pcrit import solver
 from pcrit.errors import PreconditionError
 from pcrit.solver import smallest_generalized_eigen
 
@@ -110,6 +112,19 @@ class TestSolveDirichlet:
         assert rep.final_residual_norm > 1e-8 * scale
         assert rep.final_residual_norm <= 1e-6 * scale
 
+    def test_noise_floor_acceptance_far_below_the_relative_gate(self):
+        # boundary data 1e-9 apart: the residual's terms (4e-18) sit far
+        # below the flux terms' rounding floor (flux_floor, about 4), so the
+        # solve stalls at a rounding-level residual that no relative gate
+        # on the terms can reach
+        prob = RadialProblem(3.0, 3, (0.0, np.inf), PotentialSpec.zero())
+        g = build_grid(prob, (1.0, 2.0), 401)
+        rep = solve_dirichlet(prob, g, (1.0, 1.0 + 1e-9))
+        scale = residual_scale(rep.solution, prob)
+        assert rep.converged is True  # a bool, as report.json needs
+        assert rep.final_residual_norm > 1e-6 * scale
+        assert rep.final_residual_norm <= 1e-20
+
     def test_annulus_d3_matches_flux_oracle(self):
         prob = RadialProblem(2.0, 3, (0.0, np.inf), PotentialSpec.zero())
         g = build_grid(prob, (1.0, 2.0), 801, law="uniform")
@@ -192,7 +207,123 @@ class TestEigen:
         assert rep.lam == pytest.approx(oracles.FROZEN["eig_shoot_p3"], rel=5e-3)
 
 
+def dense_partial_mass_eigen(diag, off, mass):
+    """Reference for the partial-mass pencil through dense algebra: lam is
+    1 / nu for the largest eigenvalue nu of M^(1/2) A^(-1) M^(1/2) on the
+    support, and x = A^(-1) M^(1/2) y for its unit eigenvector y, scaled to
+    x^T M x = 1."""
+    m = diag.size
+    ab = np.zeros((2, m))
+    ab[0, 1:] = off
+    ab[1, :] = diag
+    support = np.flatnonzero(mass > 0)
+    rhs = np.zeros((m, support.size))
+    rhs[support, np.arange(support.size)] = 1.0
+    x = solveh_banded(ab, rhs)
+    sq = np.sqrt(mass[support])
+    t_mat = sq[:, None] * x[support, :] * sq[None, :]
+    vals, vecs = eigh(0.5 * (t_mat + t_mat.T))
+    vec = x @ (sq * vecs[:, -1])
+    vec /= np.sqrt(np.sum(mass * vec * vec))
+    return 1.0 / vals[-1], vec if vec[np.argmax(np.abs(vec))] > 0 else -vec
+
+
+def laplacian_pencil(m, rng):
+    """A stiffness-like positive definite tridiagonal A of order m: random
+    cell couplings plus a positive potential."""
+    k = rng.uniform(0.5, 2.0, m + 1)
+    return k[:-1] + k[1:] + rng.uniform(0.0, 0.1, m), -k[1:-1]
+
+
+def windows(m, spans, rng):
+    mass = np.zeros(m)
+    for lo, hi in spans:
+        mass[lo:hi] = rng.uniform(0.5, 2.0, hi - lo)
+    return mass
+
+
+def graded_mass(m):
+    # a bump whose mass falls from 1 to 1e-211 at the window ends
+    mass = np.zeros(m)
+    t = np.linspace(-1.0, 1.0, 41)
+    mass[20:61] = 10.0 ** (-211.0 * t**2)
+    return mass
+
+
+PARTIAL_MASS = {
+    "one-window": (80, lambda rng: windows(80, [(30, 50)], rng)),
+    "several-windows": (90, lambda rng: windows(90, [(5, 12), (30, 31), (40, 70), (72, 80)], rng)),
+    "touches-left-end": (60, lambda rng: windows(60, [(0, 25)], rng)),
+    "touches-right-end": (60, lambda rng: windows(60, [(35, 60)], rng)),
+    "touches-both-ends": (60, lambda rng: windows(60, [(0, 10), (50, 60)], rng)),
+    "single-node": (50, lambda rng: windows(50, [(17, 18)], rng)),
+    "graded-to-1e-211": (80, lambda rng: graded_mass(80)),
+    "random-holes": (70, lambda rng: np.where(rng.random(70) < 0.6, rng.uniform(0.5, 2.0, 70), 0.0)),
+}
+
+
 class TestSmallestGeneralizedEigen:
+    @pytest.mark.parametrize("case", sorted(PARTIAL_MASS))
+    def test_partial_mass_matches_dense_reference(self, case):
+        m, make_mass = PARTIAL_MASS[case]
+        rng = np.random.default_rng(sorted(PARTIAL_MASS).index(case))
+        diag, off = laplacian_pencil(m, rng)
+        mass = make_mass(rng)
+        assert 0 < np.count_nonzero(mass) < m
+        lam, vec = smallest_generalized_eigen(diag, off, mass)
+        lam_ref, vec_ref = dense_partial_mass_eigen(diag, off, mass)
+        assert lam == pytest.approx(lam_ref, rel=1e-10)
+        assert np.max(np.abs(vec - vec_ref)) <= 1e-10 * np.max(np.abs(vec_ref))
+
+    @pytest.mark.parametrize(
+        "m, window, exact",
+        [(3, (1, 2), 1.0), (7, (3, 4), 0.5), (8, (3, 5), 0.25)],
+        ids=["one-node-of-3", "one-node-of-7", "two-nodes-of-8"],
+    )
+    def test_integer_pencil_with_a_window(self, m, window, exact):
+        # A = tridiag(-1, 2, -1): eliminating a run of k nodes next to the
+        # window takes k / (k + 1) off the diagonal there, so these pencils'
+        # smallest eigenvalues are dyadic and exactly representable
+        diag, off = 2.0 * np.ones(m), -np.ones(m - 1)
+        mass = np.zeros(m)
+        mass[window[0] : window[1]] = 1.0
+        lam, vec = smallest_generalized_eigen(diag, off, mass)
+        lam_ref, vec_ref = dense_partial_mass_eigen(diag, off, mass)
+        assert lam == pytest.approx(exact, rel=1e-14)
+        assert lam == pytest.approx(lam_ref, rel=1e-10)
+        assert np.max(np.abs(vec - vec_ref)) <= 1e-10 * np.max(np.abs(vec_ref))
+
+    @pytest.mark.parametrize("branch", ["full-mass", "partial-mass"])
+    def test_vector_has_unit_mass(self, branch):
+        rng = np.random.default_rng(3)
+        diag, off = laplacian_pencil(40, rng)
+        mass = rng.uniform(0.5, 2.0, 40) if branch == "full-mass" else windows(40, [(10, 25)], rng)
+        _, vec = smallest_generalized_eigen(diag, off, mass)
+        assert float(np.sum(mass * vec * vec)) == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("negative_at", ["complement", "support"])
+    def test_indefinite_form_raises_precondition_error(self, negative_at):
+        # the indefinite part sits where the mass vanishes (the complement
+        # solve fails) or on the window (the condensed pencil's eigenvalue
+        # comes out negative)
+        m = 20
+        diag, off = 2.0 * np.ones(m), -np.ones(m - 1)
+        diag[3 if negative_at == "complement" else 10] = -5.0
+        mass = np.zeros(m)
+        mass[8:13] = 1.0
+        with pytest.raises(PreconditionError):
+            smallest_generalized_eigen(diag, off, mass)
+
+    def test_failed_vector_solve_raises_precondition_error(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(solver, "solve_banded", singular)
+        mass = np.zeros(10)
+        mass[3:6] = 1.0
+        with pytest.raises(PreconditionError):
+            smallest_generalized_eigen(2.0 * np.ones(10), -np.ones(9), mass)
+
     @pytest.mark.parametrize("m", [8, 13, 40])
     @pytest.mark.parametrize("branch", ["full-mass", "partial-mass"])
     def test_vector_is_positively_oriented(self, m, branch):
