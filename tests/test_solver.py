@@ -113,10 +113,10 @@ class TestSolveDirichlet:
         assert rep.final_residual_norm <= 1e-6 * scale
 
     def test_noise_floor_acceptance_far_below_the_relative_gate(self):
-        # boundary data 1e-9 apart: the residual's terms (4e-18) sit far
-        # below the flux terms' rounding floor (flux_floor, about 4), so the
-        # solve stalls at a rounding-level residual that no relative gate
-        # on the terms can reach
+        # boundary data 1e-9 apart: the residual's terms (4e-18) are so
+        # small that a one-ulp change of u moves the slopes by 1e-4 of
+        # themselves, so the solve stalls at a rounding-level residual that
+        # no relative gate on the terms can reach
         prob = RadialProblem(3.0, 3, (0.0, np.inf), PotentialSpec.zero())
         g = build_grid(prob, (1.0, 2.0), 401)
         rep = solve_dirichlet(prob, g, (1.0, 1.0 + 1e-9))
@@ -124,6 +124,17 @@ class TestSolveDirichlet:
         assert rep.converged is True  # a bool, as report.json needs
         assert rep.final_residual_norm > 1e-6 * scale
         assert rep.final_residual_norm <= 1e-20
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_noise_floor_does_not_accept_the_start(self, p):
+        # boundary data 1e-6 apart: the rounding floor scales with the flux
+        # terms' sensitivity to u, phi_p'(s), not with the flux terms at
+        # unit slope, so the straight-line start, left unsolved, is refused
+        prob = RadialProblem(p, 3, (0.0, np.inf), PotentialSpec.zero())
+        g = build_grid(prob, (1.0, 2.0), 401)
+        rep = solve_dirichlet(prob, g, (1.0, 1.0 + 1e-6), config=SolverConfig(max_iter_per_stage=0))
+        assert rep.iterations == 0
+        assert rep.converged is False
 
     def test_annulus_d3_matches_flux_oracle(self):
         prob = RadialProblem(2.0, 3, (0.0, np.inf), PotentialSpec.zero())
@@ -303,9 +314,7 @@ class TestSmallestGeneralizedEigen:
 
     @pytest.mark.parametrize("negative_at", ["complement", "support"])
     def test_indefinite_form_raises_precondition_error(self, negative_at):
-        # the indefinite part sits where the mass vanishes (the complement
-        # solve fails) or on the window (the condensed pencil's eigenvalue
-        # comes out negative)
+        # the indefinite part sits where the mass vanishes or on the window
         m = 20
         diag, off = 2.0 * np.ones(m), -np.ones(m - 1)
         diag[3 if negative_at == "complement" else 10] = -5.0
