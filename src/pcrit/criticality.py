@@ -8,7 +8,7 @@ nonnegative probe weight W supported near the reference point,
 
 the largest coupling for which the functional with potential V - t W stays
 nonnegative on the level.  The infimum is computed as the principal
-eigenvalue of the weighted pencil (direct tridiagonal algebra at p = 2,
+eigenvalue of the weighted pencil (tridiagonal bisection at p = 2,
 weighted inverse power iteration otherwise).  Minimizers of the quotient
 are the null-sequence elements: normalizing them at the reference point
 turns a decaying t_N into a locally uniform limit, the ground state.
@@ -241,22 +241,6 @@ def _require_nonnegative_form(op: DiscreteOperator, config: SolverConfig) -> Non
 # thresholds
 # ---------------------------------------------------------------------------
 
-def _threshold_minimizer(
-    op: DiscreteOperator,
-    wvals: np.ndarray,
-    config: SolverConfig,
-    initial: Field | None = None,
-) -> tuple[float, np.ndarray, bool]:
-    """Smallest t with lambda_1(V - t W) = 0 on the grid, with its minimizer:
-    the principal pair of the W-weighted pencil, started from ``initial``
-    when p != 2.  At p = 2 the threshold is the quotient at the
-    eigenvector."""
-    t, u, _, converged = op.principal(wvals, config, initial=initial)
-    if op.p == 2.0:
-        t, _ = op.quotient(u, wvals)
-    return t, u, converged
-
-
 def threshold_tN(
     problem: RadialProblem,
     level: tuple[float, float],
@@ -266,12 +250,12 @@ def threshold_tN(
     frame: str = "auto",
 ) -> float:
     """Largest t keeping the functional with potential V - t W nonnegative
-    on the level, computed as the weighted principal eigenvalue (exact
-    algebra at p = 2, inverse iteration otherwise)."""
+    on the level, computed as the weighted principal eigenvalue (a
+    tridiagonal pencil at p = 2, inverse iteration otherwise)."""
     wp, (wl,), _, ww, _ = _working_frame(problem, (tuple(level),), None, weight, frame)
     op, wvals = _level(wp, wl, ww, resolution)
     _require_nonnegative_form(op, config)
-    t, _, ok = _threshold_minimizer(op, wvals, config)
+    t, _, _, ok = op.principal(wvals, config)
     if not ok:
         raise StateError("threshold iteration did not converge on the level")
     return t
@@ -312,7 +296,7 @@ def null_sequence(
     failures: list[int] = []
     for idx, (lv, (op, wvals)) in enumerate(zip(wlevels, levels), start=1):
         warm = embed(entries[-1].minimizer, op.grid) if entries else None
-        t, v, ok = _threshold_minimizer(op, wvals, config, warm)
+        t, v, _, ok = op.principal(wvals, config, initial=warm)
         if not ok:
             failures.append(idx)
             logger.warning("level %d: threshold eigensolve failed, truncating", idx)
@@ -437,7 +421,7 @@ def ground_state(
     run = report.run
     last = run.entries[-1]
     op2, wvals2 = _level(run.problem, last.level, run.weight, 2 * resolution)
-    _, v2, ok = _threshold_minimizer(op2, wvals2, config, embed(last.minimizer, op2.grid))
+    _, v2, _, ok = op2.principal(wvals2, config, initial=embed(last.minimizer, op2.grid))
     if not ok:
         logger.warning("refinement solve failed; returning the coarse ground state")
         return last.minimizer

@@ -21,11 +21,13 @@ reported, never raised.
 All of this goes through one DiscreteOperator bound to (p, grid, V).  Its
 weighted principal pair serves both the principal eigenpair (weight 1) and
 the probe thresholds of pcrit.criticality: for p = 2 the discrete quotient
-is minimized exactly by a symmetric tridiagonal eigensolve; for p != 2 an
-inverse power iteration is used, u_{k+1} solving Q'(u_{k+1}) = W phi_p(u_k)
-weakly with the quotient as the eigenvalue estimate.  For the eigenpair the
-potential is shifted by a reported constant when it is negative somewhere,
-so each iterate solves a coercive problem.
+is minimized by the smallest eigenvector of a tridiagonal pencil, found by
+bisection on LDL^T factorizations; for p != 2 an inverse power iteration is
+used, u_{k+1} solving Q'(u_{k+1}) = W phi_p(u_k) weakly.  At every p the
+eigenvalue is the quotient at the vector.  For the eigenpair the potential
+is shifted by a reported constant when it is negative somewhere, so the
+p = 2 pencil is positive definite and each p != 2 iterate solves a coercive
+problem.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dpttrf
 
 from .energy import phi_p, q_parts
@@ -45,10 +47,12 @@ from .model import Field, Grid, RadialProblem, check_same_grid
 logger = logging.getLogger(__name__)
 
 # benchmark/tracer.py counts the scipy kernels bound in this module by name.
-# No solve here calls these two any more; they stay bound so that the
-# tracer's kernel.eigh and kernel.solveh_banded counters read 0.
+# No solve here calls these three any more; they stay bound so that the
+# tracer's kernel.eigh, kernel.solveh_banded and kernel.eigh_tridiagonal
+# counters read 0.
 eigh = scipy.linalg.eigh
 solveh_banded = scipy.linalg.solveh_banded
+eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
 
 __all__ = [
     "SolverConfig",
@@ -68,7 +72,7 @@ __all__ = [
 
 
 # Newton's fixed schedule: Jacobian eps from EPS_START down by EPS_FACTOR to
-# EPS_FLOOR (p = 2 uses EPS_FLOOR only); at most BACKTRACK_MAX step halvings.
+# EPS_FLOOR; at most BACKTRACK_MAX step halvings.
 # Inner solves of the inverse power iteration that start from a warm iterate
 # begin the walk at EPS_WARM instead.
 EPS_START, EPS_FACTOR, EPS_FLOOR = 1e-1, 0.1, 1e-8
@@ -263,30 +267,30 @@ class DiscreteOperator:
     ) -> tuple[float, np.ndarray, int, bool]:
         """Principal pair of Q'(u) = lam W phi_p(u) for the nodal weight
         W >= 0: (lam, u, iterations, converged), u >= 0 and zero at the
-        Dirichlet nodes.
+        Dirichlet nodes.  At every p, lam is the quotient at u.
 
-        p = 2: one generalized tridiagonal eigensolve against the weight
-        mass, which may vanish outside a window; u is the eigenvector.
+        ``shift`` adds a constant to V in the form being inverted, which
+        makes it positive definite (p = 2) or each solve coercive (p != 2).
+        p = 2: u is the smallest eigenvector of the pencil of Q + shift
+        against the weight mass, which may vanish outside a window.
         p != 2: weighted inverse power iteration (Biezuner, Ercole &
         Martins 2009).  u_{k+1} solves Q'(u_{k+1}) + shift phi_p(u_{k+1}) =
-        W phi_p(u_k), with ``shift`` making each solve coercive, and is
-        scaled to unit weighted mass; the quotient estimates lam and the
-        iteration stops once it moves by at most
+        W phi_p(u_k) and is scaled to unit weighted mass; the iteration
+        stops once the quotient moves by at most
         eigen_rtol * max(stop_floor, |lam|).  The iteration starts from
         ``initial`` when given (a tent otherwise); p = 2 ignores it.  Inner
         solves from a warm iterate (any after the first, and the first from
         ``initial``) start their eps walk at EPS_WARM.
         """
         g, p = self.grid, self.p
+        inner = DiscreteOperator(p, g, self.vvals + shift)
         if p == 2.0:
-            kcell = g.cell_w / g.h**2
-            diag, off = cell_tridiagonal(kcell, kcell, -kcell, g.free)
-            lam, vec = smallest_generalized_eigen(
-                diag + (g.node_w * self.vvals)[g.free], off, (g.node_w * weight)[g.free]
-            )
+            # at p = 2 the Jacobian is the form's matrix, whatever u and eps
+            ab = inner.jacobian(np.zeros(g.n), EPS_FLOOR)
+            _, vec = smallest_generalized_eigen(ab[1], ab[0, 1:], (g.node_w * weight)[g.free])
             u = np.zeros(g.n)
             u[g.free] = vec
-            return lam, u, 1, True
+            return self.quotient(u, weight)[0], u, 1, True
 
         a, b = g.interval
         if initial is not None:
@@ -302,7 +306,6 @@ class DiscreteOperator:
         lam, mass = self.quotient(u, weight)
         u = u / mass ** (1.0 / p)
 
-        inner = DiscreteOperator(p, g, self.vvals + shift)
         eps_start = EPS_START if initial is None else EPS_WARM
         converged = False
         iters = 0
@@ -331,8 +334,7 @@ class DiscreteOperator:
         """Principal Dirichlet eigenpair of Q on the grid (see
         principal_eigenpair)."""
         vmin = float(self.vvals.min())
-        # only the inner solves of the p != 2 iteration need a coercive potential
-        shift = 0.0 if self.p == 2.0 or vmin >= 0 else (1.0 - vmin)
+        shift = 0.0 if vmin >= 0 else (1.0 - vmin)
         ones = np.ones(self.grid.n)
         lam, u, iters, converged = self.principal(ones, config, shift, 1.0)
         u[self.grid.dirichlet_mask] = 0.0
@@ -416,15 +418,12 @@ def _newton_core(
     tol = config.tol_for(p)
     u = u0.copy()
 
-    if p == 2.0:
-        stages = [EPS_FLOOR]
-    else:
-        stages = []
-        e = eps_start
-        while e > EPS_FLOOR * 1.0000001:
-            stages.append(e)
-            e *= EPS_FACTOR
-        stages.append(EPS_FLOOR)
+    stages = []
+    e = eps_start
+    while e > EPS_FLOOR * 1.0000001:
+        stages.append(e)
+        e *= EPS_FACTOR
+    stages.append(EPS_FLOOR)
 
     total_iter = 0
     res_norm = math.inf
@@ -519,44 +518,30 @@ def solve_dirichlet(
 def smallest_generalized_eigen(
     diag: np.ndarray, off: np.ndarray, mass: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue of the pencil (A, M) for symmetric tridiagonal A
-    and diagonal M >= 0, with its eigenvector x scaled to x^T M x = 1 and
-    its largest-magnitude entry positive.
+    """Smallest eigenvalue of the pencil (A, M) for symmetric positive
+    definite tridiagonal A and diagonal M >= 0, with its eigenvector x
+    scaled to x^T M x = 1 and its largest-magnitude entry positive.
 
-    With strictly positive mass this is the congruence-transformed
-    tridiagonal eigenproblem.  With a partially supported mass A must be
-    positive definite.  Then A - sigma M is positive definite exactly when
-    sigma lies below the smallest eigenvalue (Sylvester's law of inertia:
-    the rows without mass carry no sigma term), so the eigenvalue is
-    bisected to adjacent floats on whether dpttrf's LDL^T factorization of
-    A - sigma M succeeds.  Every number stays in range when the mass is
-    graded over hundreds of decades, where a congruence by M^(-1/2) would
-    overflow.  Two steps of inverse iteration on A - sigma M just below the
-    eigenvalue give the vector on every node.  The work is O(m) per
-    bisection step.  The eigenvalue is only as accurate as the (diag, off)
-    form of A lets any backward-stable method be: when A's row sums are
-    small against its diagonal (a stiffness matrix on a fine grid) a small
-    eigenvalue can carry relative errors far above rounding.
+    A - sigma M is positive definite exactly when sigma lies below the
+    smallest eigenvalue (Sylvester's law of inertia; rows without mass carry
+    no sigma term), so the eigenvalue is bisected to adjacent floats on
+    whether dpttrf's LDL^T factorization of A - sigma M succeeds.  Every
+    number stays in range when the mass is graded over hundreds of decades
+    or vanishes outside a window.  Two steps of inverse iteration on
+    A - sigma M just below the eigenvalue give the vector on every node.
+    The work is O(m) per bisection step.  The eigenvalue is only as accurate
+    as the (diag, off) form of A lets any backward-stable method be: when
+    A's row sums are small against its diagonal (a stiffness matrix on a
+    fine grid) a small eigenvalue can carry relative errors far above
+    rounding, while the Rayleigh quotient at the vector is accurate to
+    second order in the vector's error.
 
-    Raises ValueError for a negative or identically vanishing mass; the
-    partial-mass branch raises PreconditionError when A is not positive
-    definite or the vector solve fails.
+    Raises ValueError for a negative or identically vanishing mass, and
+    PreconditionError when A is not positive definite or the vector solve
+    fails.
     """
     if np.any(mass < 0):
         raise ValueError("mass diagonal must be nonnegative")
-    if np.all(mass > 0):
-        dinv = 1.0 / np.sqrt(mass)
-        d2 = diag * dinv * dinv
-        e2 = off * dinv[:-1] * dinv[1:]
-        vals, vecs = eigh_tridiagonal(d2, e2, select="i", select_range=(0, 0))
-        return float(vals[0]), _oriented(vecs[:, 0] * dinv)
-    return _partial_mass_eigen(diag, off, mass)
-
-
-def _partial_mass_eigen(
-    diag: np.ndarray, off: np.ndarray, mass: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """The partial-mass branch of smallest_generalized_eigen."""
     on = mass > 0
     if not np.any(on):
         raise ValueError("mass diagonal vanishes identically")
@@ -565,10 +550,7 @@ def _partial_mass_eigen(
         return dpttrf(diag - sigma * mass, off)[2] == 0
 
     if not below(0.0):
-        raise PreconditionError(
-            "quadratic form is not positive definite on the level; the partial-mass"
-            " eigenvalue needs a nonnegative functional"
-        )
+        raise PreconditionError("quadratic form is not positive definite on the level")
     # bracket from the quotient at a unit vector, then bisect geometrically
     # while the bracket spans more than a factor 2
     hi = float(np.min(diag[on] / mass[on]))
@@ -591,9 +573,9 @@ def _partial_mass_eigen(
             x = solve_banded((1, 1), shifted, mass * x)
             x /= np.max(np.abs(x))
     except np.linalg.LinAlgError as exc:
-        raise PreconditionError(f"partial-mass inverse iteration failed: {exc}") from exc
+        raise PreconditionError(f"inverse iteration failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
-        raise PreconditionError("partial-mass eigenvector came out non-finite")
+        raise PreconditionError("eigenvector came out non-finite")
     return hi, _oriented(x / math.sqrt(float(np.sum(mass * x * x))))
 
 
@@ -609,10 +591,12 @@ def principal_eigenpair(
     """Principal Dirichlet eigenpair of Q on the grid.
 
     The eigenfunction is positive at non-Dirichlet nodes, zero at Dirichlet
-    nodes, and normalized to unit weighted L^p norm.  For p = 2 the discrete
-    quotient is minimized by a direct tridiagonal eigensolve (exactly the
-    limit the inverse iteration approaches); for p != 2 the inverse power
-    iteration runs until the Rayleigh quotient stalls at relative
+    nodes, and normalized to unit weighted L^p norm; the eigenvalue is the
+    quotient at it.  When V is negative somewhere the form being inverted is
+    shifted by the constant reported as ``shift``, at every p.  For p = 2
+    the eigenfunction is the smallest eigenvector of the tridiagonal pencil
+    (exactly the limit the inverse iteration approaches); for p != 2 the
+    inverse power iteration runs until the quotient stalls at relative
     ``eigen_rtol``.
     """
     return DiscreteOperator.bind(problem, grid).eigenpair(config)

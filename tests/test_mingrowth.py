@@ -21,7 +21,7 @@ from pcrit import (
     uK_limit,
 )
 from pcrit.errors import PreconditionError
-from pcrit.model import Field, Grid
+from pcrit.model import Field, Grid, build_grid
 
 
 def ray_problem(d, p=2.0):
@@ -84,6 +84,25 @@ class TestUkLimit:
             abs(run1.limit.at(float(x)) / run0.limit.at(float(x)) - 1.0) for x in xs
         )
         assert rel <= 0.01
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_whole_line_limit_has_both_sides(self, p):
+        # levels reaching past both ends of K run the toward-zero master
+        # grid and its solves; at d = 1 with V = 0 each side's solve is the
+        # straight line from the trace to 0 at the level edge
+        prob = RadialProblem(p, 1, (-np.inf, np.inf), PotentialSpec.zero())
+        levels = tuple((-float(2**k), float(2**k)) for k in range(2, 9))
+        run = uK_limit(
+            prob, CompactSetSpec(-1.0, 1.0), (1.0, 1.0), ExhaustionSchedule(levels, 1.0),
+            resolution=301,
+        )
+        assert max(run.monotonicity_log) <= 1e-12
+        nodes, vals = run.limit.grid.nodes, run.limit.values
+        assert np.max(np.abs(vals - run.limit.at(-nodes))) <= 1e-12
+        edge = 256.0
+        near = (nodes >= 1.0) & (nodes <= 3.0)
+        exact = (edge - nodes[near]) / (edge - 1.0)
+        assert np.max(np.abs(vals[near] - exact)) <= 1e-12
 
 
 class TestSingularityExponent:
@@ -223,6 +242,39 @@ class TestCertificate:
         )
         for a, b in zip(decay_cert.mus, cert2.mus):
             assert b == pytest.approx(a, rel=1e-12)
+
+
+CERT_LEVELS = ExhaustionSchedule(tuple((0.0, float(2**k)) for k in range(4, 12)), 1.0)
+
+
+def certificate_at(d, p, profile):
+    # at p != 2 each level runs the reweighted rounds and the descent polish
+    prob = ray_problem(d, p)
+    grid = build_grid(prob, (1e-3, 2.0**11), 4001)
+    return minimal_growth_certificate(
+        prob, Field(grid, profile(grid.nodes)), CompactSetSpec(0.0, 2.0), (3.0, 4.0),
+        CERT_LEVELS, resolution=301,
+    )
+
+
+class TestCertificateAwayFromP2:
+    # mu_N is an infimum over a set that grows with the level, so it never
+    # increases; it decays to zero exactly for a minimal-growth candidate
+    def test_minimal_p_harmonic_decays(self):
+        cert = certificate_at(2, 1.5, lambda r: 1.0 / r)
+        assert np.all(np.diff(cert.mus) < 0)
+        assert max(abs(m - 1.0) for m in cert.masses) <= 1e-12
+        assert cert.mus[-1] / cert.mus[0] < 0.01
+
+    def test_non_minimal_solution_stays_away(self):
+        cert = certificate_at(2, 1.5, lambda r: 1.0 + 1.0 / r)
+        assert np.all(np.diff(cert.mus) < 0)
+        assert cert.mus[-1] > 0.7 * cert.mus[0]
+
+    def test_minimal_p_harmonic_decays_at_d4_p3(self):
+        cert = certificate_at(4, 3.0, lambda r: r**-0.5)
+        assert np.all(np.diff(cert.mus) < 0)
+        assert cert.mus[-1] < 0.1 * cert.mus[0]
 
 
 class TestComparison:

@@ -210,6 +210,18 @@ class TestEigen:
             b = -b
         assert np.max(np.abs(a - b)) <= 1e-8
 
+    def test_p2_negative_eigenvalue_through_the_shift(self):
+        # V = -20 on (0, 1): lambda_1 = pi^2 - 20 < 0, so the pencil is
+        # inverted with V shifted by 1 - min V = 21 and lambda read as the
+        # quotient at the vector
+        prob = line_problem(p=2.0, V=PotentialSpec.constant(-20.0))
+        g = build_grid(prob, (0.0, 1.0), 801, law="uniform")
+        rep = principal_eigenpair(prob, g)
+        assert rep.converged
+        assert rep.shift == 21.0
+        assert rep.lam == pytest.approx(np.pi**2 - 20.0, abs=1e-4)
+        assert rep.eigenfunction.values[1:-1].min() > 0.0
+
     def test_p3_matches_shooting(self):
         prob = line_problem(p=3.0)
         g = build_grid(prob, (0.0, 1.0), 1201, law="uniform")
@@ -312,14 +324,18 @@ class TestSmallestGeneralizedEigen:
         _, vec = smallest_generalized_eigen(diag, off, mass)
         assert float(np.sum(mass * vec * vec)) == pytest.approx(1.0, rel=1e-13)
 
-    @pytest.mark.parametrize("negative_at", ["complement", "support"])
+    @pytest.mark.parametrize("negative_at", ["complement", "support", "full-mass"])
     def test_indefinite_form_raises_precondition_error(self, negative_at):
-        # the indefinite part sits where the mass vanishes or on the window
+        # the indefinite part sits where the mass vanishes, on the window,
+        # or under a mass that vanishes nowhere (the pencil's smallest
+        # eigenvalue is then about -5.28)
         m = 20
         diag, off = 2.0 * np.ones(m), -np.ones(m - 1)
         diag[3 if negative_at == "complement" else 10] = -5.0
         mass = np.zeros(m)
         mass[8:13] = 1.0
+        if negative_at == "full-mass":
+            mass[:] = 1.0
         with pytest.raises(PreconditionError):
             smallest_generalized_eigen(diag, off, mass)
 
