@@ -49,6 +49,11 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_potential", "COMMA
 
 COMMANDS = ("eig", "solve", "critical", "capacity", "mingrowth", "certify", "validate")
 
+# ceilings on the sizes a config asks for, checked while parsing so that no
+# request reaches an allocation it cannot get
+MAX_RESOLUTION = 1_000_000
+MAX_LEVELS = 1_000
+
 
 class ConfigError(PcritError):
     """Malformed or inconsistent run configuration."""
@@ -113,6 +118,13 @@ def _parse_int(tok: str, where: str) -> int:
         return int(tok)
     except ValueError:
         raise ConfigError(f"{where}: {tok!r} is not an integer") from None
+
+
+def _parse_size(tok: str, where: str, ceiling: int) -> int:
+    value = _parse_int(tok, where)
+    if value > ceiling:
+        raise ConfigError(f"{where}: {value} exceeds the ceiling {ceiling}")
+    return value
 
 
 def _parse_number(tok: str, where: str) -> float:
@@ -196,6 +208,8 @@ def parse_config(
     levels_override: int | None = None,
 ) -> RunConfig:
     """Read and validate a run configuration file."""
+    if levels_override is not None and not 1 <= levels_override <= MAX_LEVELS:
+        raise ConfigError(f"--levels: {levels_override} is outside 1..{MAX_LEVELS}")
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -226,7 +240,7 @@ def parse_config(
     exhaustion = None
     if "exhaustion" in cp:
         ex_sec = cp["exhaustion"]
-        count = _parse_int(ex_sec.get("count", "8"), "[exhaustion] count")
+        count = _parse_size(ex_sec.get("count", "8"), "[exhaustion] count", MAX_LEVELS)
         if levels_override is not None:
             count = levels_override
         if "levels" in ex_sec:
@@ -269,6 +283,8 @@ def parse_config(
             f"[command] name: unknown command {command!r} (one of {', '.join(COMMANDS)})"
         )
     params = {k: v for k, v in cmd_sec.items() if k not in ("name", "seed")}
+    if "resolution" in params:
+        _parse_size(params["resolution"], "[command] resolution", MAX_RESOLUTION)
     file_seed = _parse_int(cmd_sec.get("seed", "12345"), "[command] seed")
 
     out_dir = Path(cp["output"].get("dir", ".")) if "output" in cp else Path(".")

@@ -53,7 +53,6 @@ from .solver import (
     DiscreteOperator,
     SolverConfig,
     principal_eigenpair,
-    solve_dirichlet,
 )
 
 logger = logging.getLogger(__name__)
@@ -128,7 +127,7 @@ class CriticalityReport:
 class CapacityReport:
     value: float
     minimizer: Field
-    active_set: np.ndarray  # node indices held at 1
+    active_set: np.ndarray  # node indices held at 1; need not be contiguous
     min_multiplier: float
     max_off_residual: float
     residual_scale: float
@@ -477,11 +476,17 @@ def q_capacity(
     """Capacity of the compact interval inside the level: the least energy
     among fields vanishing at the level edge with values >= 1 on the set.
 
-    Solved with the constraint active (u = 1) on the whole set first; the
-    constraint multipliers (weak residuals at pinned nodes) are then checked
-    for the inequality's first-order conditions, and the active interval is
-    adjusted outward/inward until they hold.  The report carries the least
-    multiplier and the largest off-set residual for inspection.
+    The obstacle problem is solved by a primal-dual active-set iteration
+    (Hintermueller, Ito & Kunisch 2003) over the set's nodes, starting with
+    all of them held at 1.  Each iteration solves the runs of free nodes
+    between held nodes as unforced Dirichlet problems, then releases held
+    nodes whose multiplier (weak residual) is negative beyond 1e-8 of the
+    residual scale and holds set nodes where u < 1; it stops when neither
+    changes.  ``converged`` is False when that does not happen within one
+    more iteration than the set has nodes (enough while the held set only
+    shrinks), or when a held ball center would sit beside a free node.  The
+    report carries the least multiplier and the largest residual at free
+    nodes for inspection.
     """
     a, b = problem.require_level(level)
     compact.validate(problem)
@@ -497,69 +502,54 @@ def q_capacity(
     in_set = (nodes >= k_lo - 1e-14 * max(1.0, abs(k_lo))) & (
         nodes <= k_hi + 1e-14 * max(1.0, abs(k_hi))
     )
-    base_lo = int(np.argmax(in_set))
-    base_hi = int(grid.n - 1 - np.argmax(in_set[::-1]))
-
-    act_lo, act_hi = base_lo, base_hi
-    sides: dict[tuple[int, int], np.ndarray | None] = {}
-    u = np.zeros(grid.n)
-    tol_gate = 1e-8
+    active = in_set.copy()
     converged = False
-    iterations = 0
-    for iterations in range(1, 31):
-        u = _capacity_solve(problem, grid, act_lo, act_hi, config, sides)
-        if u is None:
-            break
+    for iterations in range(1, int(in_set.sum()) + 2):
+        u = _obstacle_profile(op, active, config)
         r, scale = op.residual_and_scale(u, unforced)
-        mult_gate = tol_gate * max(scale, 1e-300)
-        # multipliers on pinned nodes added beyond the set may not be negative
-        bad_left = act_lo < base_lo and r[act_lo] < -mult_gate
-        bad_right = act_hi > base_hi and r[act_hi] < -mult_gate
-        # feasibility off the pinned interval
-        over = u > 1.0 + 1e-10
-        over[act_lo : act_hi + 1] = False
-        if bad_left:
-            act_lo += 1
-            continue
-        if bad_right:
-            act_hi -= 1
-            continue
-        if np.any(over):
-            idx = np.flatnonzero(over)
-            grew = False
-            if idx[0] < act_lo:
-                act_lo = idx[idx < act_lo][0]
-                grew = True
-            if idx[-1] > act_hi:
-                act_hi = idx[idx > act_hi][-1]
-                grew = True
-            if grew:
-                continue
-        converged = True
-        break
+        scale = max(scale, 1e-300)
+        new = (active & (r >= -1e-8 * scale)) | (in_set & (u < 1.0))
+        if np.array_equal(new, active):
+            converged = True
+            break
+        # a held center beside a free node 1 leaves no Dirichlet run
+        if grid.natural_left and new[0] and not new[1]:
+            break
+        active = new
 
-    if u is None:
-        raise StateError("capacity segment solve failed to converge")
-
-    field = Field(grid, u)
-    r, scale = op.residual_and_scale(u, unforced)
-    scale = max(scale, 1e-300)
-    active = np.arange(act_lo, act_hi + 1)
-    free_mask = np.ones(grid.n, dtype=bool)
-    free_mask[active] = False
-    free_mask[grid.dirichlet_mask] = False
-    min_mult = float(r[active].min()) if active.size else 0.0
-    max_off = float(np.max(np.abs(r[free_mask]))) if np.any(free_mask) else 0.0
+    free_mask = ~active & ~grid.dirichlet_mask
     return CapacityReport(
         value=q_parts(grid, problem.p, op.vvals, u).total,
-        minimizer=field,
-        active_set=active,
-        min_multiplier=min_mult,
-        max_off_residual=max_off,
+        minimizer=Field(grid, u),
+        active_set=np.flatnonzero(active),
+        min_multiplier=float(r[active].min()) if active.any() else 0.0,
+        max_off_residual=float(np.max(np.abs(r[free_mask]))) if free_mask.any() else 0.0,
         residual_scale=scale,
         converged=converged,
         iterations=iterations,
     )
+
+
+def _obstacle_profile(
+    op: DiscreteOperator, active: np.ndarray, config: SolverConfig
+) -> np.ndarray:
+    """u = 1 on the active nodes and, on each run of free nodes between
+    them, the unforced Dirichlet solution with the level edge at 0 (a ball
+    center stays free).  Each run's operator is a slice of ``op``."""
+    grid = op.grid
+    u = active.astype(float)
+    ends = np.unique(np.concatenate(([0], np.flatnonzero(active), [grid.n - 1])))
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        center = lo == 0 and grid.natural_left and not active[0]
+        if hi - lo < 2 and not center:
+            continue
+        run = DiscreteOperator(op.p, grid.restrict(lo, hi + 1), op.vvals[lo : hi + 1])
+        left = None if center else float(active[lo])
+        rep = run.dirichlet((left, float(active[hi])), None, config, None)
+        if not rep.converged:
+            raise StateError("capacity segment solve failed to converge")
+        u[lo : hi + 1] = rep.solution.values
+    return u
 
 
 def _capacity_grid(
@@ -579,37 +569,3 @@ def _capacity_grid(
         pieces.append(build_grid(problem, (k_hi, b), resolution).nodes[1:])
     return Grid(np.concatenate(pieces), problem.weight_exponent)
 
-
-def _capacity_solve(
-    problem: RadialProblem,
-    grid: Grid,
-    act_lo: int,
-    act_hi: int,
-    config: SolverConfig,
-    sides: dict[tuple[int, int], np.ndarray | None],
-) -> np.ndarray | None:
-    """Equality-constrained capacity profile for a pinned interval: each
-    side of the pinned run is an unforced Dirichlet solve on its subgrid.
-    ``sides`` keeps each side's profile (None if its solve failed) by the
-    subgrid's node range, so a side whose pinned end did not move is not
-    solved again."""
-
-    def side(start: int, stop: int, boundary: tuple[float | None, float]) -> np.ndarray | None:
-        if (start, stop) not in sides:
-            rep = solve_dirichlet(problem, grid.restrict(start, stop), boundary, config=config)
-            sides[start, stop] = rep.solution.values if rep.converged else None
-        return sides[start, stop]
-
-    u = np.zeros(grid.n)
-    if act_lo > 0:
-        left = side(0, act_lo + 1, (None if grid.natural_left else 0.0, 1.0))
-        if left is None:
-            return None
-        u[: act_lo + 1] = left
-    if act_hi < grid.n - 1:
-        right = side(act_hi, grid.n, (1.0, 0.0))
-        if right is None:
-            return None
-        u[act_hi:] = right
-    u[act_lo : act_hi + 1] = 1.0
-    return u

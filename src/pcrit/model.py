@@ -295,8 +295,8 @@ class Grid:
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weight_exponent", float(self.weight_exponent))
-        if nodes.ndim != 1 or nodes.size < 3:
-            raise ValueError(f"grid needs at least 3 nodes, got shape {nodes.shape}")
+        if nodes.ndim != 1 or nodes.size < 2:
+            raise ValueError(f"grid needs at least 2 nodes, got shape {nodes.shape}")
         if not np.all(np.isfinite(nodes)):
             raise ValueError("grid nodes must be finite")
         if not np.all(np.diff(nodes) > 0):

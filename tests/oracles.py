@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the package's own assembly and solve
 routines: eigenvalues come from shooting on the ODE, profiles from flux
-integration, capacities and certificate floors from closed forms or dense
-dense-matrix eigenproblems.  FROZEN holds values produced by these routines
-once and pinned; tests assert both that the oracle still reproduces its
-frozen value and that the package agrees with the oracle.
+integration, capacities and certificate floors from closed forms, dense
+eigenproblems or bound-constrained minimization.  FROZEN holds values
+produced by these routines once and pinned; tests assert both that the
+oracle still reproduces its frozen value and that the package agrees with
+the oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import eigh
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 # Values produced by the routines below, pinned at freeze time.
 FROZEN = {
@@ -109,6 +110,78 @@ def capacitor_value(R: float) -> float:
     d = 3, p = 2 with far boundary at R: (1/2) * R / (R - 1).
     """
     return 0.5 * R / (R - 1.0)
+
+
+def obstacle_capacity(
+    nodes: np.ndarray,
+    d: int,
+    p: float,
+    vvals: np.ndarray,
+    k_lo: float,
+    k_hi: float,
+) -> tuple[float, np.ndarray]:
+    """Least discrete energy over nodal fields vanishing at the outer node
+    (and at the inner one unless it is a ball center, r = 0 with d > 1)
+    with u >= 1 at the nodes in [k_lo, k_hi], by L-BFGS-B.
+
+    The energy is (1/p) (sum_cells |slope|^p |mid|^(d-1) h + sum_nodes
+    V |u|^p m), with m the exact integral of |r|^(d-1) over each node's
+    dual cell, assembled here from the nodes alone.  Returns (value, u).
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    h = np.diff(nodes)
+    mid = 0.5 * (nodes[1:] + nodes[:-1])
+    cw = np.abs(mid) ** (d - 1) * h
+    edges = np.concatenate(([nodes[0]], mid, [nodes[-1]]))
+    # edges never change sign across a dual cell when d > 1 (r >= 0 there)
+    mw = np.diff(edges) if d == 1 else np.diff(edges**d) / d
+    vm = np.asarray(vvals, dtype=float) * mw
+    center = nodes[0] == 0.0 and d > 1
+    unknown = slice(0 if center else 1, nodes.size - 1)
+    on_k = (nodes >= k_lo - 1e-12) & (nodes <= k_hi + 1e-12)
+
+    def full(x):
+        u = np.zeros(nodes.size)
+        u[unknown] = x
+        return u
+
+    def energy_and_grad(x):
+        u = full(x)
+        s = np.diff(u) / h
+        a = np.abs(s) ** (p - 2.0) * s * cw / h
+        grad = vm * np.abs(u) ** (p - 2.0) * u
+        grad[:-1] -= a
+        grad[1:] += a
+        e = (float(np.sum(np.abs(s) ** p * cw)) + float(np.sum(vm * np.abs(u) ** p))) / p
+        return e, grad[unknown]
+
+    # start from u = 1 on the set, falling linearly to 0 at Dirichlet edges
+    x0 = np.interp(
+        nodes, [nodes[0], k_lo, k_hi, nodes[-1]], [1.0 if center else 0.0, 1.0, 1.0, 0.0]
+    )[unknown]
+    # minimize over y = x / scale, with scale from the diagonal of the p = 2
+    # stiffness plus mass, so that the variables are equally stiff
+    stiff = cw / h**2
+    diag = np.abs(vm).copy()
+    diag[:-1] += stiff
+    diag[1:] += stiff
+    scale = 1.0 / np.sqrt(diag[unknown])
+    e0 = energy_and_grad(x0)[0]
+
+    def scaled(y):
+        e, g = energy_and_grad(y * scale)
+        return e / e0, g * scale / e0
+
+    bounds = [(1.0 / c, None) if k else (None, None) for k, c in zip(on_k[unknown], scale)]
+    res = minimize(
+        scaled,
+        x0 / scale,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=bounds,
+        options={"ftol": 1e-16, "gtol": 1e-13, "maxiter": 100000, "maxcor": 50},
+    )
+    return e0 * float(res.fun), full(res.x * scale)
 
 
 def hat_energy_quadrature(p: float, d: int) -> float:

@@ -147,6 +147,17 @@ REFUSED = {
         False,
     ),
     "out-is-a-file": (EIG_INI, "error:", True),
+    # one past each ceiling, refused before anything is allocated
+    "resolution-above-ceiling": (
+        EIG_INI.replace("resolution = 2001", "resolution = 1000001"),
+        "config error: [command] resolution:",
+        False,
+    ),
+    "count-above-ceiling": (
+        CRIT_INI.replace("count = 15", "count = 1001"),
+        "config error: [exhaustion] count:",
+        False,
+    ),
 }
 
 
@@ -263,6 +274,14 @@ class TestFailureModes:
         assert proc.returncode == 2
         assert report["status"] == "non-convergence"
         assert not report["results"]["converged"]
+
+    # an explicit level list was sliced by the count, so -1 kept all but one
+    @pytest.mark.parametrize("count", ["-1", "0", "1001"])
+    def test_levels_flag_out_of_range_is_config_error(self, tmp_path, count):
+        proc, out, report = run_cli(tmp_path, CERTIFY_INI, "--levels", count)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("config error: --levels:"), proc.stderr
+        assert report is None and not out.exists()
 
     @pytest.mark.parametrize("case", sorted(REFUSED))
     def test_refused_with_exit_1_and_no_traceback(self, tmp_path, case):

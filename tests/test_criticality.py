@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from pcrit import (
     CompactSetSpec,
     ExhaustionSchedule,
@@ -265,6 +266,35 @@ class TestGroundState:
             ground_state(prob, ex, weight=BUMP, resolution=401, report=rep)
 
 
+# (problem, compact set, level, resolution) with V < 0 somewhere, where the
+# infimum lets u exceed 1 inside K and off it, so the contact set shrinks
+NEGATIVE_POTENTIAL_CAPACITIES = {
+    "d3-p3-well-0.05": (
+        RadialProblem(3.0, 3, (0.0, np.inf), PotentialSpec.constant(-0.05)),
+        (0.5, 1.0), (0.0, 4.0), 61,
+    ),
+    "d3-p3-well-0.15": (
+        RadialProblem(3.0, 3, (0.0, np.inf), PotentialSpec.constant(-0.15)),
+        (0.5, 1.0), (0.0, 4.0), 61,
+    ),
+    # the contact set is K's two end nodes, not an interval
+    "d1-p2-line-bump": (
+        RadialProblem(2.0, 1, (-np.inf, np.inf), PotentialSpec.bump(0.0, 3.0, -0.05)),
+        (-1.0, 1.0), (-4.0, 4.0), 201,
+    ),
+    # nearly critical on the level (principal eigenvalue about 1.1e-5)
+    "d3-p3-ball-well-0.3": (
+        RadialProblem(3.0, 3, (0.0, np.inf), PotentialSpec.constant(-0.3)),
+        (0.0, 1.0), (0.0, 4.0), 201,
+    ),
+    # the ball center is released while node 1 is held: a two-node run
+    "d3-p2-center-spike": (
+        RadialProblem(2.0, 3, (0.0, np.inf), PotentialSpec.bump(0.0, 0.015, -500.0)),
+        (0.0, 1.0), (0.0, 4.0), 201,
+    ),
+}
+
+
 class TestCapacity:
     def test_unit_ball_in_d3(self):
         prob = ray_problem(3, 2.0)
@@ -306,6 +336,19 @@ class TestCapacity:
         assert np.max(np.abs(u.values[on_k] - 1.0)) <= 1e-9
         assert u.values[-1] == 0.0
         assert u.values.min() >= -1e-12 and u.values.max() <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("case", sorted(NEGATIVE_POTENTIAL_CAPACITIES))
+    def test_negative_potential_matches_bound_constrained_minimum(self, case):
+        prob, (k_lo, k_hi), level, resolution = NEGATIVE_POTENTIAL_CAPACITIES[case]
+        rep = q_capacity(prob, CompactSetSpec(k_lo, k_hi), level, resolution=resolution)
+        nodes = rep.minimizer.grid.nodes
+        expected, _ = oracles.obstacle_capacity(
+            nodes, prob.d, prob.p, prob.potential.sample(nodes), k_lo, k_hi
+        )
+        assert rep.converged
+        assert rep.value == pytest.approx(expected, rel=1e-8)
+        assert rep.min_multiplier >= -1e-8 * rep.residual_scale
+        assert np.all(rep.minimizer.values[(nodes >= k_lo) & (nodes <= k_hi)] >= 1.0)
 
 
 class TestPositivityWeight:

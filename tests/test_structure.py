@@ -183,7 +183,8 @@ DRIVERS = {
     # subcritical, so the verdict also computes its positivity margins
     "criticality_verdict": lambda: criticality_verdict(SUBCRITICAL, _annuli(9), resolution=201),
     "q_capacity": lambda: q_capacity(RAY3, CompactSetSpec(0.0, 1.0), (0.0, 4.0), resolution=301),
-    # the active set moves once, so one side's pinned end stays put
+    # two active-set iterations: the held set shrinks from K's 100 nodes to
+    # 1, and each run's operator still reads the level's one V sample
     "q_capacity_two_iterations": lambda: q_capacity(
         WELL3, CompactSetSpec(0.5, 1.0), (0.0, 4.0), resolution=401
     ),
