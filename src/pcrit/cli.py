@@ -160,6 +160,7 @@ def _cmd_critical(cfg: RunConfig, sc: SolverConfig, out: Path):
         )
         results["positivity_margin"] = cert.margin
         results["positivity_margins"] = list(cert.margins)
+        results["positivity_uncertified"] = list(cert.uncertified)
     return results, files, 0
 
 

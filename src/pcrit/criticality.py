@@ -20,6 +20,12 @@ a null sequence and a ground state) and t_N stalling on a plateau
 certifies it).  Slow undecided decay is reported as undetermined rather
 than forced.
 
+The certificate needs no further solve.  Each level's minimizer v_N is a
+positive supersolution for the discounted potential V - (t*/2) W, and the
+discrete Picone inequality against it (Allegretto & Huang 1998) bounds the
+discounted form below by the weighted Picone margin lower_N - t*/2, where
+lower_N is the Collatz-Wielandt bound on t_N read off v_N's residual.
+
 When d equals p and the domain reaches the origin, all computations run in
 log-radius coordinates, where the degenerate weight |r|^(d-1) becomes
 constant and the levels stay numerically representable; energies,
@@ -29,11 +35,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import q_parts
+from .energy import phi_p, q_parts
 from .errors import PreconditionError, StateError
 from .model import (
     CompactSetSpec,
@@ -48,12 +54,7 @@ from .model import (
     log_reduced_level,
     log_reduced_problem,
 )
-from .solver import (
-    DEFAULT_CONFIG,
-    DiscreteOperator,
-    SolverConfig,
-    principal_eigenpair,
-)
+from .solver import DEFAULT_CONFIG, DiscreteOperator, SolverConfig
 
 logger = logging.getLogger(__name__)
 
@@ -82,6 +83,8 @@ class LevelThreshold:
     energy: float  # Q at the normalized minimizer
     weighted_mass: float  # integral of W |v|^p at the normalized minimizer
     converged: bool
+    lower: float  # Collatz-Wielandt lower bound on t at the minimizer
+    certified: bool  # R(v) >= -tol * scale at the free nodes without weight
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,25 @@ class NullSequenceRun:
 
 @dataclass(frozen=True)
 class PositivityCertificate:
+    """Strict-positivity weight (t*/2) W with its weighted Picone margins.
+
+    On level N, the discrete Picone inequality against the threshold
+    minimizer v_N gives
+
+        p Q(u) - (t*/2) integral(W |u|^p) >= margins[N] integral(W |u|^p)
+
+    for every u >= 0 vanishing at the level edge, with margins[N] =
+    lower_N - t*/2 and lower_N the level's Collatz-Wielandt bound on t_N.
+    The inequality needs R(v_N) >= 0 at the free nodes without weight; it
+    holds there up to the residual gate except on the ``uncertified``
+    levels (indices as in the run's entries).
+    """
+
     weight: PotentialSpec
-    margin: float  # smallest principal eigenvalue of the discounted form
+    margin: float  # smallest of the margins
     margins: tuple[float, ...]  # one per level, largest level last
     coordinates: str
+    uncertified: tuple[int, ...]  # level indices that miss the residual gate
 
 
 @dataclass(frozen=True)
@@ -309,7 +327,10 @@ def null_sequence(
         v = field.values
         energy = q_parts(op.grid, wp.p, op.vvals, v).total
         mass = float(np.sum(wvals * np.abs(v) ** wp.p * op.grid.node_w))
-        entries.append(LevelThreshold(idx, lv, t, field, energy, mass, ok))
+        lower, certified = _collatz_lower(op, wvals, t, v, config.tol_for(wp.p))
+        entries.append(
+            LevelThreshold(idx, lv, t, field, energy, mass, ok, lower, certified)
+        )
     return NullSequenceRun(tuple(entries), wx0, coords, ww, tuple(failures), wp)
 
 
@@ -330,8 +351,8 @@ def criticality_verdict(
     normalized minimizer is reported as the ground state.  subcritical: the
     last three thresholds agree to ``plateau_rtol`` relative and sit above
     10 * eps_crit; half the plateau value times the probe is reported as a
-    strict-positivity weight with its eigenvalue margin.  Anything else is
-    undetermined.
+    strict-positivity weight with its weighted Picone margins.  Anything
+    else is undetermined.
     """
     run = null_sequence(problem, exhaustion, weight, resolution, config, frame)
     if not run.entries:
@@ -357,7 +378,7 @@ def criticality_verdict(
     gs = run.entries[-1].minimizer if verdict == "critical" else None
     t_star = 0.0 if verdict == "critical" else t_last
 
-    cert = _positivity_margins(run, t_star, config) if verdict == "subcritical" else None
+    cert = _positivity_margins(run, t_star) if verdict == "subcritical" else None
     return CriticalityReport(
         thresholds=tuple((e.index, e.t) for e in run.entries),
         verdict=verdict,
@@ -373,23 +394,43 @@ def criticality_verdict(
     )
 
 
-def _positivity_margins(
-    run: NullSequenceRun, t_star: float, config: SolverConfig
-) -> PositivityCertificate:
-    """Margins of the discounted form V - (t*/2) W across the run's levels."""
-    scaled = run.weight.scaled(0.5 * t_star)
-    discounted = replace(
-        run.problem,
-        potential=PotentialSpec.combination(run.problem.potential, run.weight, -0.5 * t_star),
-    )
-    margins = [
-        principal_eigenpair(discounted, entry.minimizer.grid, config).lam
-        for entry in run.entries
-    ]
+def _collatz_lower(
+    op: DiscreteOperator, wvals: np.ndarray, t: float, v: np.ndarray, tol: float
+) -> tuple[float, bool]:
+    """Collatz-Wielandt lower bound on the level's threshold from its
+    minimizer v >= 0, and whether the bound is certified.
+
+    With the eigen-residual r = R(v) - t tau W phi_p(v), the bound is
+    t + min r_j / (tau_j W_j phi_p(v_j)) over the weighted free nodes,
+    those where t tau_j W_j phi_p(v_j) exceeds tol times the residual
+    scale.  It is certified when R_j(v) >= -tol * scale at every other free
+    node, where the Picone inequality needs R(v) >= 0.
+    """
+    load = t * op.grid.node_w * wvals * phi_p(v, op.p)
+    r, scale = op.residual_and_scale(v, load)
+    gate = tol * max(scale, 1e-300)
+    free = ~op.grid.dirichlet_mask
+    weighted = free & (load > gate)
+    if not weighted.any():
+        return -math.inf, False
+    lower = t * (1.0 + float(np.min(r[weighted] / load[weighted])))
+    others = free & ~weighted
+    return lower, bool(np.all(r[others] + load[others] >= -gate))
+
+
+def _positivity_margins(run: NullSequenceRun, t_star: float) -> PositivityCertificate:
+    """Weighted Picone margins lower_N - t*/2 of the discounted form
+    V - (t*/2) W across the run's levels; no level is solved again."""
+    margins = tuple(e.lower - 0.5 * t_star for e in run.entries)
+    uncertified = tuple(e.index for e in run.entries if not e.certified)
+    for idx in uncertified:
+        logger.warning("level %d: positivity margin misses the residual gate", idx)
     margin = min(margins)
     if margin < -1e-8:
         logger.warning("positivity margin is negative: %g", margin)
-    return PositivityCertificate(scaled, margin, tuple(margins), run.coordinates)
+    return PositivityCertificate(
+        run.weight.scaled(0.5 * t_star), margin, margins, run.coordinates, uncertified
+    )
 
 
 def ground_state(
@@ -444,8 +485,9 @@ def positivity_weight(
     report: CriticalityReport | None = None,
 ) -> PositivityCertificate:
     """Certified strict-positivity weight in the subcritical case: half the
-    plateau threshold times the probe, with the discounted form's principal
-    eigenvalue margin on every level (smallest margin reported first).
+    plateau threshold times the probe, with the weighted Picone margin of
+    the discounted form on every level (smallest margin reported first; see
+    PositivityCertificate).
 
     Pass a precomputed ``report`` to skip rerunning the exhaustion; its
     certificate, computed with the verdict, is returned as is.  A critical

@@ -52,6 +52,26 @@ CRIT_INI = dedent(
     """
 )
 
+SUBCRIT_INI = dedent(
+    """\
+    [problem]
+    p = 2.0
+    d = 3
+    domain = 0 inf
+    potential = zero
+
+    [exhaustion]
+    style = annuli
+    count = 9
+    base = 1.0
+    growth = 2.0
+
+    [command]
+    name = critical
+    resolution = 201
+    """
+)
+
 VALIDATE_INI = dedent(
     """\
     [problem]
@@ -236,6 +256,15 @@ class TestCriticalCommand:
         lines = (out / "critical_thresholds.csv").read_text().splitlines()
         assert lines[0] == "index,level_lo,level_hi,threshold"
         assert len(lines) == 1 + len(ts)
+
+    def test_exterior_d3_reports_its_margins(self, tmp_path):
+        proc, _, report = run_cli(tmp_path, SUBCRIT_INI)
+        assert proc.returncode == 0, proc.stderr
+        res = report["results"]
+        assert res["verdict"] == "subcritical"
+        assert res["positivity_margin"] > 0.0
+        assert len(res["positivity_margins"]) == res["levels_completed"]
+        assert res["positivity_uncertified"] == []
 
 
 class TestValidateCommand:

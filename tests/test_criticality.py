@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from pcrit import (
@@ -27,7 +29,8 @@ from pcrit import (
     threshold_tN,
 )
 from pcrit import solver
-from pcrit.errors import StateError
+from pcrit.energy import q_parts
+from pcrit.errors import PreconditionError, StateError
 
 
 def line_problem():
@@ -121,6 +124,15 @@ class TestThreshold:
         t = threshold_tN(prob, level, PotentialSpec.constant(1.0), resolution=201)
         lam = principal_eigenpair(prob, build_grid(prob, level, 201)).lam
         assert t == pytest.approx(lam, rel=1e-9)
+
+    def test_form_not_nonnegative_on_the_level_is_refused(self):
+        # V = -1 beats the Dirichlet eigenvalue of (1, 8), about (pi/7)^2
+        prob = RadialProblem(2.0, 3, (0.0, np.inf), PotentialSpec.constant(-1.0))
+        with pytest.raises(PreconditionError, match="not nonnegative"):
+            threshold_tN(prob, (1.0, 8.0), PotentialSpec.bump(2.0, 0.5, 1.0), resolution=201)
+        ex = make_exhaustion(prob, 5, base=1.0, growth=2.0, style="annuli")
+        with pytest.raises(PreconditionError, match="not nonnegative"):
+            criticality_verdict(prob, ex, resolution=201)
 
     def test_log_reduced_problem_shape(self):
         red = log_reduced_problem(ray_problem(2, 2.0))
@@ -351,6 +363,59 @@ class TestCapacity:
         assert np.all(rep.minimizer.values[(nodes >= k_lo) & (nodes <= k_hi)] >= 1.0)
 
 
+# (problem, exhaustion) of small subcritical runs; the p = 2 potential
+# exercises the lumped potential term of the form
+SMALL_SUBCRITICAL = {
+    "d3-p2-bump": (
+        RadialProblem(2.0, 3, (0.0, np.inf), PotentialSpec.bump(3.0, 1.0, 0.5)), 9,
+    ),
+    "d4-p3": (ray_problem(4, 3.0), 15),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SMALL_SUBCRITICAL))
+def small_subcritical(request):
+    prob, count = SMALL_SUBCRITICAL[request.param]
+    ex = make_exhaustion(prob, count, base=1.0, growth=2.0, style="annuli")
+    rep = criticality_verdict(prob, ex, resolution=201)
+    assert rep.verdict == "subcritical"
+    return rep
+
+
+# criterion 05's subcritical runs
+ANNULI_RUNS = {"d3-p2": (3, 2.0, 9), "d4-p3": (4, 3.0, 15)}
+
+
+class TestPiconeMargin:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_margin_bounds_the_discounted_form(self, small_subcritical, data):
+        # p Q(u) - (t*/2) int W|u|^p >= margin_N int W|u|^p for u >= 0 zero
+        # at the level edge: u = g v_N^s, with g piecewise linear through
+        # nonnegative knots spread over the node indices; s = 1 runs close
+        # to the equality case u = v_N
+        rep = small_subcritical
+        run, cert = rep.run, rep.certificate
+        n = data.draw(st.integers(0, len(run.entries) - 1), label="level")
+        entry = run.entries[n]
+        grid = entry.minimizer.grid
+        knots = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12), label="knots")
+        s = data.draw(st.floats(0.0, 1.0), label="s")
+        idx = np.arange(grid.n)
+        g = np.interp(idx, np.linspace(0, grid.n - 1, len(knots)), knots)
+        u = g * entry.minimizer.values**s
+        u[grid.dirichlet_mask] = 0.0
+
+        p = run.problem.p
+        q = q_parts(grid, p, run.problem.potential.sample(grid.nodes), u)
+        mass = float(np.sum(run.weight.sample(grid.nodes) * u**p * grid.node_w))
+        half = 0.5 * rep.t_star_estimate
+        lhs = q.gradient_term + q.potential_term - half * mass
+        # rounding slack relative to the terms of the two sides
+        slack = 1e-9 * (q.gradient_term + abs(q.potential_term) + half * mass)
+        assert lhs >= cert.margins[n] * mass - slack
+
+
 class TestPositivityWeight:
     def test_subcritical_certificate(self):
         prob = ray_problem(3, 2.0)
@@ -368,3 +433,19 @@ class TestPositivityWeight:
         ex = make_exhaustion(prob, 15, base=1.0, growth=2.0, style="line", x0=0.0)
         with pytest.raises(StateError):
             positivity_weight(prob, ex, weight=BUMP, resolution=801)
+
+
+    @pytest.mark.parametrize("case", sorted(ANNULI_RUNS))
+    def test_lower_bounds_bracket_the_thresholds(self, case):
+        d, p, count = ANNULI_RUNS[case]
+        prob = ray_problem(d, p)
+        ex = make_exhaustion(prob, count, base=1.0, growth=2.0, style="annuli")
+        rep = criticality_verdict(prob, ex, resolution=601)
+        assert rep.verdict == "subcritical"
+        for e in rep.run.entries:
+            assert e.lower <= e.t
+            assert (e.t - e.lower) / e.t <= 1e-3
+        cert = rep.certificate
+        assert cert.uncertified == ()
+        half = 0.5 * rep.t_star_estimate
+        assert cert.margins == tuple(e.lower - half for e in rep.run.entries)

@@ -223,3 +223,20 @@ def test_positivity_weight_returns_the_verdicts_certificate(monkeypatch):
     assert cert is rep.certificate
     assert rep.positivity_weight == (cert.weight, cert.margin)
     assert solves == []
+
+
+def test_subcritical_verdict_solves_once_per_level(monkeypatch):
+    # one threshold solve per level plus the nonnegativity precheck; the
+    # positivity margins come from the thresholds' minimizers
+    solves = []
+    original = DiscreteOperator.principal
+
+    def counted(self, *args, **kwargs):
+        solves.append(self.grid.n)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiscreteOperator, "principal", counted)
+    rep = criticality_verdict(SUBCRITICAL, _annuli(9), resolution=201)
+    assert rep.verdict == "subcritical"
+    assert len(rep.run.entries) == 9
+    assert len(solves) == 9 + 1
