@@ -57,12 +57,14 @@ __all__ = [
 
 
 def phi_p(x, p: float):
-    """The odd power map |x|^(p-2) x, with phi_p(0) = 0 for every p > 1."""
+    """The odd power map |x|^(p-2) x, with phi_p(0) = 0 for every p > 1
+    (signed like x, so phi_p(-0.0) is -0.0).  A scalar x gives a float,
+    taken from the array power, whose rounding can differ from the scalar
+    power's."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    nz = x != 0.0
-    out[nz] = np.sign(x[nz]) * np.abs(x[nz]) ** (p - 1.0)
-    return out if out.ndim else float(out)
+    if not x.ndim:
+        return float(phi_p(x.reshape(1), p)[0])
+    return np.copysign(np.abs(x) ** (p - 1.0), x)
 
 
 def _slopes(field: Field) -> np.ndarray:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -162,8 +163,9 @@ class DiscreteOperator:
 
     ``bind`` samples V at the nodes once; residuals, Jacobians, quotients,
     principal pairs, eigenpairs and Dirichlet solves on that (problem,
-    grid) all read the bound samples.  Nodal arrays passed in and out cover
-    every node of the grid.
+    grid) all read the bound samples.  The flux weights cell_w / h and the
+    potential weights node_w V are computed once per operator, on first
+    use.  Nodal arrays passed in and out cover every node of the grid.
     """
 
     p: float
@@ -174,6 +176,18 @@ class DiscreteOperator:
     def bind(cls, problem: RadialProblem, grid: Grid) -> "DiscreteOperator":
         return cls(problem.p, grid, problem.potential.sample(grid.nodes))
 
+    @cached_property
+    def _flux_w(self) -> np.ndarray:
+        w = self.grid.cell_w / self.grid.h
+        w.setflags(write=False)
+        return w
+
+    @cached_property
+    def _pot_w(self) -> np.ndarray:
+        w = self.grid.node_w * self.vvals
+        w.setflags(write=False)
+        return w
+
     def load(self, f: Field | None) -> np.ndarray:
         """Nodal load of the forcing f (zero for None); f must live on the
         operator's grid."""
@@ -183,9 +197,8 @@ class DiscreteOperator:
         return self.grid.node_w * f.values
 
     def _flux_and_potential(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g = self.grid
-        flux = phi_p(np.diff(u) / g.h, self.p) * (g.cell_w / g.h)
-        return flux, g.node_w * self.vvals * phi_p(u, self.p)
+        flux = phi_p((u[1:] - u[:-1]) / self.grid.h, self.p) * self._flux_w
+        return flux, self._pot_w * phi_p(u, self.p)
 
     @staticmethod
     def _assemble(flux: np.ndarray, pot: np.ndarray, load: np.ndarray) -> np.ndarray:
@@ -218,11 +231,11 @@ class DiscreteOperator:
         the eps-regularized powers; at p = 2 the regularization is exactly
         inert."""
         g, p = self.grid, self.p
-        s = np.diff(u) / g.h
+        s = (u[1:] - u[:-1]) / g.h
         reg = (s * s + eps * eps) ** (0.5 * (p - 2.0))
-        gp = reg * (1.0 + (p - 2.0) * s * s / (s * s + eps * eps)) * (g.cell_w / g.h)
+        gp = reg * (1.0 + (p - 2.0) * s * s / (s * s + eps * eps)) * self._flux_w
         kcell = gp / g.h  # coupling strength of each cell
-        pot = g.node_w * self.vvals * (p - 1.0) * (u * u + eps * eps) ** (0.5 * (p - 2.0))
+        pot = self._pot_w * (p - 1.0) * (u * u + eps * eps) ** (0.5 * (p - 2.0))
         diag, off = cell_tridiagonal(kcell, kcell, -kcell, g.free)
         ab = np.zeros((3, diag.size))
         ab[1, :] = diag + pot[g.free]
@@ -240,8 +253,7 @@ class DiscreteOperator:
     def flux_floor(self, u: np.ndarray) -> float:
         """max(cell_w / h) * max|u|: the size of the flux terms at u's
         magnitude, whose rounding bounds how small a residual can get."""
-        g = self.grid
-        return float(np.max(g.cell_w / g.h)) * float(np.max(np.abs(u), initial=0.0))
+        return float(np.max(self._flux_w)) * float(np.max(np.abs(u), initial=0.0))
 
     def flux_sensitivity(self, u: np.ndarray) -> float:
         """max over cells of (cell_w / h) phi_p'(|s| + t), times max|u|: how
@@ -254,8 +266,8 @@ class DiscreteOperator:
         if umax == 0.0:
             return 0.0
         t = float(np.finfo(float).eps) * umax / float(np.min(g.h))
-        slope = np.abs(np.diff(u) / g.h) + t
-        return float(np.max(g.cell_w / g.h * (p - 1.0) * slope ** (p - 2.0))) * umax
+        slope = np.abs((u[1:] - u[:-1]) / g.h) + t
+        return float(np.max(self._flux_w * (p - 1.0) * slope ** (p - 2.0))) * umax
 
     def principal(
         self,
@@ -425,18 +437,22 @@ def _newton_core(
         e *= EPS_FACTOR
     stages.append(EPS_FLOOR)
 
+    def evaluate(v):
+        """(free residual, its max norm, scale, whether both are finite)"""
+        r_full, sc = op.residual_and_scale(v, load)
+        r = r_full[free]
+        norm = float(np.max(np.abs(r))) if r.size else 0.0
+        return r, norm, max(sc, 1e-300), math.isfinite(norm) and math.isfinite(sc)
+
+    # each iterate's residual is evaluated once, as the accepted trial of
+    # the step that made it; a non-finite residual ends the solve, failed
+    r, res_norm, scale, finite = evaluate(u)
     total_iter = 0
-    res_norm = math.inf
-    scale = 1.0
     for stage_idx, eps in enumerate(stages):
         final_stage = stage_idx == len(stages) - 1
         stage_tol_factor = tol if final_stage else max(tol, eps * 1e-2)
         for _ in range(config.max_iter_per_stage):
-            r_full, scale = op.residual_and_scale(u, load)
-            r = r_full[free]
-            scale = max(scale, 1e-300)
-            res_norm = float(np.max(np.abs(r))) if r.size else 0.0
-            if res_norm <= stage_tol_factor * scale:
+            if not finite or res_norm <= stage_tol_factor * scale:
                 break
             ab = op.jacobian(u, eps)
             du = None
@@ -445,7 +461,9 @@ def _newton_core(
                 try:
                     ab_try = ab.copy()
                     ab_try[1, :] += shift
-                    du = solve_banded((1, 1), ab_try, -r)
+                    du = solve_banded(
+                        (1, 1), ab_try, -r, overwrite_ab=True, overwrite_b=True, check_finite=False
+                    )
                 except np.linalg.LinAlgError:
                     du = None
                 if du is not None and np.all(np.isfinite(du)):
@@ -462,10 +480,11 @@ def _newton_core(
             for _bt in range(BACKTRACK_MAX):
                 u_try = u.copy()
                 u_try[free] = u[free] + alpha * du
-                r_try = op.residual(u_try, load)[free]
-                merit_try = 0.5 * float(np.dot(r_try, r_try))
+                trial = evaluate(u_try)
+                merit_try = 0.5 * float(np.dot(trial[0], trial[0]))
                 if np.isfinite(merit_try) and merit_try <= merit * (1.0 - ARMIJO_C * alpha):
                     u = u_try
+                    r, res_norm, scale, finite = trial
                     accepted = True
                     break
                 alpha *= 0.5
@@ -478,17 +497,16 @@ def _newton_core(
                 "newton: eps=%g stage hit its %d-iteration cap, res=%g > gate %g",
                 eps, config.max_iter_per_stage, res_norm, stage_tol_factor * scale,
             )
+    if not finite:
+        logger.debug("newton: non-finite residual, res=%g, scale=%g", res_norm, scale)
 
-    r_full, scale = op.residual_and_scale(u, load)
-    r = r_full[free]
-    res_norm = float(np.max(np.abs(r))) if r.size else 0.0
-    scale = max(scale, 1e-300)
     # stagnation at the rounding floor: near-harmonic solutions have
     # residual terms far below what a one-ulp change of u does to the
     # fluxes, so the relative gate can undershoot what rounding lets any
     # iterate reach; accept when the defect is at that level
-    converged = res_norm <= tol * scale or res_norm <= 1e4 * float(np.finfo(float).eps) * max(
-        op.flux_sensitivity(u), scale
+    converged = finite and (
+        res_norm <= tol * scale
+        or res_norm <= 1e4 * float(np.finfo(float).eps) * max(op.flux_sensitivity(u), scale)
     )
     return u, total_iter, res_norm, converged
 

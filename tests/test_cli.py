@@ -105,6 +105,22 @@ STUCK_SOLVE_INI = dedent(
     """
 )
 
+OVERFLOW_SOLVE_INI = dedent(
+    """\
+    [problem]
+    p = 3.0
+    d = 3
+    domain = 0 inf
+    potential = constant 1e306
+
+    [command]
+    name = solve
+    level = 1 1000
+    boundary = 1 1
+    resolution = 201
+    """
+)
+
 CERTIFY_INI = dedent(
     """\
     [problem]
@@ -303,6 +319,14 @@ class TestFailureModes:
         assert proc.returncode == 2
         assert report["status"] == "non-convergence"
         assert not report["results"]["converged"]
+
+    def test_non_finite_residual_reports_non_convergence(self, tmp_path):
+        proc, _, report = run_cli(tmp_path, OVERFLOW_SOLVE_INI)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert report["status"] == "non-convergence"
+        assert report["results"]["converged"] is False
+        assert report["results"]["final_residual_norm"] == float("inf")
 
     # an explicit level list was sliced by the count, so -1 kept all but one
     @pytest.mark.parametrize("count", ["-1", "0", "1001"])

@@ -16,6 +16,7 @@ from pcrit import (
     build_grid,
     energy_Q,
     make_field,
+    phi_p,
     picone_density,
     picone_gap,
     poincare_residual,
@@ -36,6 +37,57 @@ def hat_field(grid):
     nodes = grid.nodes
     vals = np.where(nodes <= 0.5, 2.0 * nodes, 2.0 * (1.0 - nodes))
     return make_field(grid, vals)
+
+
+def masked_phi_p(x, p):
+    """phi_p written with a nonzero mask and sign(x), as a reference."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    nz = x != 0.0
+    out[nz] = np.sign(x[nz]) * np.abs(x[nz]) ** (p - 1.0)
+    return out
+
+
+# finite floats, with signed zeros, subnormals and values near the overflow
+# threshold drawn often
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+EXPONENTS = st.one_of(
+    st.sampled_from([1.5, 2.0, 3.0]), st.floats(1.0, 5.0, exclude_min=True, exclude_max=True)
+)
+
+
+class TestPhiP:
+    @settings(max_examples=200, deadline=None)
+    @given(xs=st.lists(EDGE_FLOATS, min_size=1, max_size=40), p=EXPONENTS)
+    def test_matches_the_masked_formula(self, xs, p):
+        x = np.array(xs)
+        with np.errstate(over="ignore"):
+            got, ref = phi_p(x, p), masked_phi_p(x, p)
+            odd = phi_p(-x, p)
+        assert got.shape == x.shape
+        assert np.array_equal(got, ref)
+        nz = x != 0.0
+        assert np.array_equal(np.signbit(got[nz]), np.signbit(x[nz]))
+        assert np.array_equal(np.signbit(got[nz]), np.signbit(ref[nz]))
+        assert np.array_equal(odd, -got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=EDGE_FLOATS, p=EXPONENTS)
+    def test_scalar_gives_a_float(self, x, p):
+        with np.errstate(over="ignore"):
+            got = phi_p(x, p)
+            ref = masked_phi_p(np.array([x]), p)[0]
+        assert type(got) is float
+        assert got == ref
+
+    @settings(max_examples=100, deadline=None)
+    @given(xs=st.lists(EDGE_FLOATS, min_size=1, max_size=40))
+    def test_p2_is_the_identity(self, xs):
+        x = np.array(xs)
+        assert np.array_equal(phi_p(x, 2.0), x)
 
 
 class TestEnergyQ:

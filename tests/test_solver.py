@@ -162,6 +162,18 @@ class TestSolveDirichlet:
         )
         assert err <= 1e-4
 
+    def test_non_finite_residual_is_not_converged(self):
+        # V = 1e306 overflows the potential term, so the residual and its
+        # scale are infinite from the start; inf <= tol * inf must not pass
+        # as convergence
+        prob = RadialProblem(3.0, 3, (0.0, np.inf), PotentialSpec.constant(1e306))
+        g = build_grid(prob, (1.0, 1000.0), 201)
+        with np.errstate(over="ignore"):
+            rep = solve_dirichlet(prob, g, (1.0, 1.0))
+        assert rep.converged is False
+        assert rep.iterations == 0
+        assert rep.final_residual_norm == np.inf
+
     def test_stage_cap_hits_are_logged(self, caplog):
         prob = RadialProblem(3.0, 4, (0.0, np.inf), PotentialSpec.zero())
         g = build_grid(prob, (1.0, 2.0), 801, law="uniform")

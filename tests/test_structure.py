@@ -240,3 +240,45 @@ def test_subcritical_verdict_solves_once_per_level(monkeypatch):
     assert rep.verdict == "subcritical"
     assert len(rep.run.entries) == 9
     assert len(solves) == 9 + 1
+
+
+def test_newton_evaluates_each_point_once(monkeypatch):
+    # a ball-center p = 1.5 solve that steps in several eps stages and
+    # backtracks on some steps; each accepted trial's residual is carried
+    # into the next step's gate and into the final test, so no point is
+    # evaluated twice
+    prob = RadialProblem(1.5, 3, (0.0, np.inf), PotentialSpec.constant(0.5))
+    grid = build_grid(prob, (0.0, 4.0), 201)
+    events = []
+
+    def record(name, kind):
+        original = getattr(DiscreteOperator, name)
+
+        def counted(self, u, *args):
+            events.append((kind, u.tobytes(), args))
+            return original(self, u, *args)
+
+        monkeypatch.setattr(DiscreteOperator, name, counted)
+
+    record("residual_and_scale", "r")
+    record("residual", "r")
+    record("jacobian", "s")
+    rep = solve_dirichlet(prob, grid, (None, 1.0))
+    assert rep.converged
+
+    # one evaluation at the start, then only the line-search trials that
+    # follow each step: no evaluation at the top of a step or at the end
+    kinds = "".join(kind for kind, _, _ in events)
+    assert kinds.startswith("rs") and "ss" not in kinds and kinds.endswith("r")
+    assert kinds.count("s") == rep.iterations
+    assert len({args for kind, _, args in events if kind == "s"}) > 1  # eps stages
+    trials = kinds[1:].count("r")
+    assert trials > rep.iterations  # some step backtracked
+    points = [u for kind, u, _ in events if kind == "r"]
+    assert len(points) == 1 + trials
+    assert len(set(points)) == len(points)
+
+    monkeypatch.undo()
+    op = DiscreteOperator.bind(prob, grid)
+    r, _ = op.residual_and_scale(rep.solution.values, op.load(None))
+    assert rep.final_residual_norm == float(np.max(np.abs(r[grid.free])))
