@@ -3,13 +3,16 @@
 One config file, one command, deterministic outputs: profiles as CSV
 (17 significant digits, so identical runs are byte-identical), everything
 else in a JSON report that embeds the config's sha256 and the tolerances
-in effect.  Exit status: 0 success, 1 config or precondition failure,
-2 solver non-convergence.
+in effect.  The report is strict JSON: a non-finite float, such as an
+unbounded domain's end, is written as the string "inf", "-inf" or "nan".
+Exit status: 0 success, 1 config or precondition failure, 2 solver
+non-convergence.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -424,6 +427,18 @@ _HANDLERS = {
 }
 
 
+def _strict_json(obj):
+    """obj with every non-finite float written as the string "inf", "-inf"
+    or "nan", which JSON has no number for."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(float(obj))
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
+    return obj
+
+
 def run(cfg: RunConfig) -> int:
     """Dispatch a parsed config; write the report; return the exit status."""
     sc = cfg.solver
@@ -451,7 +466,8 @@ def run(cfg: RunConfig) -> int:
         "status": "ok" if status == 0 else "non-convergence",
     }
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_strict_json(report), indent=2, sort_keys=True, allow_nan=False)
+    (out / "report.json").write_text(text + "\n")
     return status
 
 

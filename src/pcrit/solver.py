@@ -15,7 +15,11 @@ The nonlinear solves run damped Newton iterations on the exact residual.
 Only the Jacobian is regularized: the flux derivative uses
 (s^2 + eps^2)^((p-2)/2) factors with eps walked down a geometric schedule,
 so the converged solution satisfies the true residual tolerance for every
-p and the continuation only steers the iteration.  Solver failure is
+p and the continuation only steers the iteration.  Each eps stage above
+the last ends at its own looser gate, or as soon as two accepted steps
+fail to halve the residual: eps is absolute in slope units, so on grids
+whose slopes sit far below it a stage would otherwise spin to its cap.
+The last stage runs to the true gate or its cap.  Solver failure is
 reported, never raised.
 
 All of this goes through one DiscreteOperator bound to (p, grid, V).  Its
@@ -73,13 +77,16 @@ __all__ = [
 
 
 # Newton's fixed schedule: Jacobian eps from EPS_START down by EPS_FACTOR to
-# EPS_FLOOR; at most BACKTRACK_MAX step halvings.
+# EPS_FLOOR; at most BACKTRACK_MAX step halvings.  A stage above EPS_FLOOR
+# ends once STALL_STEPS accepted steps fail to shrink the residual by
+# STALL_FACTOR.
 # Inner solves of the inverse power iteration that start from a warm iterate
 # begin the walk at EPS_WARM instead.
 EPS_START, EPS_FACTOR, EPS_FLOOR = 1e-1, 0.1, 1e-8
 EPS_WARM = 1e-6
 ARMIJO_C = 1e-4
 BACKTRACK_MAX = 40
+STALL_STEPS, STALL_FACTOR = 2, 0.5
 
 
 @dataclass(frozen=True)
@@ -424,7 +431,17 @@ def _newton_core(
 ) -> tuple[np.ndarray, int, float, bool]:
     """Damped Newton with eps-continuation from ``eps_start``.  Returns
     (u, iterations, residual_norm, converged).  Dirichlet values of u0 are
-    held fixed."""
+    held fixed.
+
+    A stage above EPS_FLOOR ends at its gate (max(tol, eps / 100) times
+    the residual scale), on a stall (STALL_STEPS accepted steps that
+    shrink the residual's max norm by less than STALL_FACTOR; the stage's
+    entry residual is the first value) or at max_iter_per_stage.  The
+    last stage has no stall exit: it alone decides ``converged``, and its
+    damped steps can creep for dozens of iterations before Newton's local
+    convergence sets in (about 90 on an inner solve of the d = 3, p = 3
+    eigenpair on (0.5, 4)), so a stall exit there would report failure on
+    solves that converge."""
     grid, p = op.grid, op.p
     free = grid.free
     tol = config.tol_for(p)
@@ -451,9 +468,21 @@ def _newton_core(
     for stage_idx, eps in enumerate(stages):
         final_stage = stage_idx == len(stages) - 1
         stage_tol_factor = tol if final_stage else max(tol, eps * 1e-2)
+        # the stage's entry residual, then the residual after each accepted
+        # step (a step without descent ends the stage)
+        norms = []
         for _ in range(config.max_iter_per_stage):
             if not finite or res_norm <= stage_tol_factor * scale:
                 break
+            norms.append(res_norm)
+            if not final_stage and len(norms) > STALL_STEPS:
+                ratio = res_norm / norms[-1 - STALL_STEPS]
+                if ratio > STALL_FACTOR:
+                    logger.debug(
+                        "newton: eps=%g stage stalled, res=%g, contraction ratio %g over %d steps",
+                        eps, res_norm, ratio, STALL_STEPS,
+                    )
+                    break
             ab = op.jacobian(u, eps)
             du = None
             shift = 0.0

@@ -31,6 +31,24 @@ EIG_INI = dedent(
     """
 )
 
+# p = 3 on an unbounded domain; the first warm inner solve of its inverse
+# power iteration spends about 90 damped steps in the last eps stage
+# before Newton's local convergence sets in
+P3_EIG_INI = dedent(
+    """\
+    [problem]
+    p = 3.0
+    d = 3
+    domain = 0 inf
+    potential = constant 0.5
+
+    [command]
+    name = eig
+    level = 0.5 4
+    resolution = 1601
+    """
+)
+
 CRIT_INI = dedent(
     """\
     [problem]
@@ -214,6 +232,15 @@ def run_cli(tmp_path, ini_text, *extra):
     return proc, out, report
 
 
+def strict_report(out):
+    """report.json parsed as strict JSON: Infinity, -Infinity and NaN are
+    refused."""
+    def refuse(name):
+        raise ValueError(f"report.json holds the non-JSON constant {name}")
+
+    return json.loads((out / "report.json").read_text(), parse_constant=refuse)
+
+
 class TestEigCommand:
     def test_eigenvalue_report_and_profile(self, tmp_path):
         proc, out, report = run_cli(tmp_path, EIG_INI)
@@ -246,6 +273,15 @@ class TestEigCommand:
         proc, _, report = run_cli(tmp_path, EIG_INI, "--tol", "3e-9")
         assert proc.returncode == 0
         assert report["tolerances"]["residual_tol"] == 3e-9
+
+    def test_p3_eigenpair_converges_in_its_last_stage(self, tmp_path):
+        # the last eps stage has no stall exit; with one, the second inner
+        # solve stopped after 6 steps and this run exited 2
+        proc, out, _ = run_cli(tmp_path, P3_EIG_INI)
+        assert proc.returncode == 0, proc.stderr
+        report = strict_report(out)
+        assert report["results"]["converged"] is True
+        assert report["problem"]["domain"] == [0.0, "inf"]
 
     def test_reruns_are_byte_identical(self, tmp_path):
         dir_a = tmp_path / "a"
@@ -321,12 +357,14 @@ class TestFailureModes:
         assert not report["results"]["converged"]
 
     def test_non_finite_residual_reports_non_convergence(self, tmp_path):
-        proc, _, report = run_cli(tmp_path, OVERFLOW_SOLVE_INI)
+        proc, out, _ = run_cli(tmp_path, OVERFLOW_SOLVE_INI)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
+        report = strict_report(out)
         assert report["status"] == "non-convergence"
         assert report["results"]["converged"] is False
-        assert report["results"]["final_residual_norm"] == float("inf")
+        assert report["results"]["final_residual_norm"] == "inf"
+        assert report["problem"]["domain"] == [0.0, "inf"]
 
     # an explicit level list was sliced by the count, so -1 kept all but one
     @pytest.mark.parametrize("count", ["-1", "0", "1001"])

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import pcrit
+from pcrit import solver
 from pcrit import (
     CompactSetSpec,
     Field,
@@ -40,7 +41,8 @@ from pcrit import (
     wcp_check,
     weak_residual,
 )
-from pcrit.solver import DiscreteOperator
+from pcrit.model import ExhaustionSchedule
+from pcrit.solver import EPS_FLOOR, DiscreteOperator
 
 SOURCES = sorted(Path(pcrit.__file__).parent.glob("*.py"))
 
@@ -282,3 +284,87 @@ def test_newton_evaluates_each_point_once(monkeypatch):
     op = DiscreteOperator.bind(prob, grid)
     r, _ = op.residual_and_scale(rep.solution.values, op.load(None))
     assert rep.final_residual_norm == float(np.max(np.abs(r[grid.free])))
+
+
+@pytest.fixture
+def newton_stages(monkeypatch):
+    """One Counter per Newton solve, of its Jacobian evaluations (one per
+    iteration) by eps stage."""
+    solves = []
+    core, jacobian = solver._newton_core, DiscreteOperator.jacobian
+
+    def counted_core(*args, **kwargs):
+        solves.append(Counter())
+        return core(*args, **kwargs)
+
+    def counted_jacobian(self, u, eps):
+        solves[-1][eps] += 1
+        return jacobian(self, u, eps)
+
+    monkeypatch.setattr(solver, "_newton_core", counted_core)
+    monkeypatch.setattr(DiscreteOperator, "jacobian", counted_jacobian)
+    return solves
+
+
+def _capped_stages(solves):
+    cap = SolverConfig().max_iter_per_stage
+    return [(eps, n) for s in solves for eps, n in s.items() if eps != EPS_FLOOR and n >= cap]
+
+
+def test_forced_p15_solve_leaves_stalled_stages(newton_stages):
+    # the CLI's solve config: its eps = 1e-2 stage used to hit the cap of
+    # 200 a hair above its gate, and the 1e-3 stage took 122 more
+    # iterations, 361 in all
+    prob = RadialProblem(1.5, 3, (0.0, np.inf), PotentialSpec.constant(1.0))
+    grid = build_grid(prob, (0.25, 8.0), 4001)
+    f = make_field(grid, PotentialSpec.bump(1.5, 0.3, 2.0).sample(grid.nodes))
+    rep = solve_dirichlet(prob, grid, (0.5, 1.0), f=f)
+    assert rep.converged
+    assert _capped_stages(newton_stages) == []
+    assert sum(newton_stages[0].values()) == rep.iterations <= 40
+
+
+def test_near_constant_solve_leaves_stalled_stages(newton_stages):
+    # boundary data 1e-9 apart at p = 3: the eps = 1e-6 stage used to spin
+    # to its cap at a residual within 5x of its start, 312 iterations in all
+    prob = RadialProblem(3.0, 3, (0.0, np.inf), PotentialSpec.zero())
+    grid = build_grid(prob, (1.0, 2.0), 401)
+    rep = solve_dirichlet(prob, grid, (1.0, 1.0 + 1e-9))
+    assert rep.converged
+    assert _capped_stages(newton_stages) == []
+    assert sum(newton_stages[0].values()) == rep.iterations <= 40
+
+
+_D4 = RadialProblem(3.0, 4, (0.0, np.inf), PotentialSpec.zero())
+_D3 = RadialProblem(3.0, 3, (0.0, np.inf), PotentialSpec.zero())
+_LOG9 = ExhaustionSchedule(tuple((-(2.0**k), 2.0**k) for k in range(1, 10)), 0.0)
+
+
+@pytest.mark.parametrize(
+    "problem, exhaustion, frame",
+    [
+        # criterion 05's two p = 3 runs; on the d = 4 run's largest level
+        # (slopes far below eps = 0.1 and 0.01) the cold nonnegativity
+        # eigensolve used to hit the cap in both of those stages, 447
+        # Newton iterations for one outer iteration
+        (_D4, make_exhaustion(_D4, 15, base=1.0, growth=2.0, style="annuli"), "auto"),
+        (_D3, _LOG9, "log"),
+    ],
+    ids=["d4-annuli", "d3-log"],
+)
+def test_nonnegativity_eigensolve_leaves_stalled_stages(problem, exhaustion, frame, monkeypatch, newton_stages):
+    checks = []
+    eigenpair = DiscreteOperator.eigenpair
+
+    def recorded(self, config):
+        before = len(newton_stages)
+        result = eigenpair(self, config)
+        checks.append((result, newton_stages[before:]))
+        return result
+
+    monkeypatch.setattr(DiscreteOperator, "eigenpair", recorded)
+    null_sequence(problem, exhaustion, resolution=601, frame=frame)
+    [(result, solves)] = checks
+    assert result.converged
+    assert _capped_stages(solves) == []
+    assert sum(sum(s.values()) for s in solves) <= 40
