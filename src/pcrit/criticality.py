@@ -547,7 +547,7 @@ def q_capacity(
     active = in_set.copy()
     converged = False
     for iterations in range(1, int(in_set.sum()) + 2):
-        u = _obstacle_profile(op, active, config)
+        u = op.held_runs(active, 1.0, config)
         r, scale = op.residual_and_scale(u, unforced)
         scale = max(scale, 1e-300)
         new = (active & (r >= -1e-8 * scale)) | (in_set & (u < 1.0))
@@ -570,28 +570,6 @@ def q_capacity(
         converged=converged,
         iterations=iterations,
     )
-
-
-def _obstacle_profile(
-    op: DiscreteOperator, active: np.ndarray, config: SolverConfig
-) -> np.ndarray:
-    """u = 1 on the active nodes and, on each run of free nodes between
-    them, the unforced Dirichlet solution with the level edge at 0 (a ball
-    center stays free).  Each run's operator is a slice of ``op``."""
-    grid = op.grid
-    u = active.astype(float)
-    ends = np.unique(np.concatenate(([0], np.flatnonzero(active), [grid.n - 1])))
-    for lo, hi in zip(ends[:-1], ends[1:]):
-        center = lo == 0 and grid.natural_left and not active[0]
-        if hi - lo < 2 and not center:
-            continue
-        run = DiscreteOperator(op.p, grid.restrict(lo, hi + 1), op.vvals[lo : hi + 1])
-        left = None if center else float(active[lo])
-        rep = run.dirichlet((left, float(active[hi])), None, config, None)
-        if not rep.converged:
-            raise StateError("capacity segment solve failed to converge")
-        u[lo : hi + 1] = rep.solution.values
-    return u
 
 
 def _capacity_grid(

@@ -12,10 +12,9 @@ Picone density of a candidate solution over compactly supported fields
 with unit mass on a fixed window, and its decay (or not) along the levels
 is the variational signature of minimal growth.
 
-All per-level solves on one side of the compact set share a single master
-grid (levels are prefixes of it), so monotonicity in the level is a
-nodewise statement about identical unknowns, not an interpolation
-artifact.
+All levels of an exhaustion limit are slices of one grid, bound once, so
+monotonicity in the level is a nodewise statement about identical
+unknowns, not an interpolation artifact.
 """
 from __future__ import annotations
 
@@ -128,8 +127,9 @@ def _master_side(
     resolution: int,
     toward_zero: bool,
 ) -> Grid:
-    """Master grid for one side of the compact set, containing every level
-    endpoint as a node so per-level solves are prefix restrictions."""
+    """Grid for one side of the compact set, from its endpoint ``inner`` to
+    the farthest level endpoint on that side, with every endpoint a node;
+    uK_limit joins both sides and the set into one grid sliced by level."""
     far = min(outers) if toward_zero else max(outers)
     near_first = max(outers) if toward_zero else min(outers)
     span = abs(near_first - inner)
@@ -138,35 +138,6 @@ def _master_side(
     base = build_graded_grid(problem, (lo, hi), focus, resolution)
     nodes = np.union1d(base.nodes, np.asarray(outers, dtype=float))
     return Grid(nodes, problem.weight_exponent)
-
-
-def _side_level(
-    problem: RadialProblem,
-    master: Grid,
-    level: tuple[float, float],
-    trace: float,
-    toward_zero: bool,
-    config: SolverConfig,
-    initial: np.ndarray | None,
-) -> tuple[np.ndarray, float] | None:
-    """One level on one side of the compact set: the Dirichlet solve on the
-    master-grid piece between the set (held at ``trace``) and the level's
-    endpoint on that side (held at 0), extended by zero to the whole master
-    grid, and the piece's principal eigenvalue.  None when the solve fails."""
-    if toward_zero:
-        i = int(np.searchsorted(master.nodes, level[0]))
-        piece, boundary = slice(i, None), (0.0, trace)
-    else:
-        i = int(np.searchsorted(master.nodes, level[1]))
-        piece, boundary = slice(0, i + 1), (trace, 0.0)
-    op = DiscreteOperator.bind(problem, master.restrict(piece.start, piece.stop))
-    init = None if initial is None else Field(op.grid, initial[piece])
-    rep = op.dirichlet(boundary, None, config, init)
-    if not rep.converged:
-        return None
-    vals = np.zeros(master.n)
-    vals[piece] = rep.solution.values
-    return vals, op.eigenpair(config).lam
 
 
 def uK_limit(
@@ -181,11 +152,13 @@ def uK_limit(
     """Monotone exhaustion limit of Dirichlet solves holding ``trace`` on
     the compact interval's boundary and zero at the level edges.
 
-    All levels on a side live on one master grid, so the per-level fields
-    (extended by zero beyond their level and by the trace interpolant
-    across the set) are nodewise comparable; the log records the worst
-    monotonicity violation at each step.  The principal eigenvalue of each
-    level component is checked positive first.
+    Every level is a slice of one grid, bound once: the set is held at the
+    trace interpolant and each component of the level minus the set is a
+    held run, warm-started from the previous level.  The per-level fields
+    (extended by zero beyond their level) are nodewise comparable; the log
+    records the worst monotonicity violation at each step.  The principal
+    eigenvalue of each component is checked positive; a level whose solve
+    fails ends the run there.
     """
     exhaustion.validate(problem)
     compact.validate(problem)
@@ -197,25 +170,18 @@ def uK_limit(
     for level in levels:
         compact.require_inside(level, problem)
 
-    has_left = levels[0][0] < k_lo
-    right_master = _master_side(
-        problem, k_hi, tuple(b for _, b in levels), resolution, toward_zero=False
-    )
-    left_master = None
-    if has_left:
-        left_master = _master_side(
-            problem, k_lo, tuple(a for a, _ in levels), resolution, toward_zero=True
-        )
-
     set_nodes = compact.nodes(resolution)
-    n_set = set_nodes.size
-    pieces = [set_nodes, right_master.nodes[1:]]
-    if left_master is not None:
-        pieces.insert(0, left_master.nodes[:-1])
-    full_nodes = np.concatenate(pieces)
-    full = Grid(full_nodes, problem.weight_exponent)
-    set_start = left_master.n - 1 if left_master is not None else 0
-    set_vals = t_lo + (set_nodes - k_lo) / max(k_hi - k_lo, 1e-300) * (t_hi - t_lo)
+    right = _master_side(problem, k_hi, tuple(b for _, b in levels), resolution, False)
+    pieces = [set_nodes, right.nodes[1:]]
+    if levels[0][0] < k_lo:
+        left = _master_side(problem, k_lo, tuple(a for a, _ in levels), resolution, True)
+        pieces.insert(0, left.nodes[:-1])
+    full = Grid(np.concatenate(pieces), problem.weight_exponent)
+    op = DiscreteOperator.bind(problem, full)
+    held = (full.nodes >= k_lo) & (full.nodes <= k_hi)  # the set's own nodes
+    s0, s1 = np.flatnonzero(held)[[0, -1]]
+    held_vals = t_lo + (full.nodes - k_lo) / max(k_hi - k_lo, 1e-300) * (t_hi - t_lo)
+    held_vals[s1] = t_hi  # the interpolant's end value, exactly
 
     fields: list[Field] = []
     lam1s: list[float] = []
@@ -223,43 +189,30 @@ def uK_limit(
     gaps: list[float] = []
     window = (k_hi, levels[0][1])
     win_mask = (full.nodes >= window[0]) & (full.nodes <= window[1])
-    # (name, master grid, trace, toward_zero) per side of the set
-    sides = [("right", right_master, t_hi, False)]
-    if left_master is not None:
-        sides.append(("left", left_master, t_lo, True))
-    prev: dict[str, np.ndarray] = {}
     for a, b in levels:
-        solved = {}
-        for name, master, t_side, toward_zero in sides:
-            got = _side_level(
-                problem, master, (a, b), t_side, toward_zero, config, prev.get(name)
-            )
-            if got is None:
-                logger.warning("level (%g, %g): %s solve failed, truncating", a, b, name)
-                break
-            solved[name] = got
-        if len(solved) < len(sides):
+        lo, hi = (int(i) for i in np.searchsorted(full.nodes, (a, b)))
+        level = op.restrict(lo, hi + 1)
+        warm = fields[-1].values[lo : hi + 1] if fields else None
+        try:
+            u = level.held_runs(held[lo : hi + 1], held_vals[lo : hi + 1], config, warm)
+        except StateError as exc:
+            logger.warning("level (%g, %g): %s, truncating", a, b, exc)
             break
-        lam = min(lam_side for _, lam_side in solved.values())
+        # the components of the level minus the set, in level indices
+        parts = [(0, s0 - lo), (s1 - lo, hi - lo)]
+        lam = min(level.restrict(i, j + 1).eigenpair(config).lam for i, j in parts if i < j)
         if not lam > 0:
             raise PreconditionError(
                 f"principal eigenvalue on level ({a}, {b}) minus the set is {lam:.3e} <= 0"
             )
         lam1s.append(lam)
-        prev = {name: vals for name, (vals, _) in solved.items()}
-
-        # the write order decides which value lands on the shared nodes
-        u_full = np.empty(full.n)
-        if "left" in prev:
-            u_full[: left_master.n] = prev["left"]
-        u_full[set_start : set_start + n_set] = set_vals
-        u_full[set_start + n_set - 1 :] = prev["right"]
-        field = Field(full, u_full)
+        u_full = np.zeros(full.n)
+        u_full[lo : hi + 1] = u
         if fields:
             diff = fields[-1].values - u_full
             mono.append(float(diff.max()))
             gaps.append(float(np.max(np.abs(diff[win_mask]))))
-        fields.append(field)
+        fields.append(Field(full, u_full))
 
     if not fields:
         raise StateError("no level solved; cannot form the exhaustion limit")

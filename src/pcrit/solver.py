@@ -22,16 +22,17 @@ whose slopes sit far below it a stage would otherwise spin to its cap.
 The last stage runs to the true gate or its cap.  Solver failure is
 reported, never raised.
 
-All of this goes through one DiscreteOperator bound to (p, grid, V).  Its
-weighted principal pair serves both the principal eigenpair (weight 1) and
-the probe thresholds of pcrit.criticality: for p = 2 the discrete quotient
-is minimized by the smallest eigenvector of a tridiagonal pencil, found by
-bisection on LDL^T factorizations; for p != 2 an inverse power iteration is
-used, u_{k+1} solving Q'(u_{k+1}) = W phi_p(u_k) weakly.  At every p the
-eigenvalue is the quotient at the vector.  For the eigenpair the potential
-is shifted by a reported constant when it is negative somewhere, so the
-p = 2 pencil is positive definite and each p != 2 iterate solves a coercive
-problem.
+All of this goes through one DiscreteOperator bound to (p, grid, V); its
+slices read the bound samples, and capacities and exhaustion limits share
+its held-run solve.  Its weighted principal pair serves both the principal
+eigenpair (weight 1) and the probe thresholds of pcrit.criticality: for
+p = 2 the discrete quotient is minimized by the smallest eigenvector of a
+tridiagonal pencil, found by bisection on LDL^T factorizations; for p != 2
+an inverse power iteration is used, u_{k+1} solving
+Q'(u_{k+1}) = W phi_p(u_k) weakly.  At every p the eigenvalue is the
+quotient at the vector.  For the eigenpair the potential is shifted by a
+reported constant when it is negative somewhere, so the p = 2 pencil is
+positive definite and each p != 2 iterate solves a coercive problem.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dpttrf
 
 from .energy import phi_p, q_parts
-from .errors import PreconditionError
+from .errors import PreconditionError, StateError
 from .model import Field, Grid, RadialProblem, check_same_grid
 
 logger = logging.getLogger(__name__)
@@ -169,10 +170,11 @@ class DiscreteOperator:
     """Q'(u) = -Delta_p u + V phi_p(u) in weak form on one grid.
 
     ``bind`` samples V at the nodes once; residuals, Jacobians, quotients,
-    principal pairs, eigenpairs and Dirichlet solves on that (problem,
-    grid) all read the bound samples.  The flux weights cell_w / h and the
-    potential weights node_w V are computed once per operator, on first
-    use.  Nodal arrays passed in and out cover every node of the grid.
+    principal pairs, eigenpairs, Dirichlet and held-run solves on that
+    (problem, grid) and its slices read the bound samples.  The flux
+    weights cell_w / h and the potential weights node_w V are computed once
+    per operator, on first use.  Nodal arrays passed in and out cover every
+    node of the grid.
     """
 
     p: float
@@ -182,6 +184,10 @@ class DiscreteOperator:
     @classmethod
     def bind(cls, problem: RadialProblem, grid: Grid) -> "DiscreteOperator":
         return cls(problem.p, grid, problem.potential.sample(grid.nodes))
+
+    def restrict(self, start: int, stop: int) -> "DiscreteOperator":
+        """The operator on nodes[start:stop], reading the bound V samples."""
+        return DiscreteOperator(self.p, self.grid.restrict(start, stop), self.vvals[start:stop])
 
     @cached_property
     def _flux_w(self) -> np.ndarray:
@@ -398,6 +404,31 @@ class DiscreteOperator:
 
         u, iters, res, conv = _newton_core(self, load, u0, config)
         return SolveReport(Field(grid, u), iters, res, conv)
+
+    def held_runs(
+        self, held: np.ndarray, values, config: SolverConfig, initial: np.ndarray | None = None
+    ) -> np.ndarray:
+        """u = ``values`` on the held nodes, 0 at the Dirichlet nodes that are
+        not held, and on each run of free nodes between them the unforced
+        Dirichlet solution (a ball center that is not held stays free).
+        Each run's operator is a slice of this one, and its solve starts
+        from ``initial`` on its nodes when given.  Raises StateError when a
+        run's solve fails."""
+        n = self.grid.n
+        u = np.where(held, values, 0.0)
+        ends = np.unique(np.concatenate(([0], np.flatnonzero(held), [n - 1])))
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            center = lo == 0 and self.grid.natural_left and not held[0]
+            if hi - lo < 2 and not center:
+                continue
+            run = self.restrict(lo, hi + 1)
+            start = None if initial is None else Field(run.grid, initial[lo : hi + 1])
+            left = None if center else float(u[lo])
+            rep = run.dirichlet((left, float(u[hi])), None, config, start)
+            if not rep.converged:
+                raise StateError(f"held-run solve failed to converge on nodes {lo}..{hi}")
+            u[lo : hi + 1] = rep.solution.values
+        return u
 
 
 def weak_residual(u: Field, problem: RadialProblem, f: Field | None = None) -> Field:
