@@ -173,9 +173,12 @@ def parse_potential(text: str) -> PotentialSpec:
             if len(args) not in (2, 3):
                 raise ConfigError(f"{where}: needs center, radius [, height]")
             height = _parse_number(args[2], where) if len(args) == 3 else 1.0
-            term = PotentialSpec.bump(
-                _parse_number(args[0], where), _parse_number(args[1], where), height
-            )
+            try:
+                term = PotentialSpec.bump(
+                    _parse_number(args[0], where), _parse_number(args[1], where), height
+                )
+            except ValueError as e:
+                raise ConfigError(f"{where}: {e}") from None
         else:
             raise ConfigError(f"{where}: unknown potential kind {kind!r}")
         total = term if total is None else PotentialSpec.combination(total, term, 1.0)
@@ -273,6 +276,8 @@ def parse_config(
                 )
             except (ValueError, DomainError) as e:
                 raise ConfigError(f"[exhaustion]: {e}") from None
+            except OverflowError:
+                raise ConfigError("[exhaustion]: level endpoints overflow") from None
 
     if "command" not in cp:
         raise ConfigError(f"{path}: missing [command] section")

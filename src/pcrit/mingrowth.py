@@ -458,18 +458,11 @@ def _certificate_level(
         raise PreconditionError("candidate solution must be positive on the region")
     us = np.diff(uvals) / grid.h
     um = 0.5 * (uvals[:-1] + uvals[1:])
-
-    # p = 2 seed (exact answer at p = 2): substitute w = u * phi
-    k = um**2 * grid.cell_w / grid.h**2
-    n = grid.n
-    free = slice(0, n - 1)  # inner edge free, outer edge Dirichlet
-    d, off = cell_tridiagonal(k, k, -k, free)
-    mass = (grid.node_w * uvals**2 * mass_mask)[free]
-    lam, phi = smallest_generalized_eigen(d, off, mass)
-    phi_full = np.zeros(n)
-    phi_full[free] = phi
-    w = np.maximum(uvals * phi_full, 0.0)
-    w[-1] = 0.0
+    if p != 2.0 and np.any(us == 0.0):
+        raise PreconditionError(
+            "candidate solution has a critical point on the region; the"
+            " certificate needs a nonvanishing slope for p != 2"
+        )
 
     def mass_of(wv: np.ndarray) -> float:
         return float(np.sum(grid.node_w * mass_mask * wv**p))
@@ -477,52 +470,40 @@ def _certificate_level(
     def objective(wv: np.ndarray) -> float:
         return _picone_total(grid, p, wv, us, um)
 
-    m = mass_of(w)
-    if m <= 0:
-        raise StateError("certificate seed lost its window mass")
-    w = w / m ** (1.0 / p)
-    mu = objective(w)
-
+    w, mu = _irls_minimize(grid, p, us, um, mass_mask, mass_of, objective)
     if p != 2.0:
-        if np.any(us == 0.0):
-            raise PreconditionError(
-                "candidate solution has a critical point on the region; the"
-                " certificate needs a nonvanishing slope for p != 2"
-            )
-        w, mu = _irls_minimize(grid, p, w, us, um, mass_mask, mass_of, objective)
         w, mu = _polish_descent(grid, p, w, us, um, mass_of, objective)
     return mu, w, mass_of(w)
 
 
-def _irls_minimize(grid, p, w, us, um, mass_mask, mass_of, objective):
+def _irls_minimize(grid, p, us, um, mass_mask, mass_of, objective):
     """Reweighted quadratic relaxations of the Picone objective.
 
-    Each of up to 40 rounds freezes the degree-(p-2) factors of the density
-    at the current iterate, leaving a tridiagonal quadratic form whose
-    smallest generalized eigenvector (against the similarly frozen window
-    mass) is the next profile.  Iterates stay feasible, so the best
-    objective seen is always a valid upper bound.
+    Each round freezes the degree-(p-2) factors of the density at the
+    current iterate, leaving a tridiagonal quadratic form whose smallest
+    generalized eigenvector (against the similarly frozen window mass) is
+    the next profile.  Round 0 freezes them at 1: its form is the discrete
+    p = 2 Picone objective, so at p = 2 it is the exact minimizer and the
+    loop stops there; otherwise up to 40 rounds follow.  Iterates stay
+    feasible, so the best objective seen is always a valid upper bound.
+    Round 0 raises PreconditionError when its form is not positive
+    definite, and StateError when its profile has no window mass.
     """
     n = grid.n
     q = us / um
     cp = 1.0 / grid.h - 0.5 * q
     cm = -(1.0 / grid.h + 0.5 * q)
-    best_w, best = w.copy(), objective(w)
-    for _ in range(40):
-        ws = np.diff(w) / grid.h
-        wm = 0.5 * (w[:-1] + w[1:])
-        z = wm / um * us
-        # floor built from w-scale quantities keeps the whole iteration
-        # exactly invariant under rescaling the candidate u
-        slope_floor = 1e-10 * float(np.max(np.abs(ws)) + np.max(np.abs(z)))
-        om = (np.abs(ws) + np.abs(z) + slope_floor) ** (p - 2.0)
+    om = np.ones(n - 1)
+    msur = grid.node_w * mass_mask
+    w, best_w, best = None, None, math.inf
+    for _ in range(41):
         wcell = om * grid.cell_w
         diag, off = cell_tridiagonal(wcell * cm**2, wcell * cp**2, wcell * cm * cp, slice(0, n - 1))
-        wfloor = np.maximum(w, 1e-14 * float(np.max(w)))
-        msur = grid.node_w * mass_mask * wfloor ** (p - 2.0)
         try:
             _, vec = smallest_generalized_eigen(diag, off, msur[:-1])
         except PreconditionError:
+            if w is None:
+                raise
             break
         wn = np.zeros(n)
         wn[:-1] = vec
@@ -530,6 +511,8 @@ def _irls_minimize(grid, p, w, us, um, mass_mask, mass_of, objective):
         wn[-1] = 0.0
         m = mass_of(wn)
         if m <= 0:
+            if w is None:
+                raise StateError("certificate seed lost its window mass")
             break
         wn = wn / m ** (1.0 / p)
         fn = objective(wn)
@@ -545,6 +528,17 @@ def _irls_minimize(grid, p, w, us, um, mass_mask, mass_of, objective):
             if objective(wn) >= best * (1.0 + 1e-10):
                 break
         w = wn
+        if p == 2.0:
+            break
+        ws = np.diff(w) / grid.h
+        wm = 0.5 * (w[:-1] + w[1:])
+        z = wm / um * us
+        # floor built from w-scale quantities keeps the whole iteration
+        # exactly invariant under rescaling the candidate u
+        slope_floor = 1e-10 * float(np.max(np.abs(ws)) + np.max(np.abs(z)))
+        om = (np.abs(ws) + np.abs(z) + slope_floor) ** (p - 2.0)
+        wfloor = np.maximum(w, 1e-14 * float(np.max(w)))
+        msur = grid.node_w * mass_mask * wfloor ** (p - 2.0)
     return best_w, best
 
 
@@ -613,10 +607,10 @@ def minimal_growth_certificate(
     mu_N = inf { integral of L(w, u) over (level minus omega2) : w >= 0,
     w = 0 at the level edge, integral of w^p over the window = 1 }.  At
     p = 2 this is a generalized eigenvalue (solved directly); otherwise
-    projected descent from the p = 2 minimizer, which still yields sound
-    upper bounds, so a decaying trend is conclusive while "bounded-away"
-    is empirical.  u enters only through ratios, so rescaling u leaves
-    every mu_N unchanged.
+    reweighted rounds from the p = 2 minimizer and a projected-descent
+    polish, which still yield sound upper bounds, so a decaying trend is
+    conclusive while "bounded-away" is empirical.  u enters only through
+    ratios, so rescaling u leaves every mu_N unchanged.
     """
     exhaustion.validate(problem)
     omega2.validate(problem)

@@ -90,8 +90,10 @@ class PotentialSpec:
 
     @classmethod
     def bump(cls, center: float, radius: float, height: float = 1.0) -> "PotentialSpec":
-        if radius <= 0:
-            raise ValueError(f"bump radius must be positive, got {radius}")
+        if not (radius > 0 and math.isfinite(center)):  # nan would sample as V = 0
+            raise ValueError(
+                f"bump needs a positive radius and a finite center, got {radius}, {center}"
+            )
         return cls("bump", (float(center), float(radius), float(height)))
 
     @classmethod

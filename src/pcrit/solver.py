@@ -20,7 +20,8 @@ the last ends at its own looser gate, or as soon as two accepted steps
 fail to halve the residual: eps is absolute in slope units, so on grids
 whose slopes sit far below it a stage would otherwise spin to its cap.
 The last stage runs to the true gate or its cap.  Solver failure is
-reported, never raised.
+reported, never raised, except by the held-run solve, which has no report
+to carry it.
 
 All of this goes through one DiscreteOperator bound to (p, grid, V); its
 slices read the bound samples, and capacities and exhaustion limits share
@@ -258,9 +259,11 @@ class DiscreteOperator:
 
     def quotient(self, u: np.ndarray, weight: np.ndarray) -> tuple[float, float]:
         """(p Q(u) / integral(W |u|^p), integral(W |u|^p)) for the nodal
-        weight W."""
+        weight W; the quotient is nan when the mass is not positive."""
         q = q_parts(self.grid, self.p, self.vvals, u)
         mass = float(np.sum(weight * np.abs(u) ** self.p * self.grid.node_w))
+        if not mass > 0.0:  # |u|^p underflows, or u vanishes on the weight
+            return math.nan, mass
         return (q.gradient_term + q.potential_term) / mass, mass
 
     def flux_floor(self, u: np.ndarray) -> float:
@@ -305,7 +308,10 @@ class DiscreteOperator:
         eigen_rtol * max(stop_floor, |lam|).  The iteration starts from
         ``initial`` when given (a tent otherwise); p = 2 ignores it.  Inner
         solves from a warm iterate (any after the first, and the first from
-        ``initial``) start their eps walk at EPS_WARM.
+        ``initial``) start their eps walk at EPS_WARM.  An iterate whose
+        weighted mass, or quotient plus shift, is not positive and finite
+        ends the iteration unconverged, before any inner solve when it is
+        the start.
         """
         g, p = self.grid, self.p
         inner = DiscreteOperator(p, g, self.vvals + shift)
@@ -328,7 +334,15 @@ class DiscreteOperator:
         u = np.maximum(u, 0.0)
         if not np.any(u > 0):
             raise ValueError("initial eigenfunction guess vanishes")
+
+        def usable(lam: float, mass: float) -> bool:
+            """Whether the next inner solve has a load and a scaled start."""
+            return 0.0 < mass < math.inf and 0.0 < lam + shift < math.inf
+
         lam, mass = self.quotient(u, weight)
+        if not usable(lam, mass):
+            logger.debug("principal pair: initial guess has quotient %g at mass %g", lam, mass)
+            return lam, u, 0, False
         u = u / mass ** (1.0 / p)
 
         eps_start = EPS_START if initial is None else EPS_WARM
@@ -344,7 +358,7 @@ class DiscreteOperator:
                 break
             w = np.maximum(w, 0.0)
             lam_new, mass = self.quotient(w, weight)
-            if not (0.0 < mass < math.inf and math.isfinite(lam_new)):
+            if not usable(lam_new, mass):
                 logger.debug("principal pair: iterate lost its weighted mass at iteration %d", iters)
                 break
             u = w / mass ** (1.0 / p)
@@ -363,7 +377,9 @@ class DiscreteOperator:
         ones = np.ones(self.grid.n)
         lam, u, iters, converged = self.principal(ones, config, shift, 1.0)
         u[self.grid.dirichlet_mask] = 0.0
-        u /= self.quotient(u, ones)[1] ** (1.0 / self.p)
+        mass = self.quotient(u, ones)[1]
+        if mass > 0.0:
+            u /= mass ** (1.0 / self.p)
         return EigenResult(lam, Field(self.grid, u), iters, converged, shift)
 
     def dirichlet(
@@ -414,9 +430,8 @@ class DiscreteOperator:
         Each run's operator is a slice of this one, and its solve starts
         from ``initial`` on its nodes when given.  Raises StateError when a
         run's solve fails."""
-        n = self.grid.n
         u = np.where(held, values, 0.0)
-        ends = np.unique(np.concatenate(([0], np.flatnonzero(held), [n - 1])))
+        ends = np.unique(np.concatenate(([0], np.flatnonzero(held), [self.grid.n - 1])))
         for lo, hi in zip(ends[:-1], ends[1:]):
             center = lo == 0 and self.grid.natural_left and not held[0]
             if hi - lo < 2 and not center:

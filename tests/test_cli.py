@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 import pcrit
-from pcrit.cli import VALIDATION_SUITES
+from pcrit.cli import VALIDATION_SUITES, main
 
 PCRIT_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(pcrit.__file__)))
 
@@ -139,6 +139,53 @@ OVERFLOW_SOLVE_INI = dedent(
     """
 )
 
+# the inverse power iteration's start has no usable quotient: at p = 1e308
+# its weighted mass |u|^p underflows to 0, and at V = -1e308 the quotient
+# cancels the eigenpair's shift to 0.0
+NO_MASS_EIG_INI = {
+    "mass-underflows": dedent(
+        """\
+        [problem]
+        p = 1e308
+        d = 3
+        domain = 0 inf
+        potential = zero
+
+        [command]
+        name = eig
+        level = 1 2
+        resolution = 41
+        """
+    ),
+}
+NO_MASS_EIG_INI["shift-cancels"] = (
+    NO_MASS_EIG_INI["mass-underflows"]
+    .replace("p = 1e308", "p = 3")
+    .replace("potential = zero", "potential = constant -1e308")
+)
+
+MINGROWTH_BALL_INI = dedent(
+    """\
+    [problem]
+    p = 2.0
+    d = 3
+    domain = 0 inf
+    potential = zero
+
+    [exhaustion]
+    style = balls
+    count = 3
+    base = 2.0
+    growth = 2.0
+    x0 = 1.5
+
+    [command]
+    name = mingrowth
+    set = 0.5 1
+    resolution = 201
+    """
+)
+
 CERTIFY_INI = dedent(
     """\
     [problem]
@@ -210,6 +257,22 @@ REFUSED = {
     "count-above-ceiling": (
         CRIT_INI.replace("count = 15", "count = 1001"),
         "config error: [exhaustion] count:",
+        False,
+    ),
+    "bump-radius-zero": (
+        EIG_INI.replace("potential = zero", "potential = bump 1 0 1"),
+        "config error: potential term 'bump 1 0 1': bump needs a positive radius",
+        False,
+    ),
+    # a nan radius or center would sample as V = 0 everywhere
+    "bump-radius-nan": (
+        EIG_INI.replace("potential = zero", "potential = bump 1 nan 1"),
+        "config error: potential term 'bump 1 nan 1': bump needs a positive radius",
+        False,
+    ),
+    "growth-overflows": (
+        CRIT_INI.replace("growth = 2.0", "growth = 1e308"),
+        "config error: [exhaustion]: level endpoints overflow",
         False,
     ),
 }
@@ -319,6 +382,17 @@ class TestCriticalCommand:
         assert res["positivity_uncertified"] == []
 
 
+class TestMingrowthCommand:
+    def test_ball_levels_around_a_shell(self, tmp_path):
+        # the ball center left of the set is a free node of the inner run
+        proc, out, report = run_cli(tmp_path, MINGROWTH_BALL_INI)
+        assert proc.returncode == 0, proc.stderr
+        res = report["results"]
+        assert res["levels_completed"] == 3
+        assert len(res["lambda_1"]) == 3 and min(res["lambda_1"]) > 0.0
+        assert (out / "mingrowth_profile.csv").is_file()
+
+
 class TestValidateCommand:
     def test_all_suites_pass(self, tmp_path):
         proc, _, report = run_cli(tmp_path, VALIDATE_INI)
@@ -365,6 +439,17 @@ class TestFailureModes:
         assert report["results"]["converged"] is False
         assert report["results"]["final_residual_norm"] == "inf"
         assert report["problem"]["domain"] == [0.0, "inf"]
+
+    @pytest.mark.parametrize("case", sorted(NO_MASS_EIG_INI))
+    def test_eigensolve_without_a_usable_start_reports_failure(self, tmp_path, case):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(NO_MASS_EIG_INI[case])
+        status = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert status == 2
+        report = strict_report(tmp_path / "out")
+        assert report["status"] == "non-convergence"
+        assert report["results"]["converged"] is False
+        assert report["results"]["iterations"] == 0
 
     # an explicit level list was sliced by the count, so -1 kept all but one
     @pytest.mark.parametrize("count", ["-1", "0", "1001"])

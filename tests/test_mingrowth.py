@@ -105,6 +105,20 @@ class TestUkLimit:
         assert np.max(np.abs(vals[near] - exact)) <= 1e-12
 
 
+    def test_ball_levels_around_a_shell(self):
+        # K = [0.5, 1] inside balls (0, b): the ball center is a free node
+        # of the run left of K, with its natural condition
+        ex = make_exhaustion(PROB3, 3, base=2.0, growth=2.0, style="balls")
+        run = uK_limit(PROB3, CompactSetSpec(0.5, 1.0), (1.0, 1.0), ex, resolution=201)
+        assert len(run.fields) == 3
+        assert all(lam > 0.0 for lam in run.lambda_1)
+        assert max(run.monotonicity_log) <= 1e-12
+        # V = 0 with a constant trace: the inner ball stays at the trace
+        nodes, vals = run.limit.grid.nodes, run.limit.values
+        assert nodes[0] == 0.0
+        assert np.max(np.abs(vals[nodes <= 1.0] - 1.0)) <= 1e-12
+
+
 class TestSingularityExponent:
     def _field(self, vals_of):
         nodes = np.geomspace(0.01, 1.0, 601)
@@ -275,6 +289,22 @@ class TestCertificateAwayFromP2:
         cert = certificate_at(4, 3.0, lambda r: r**-0.5)
         assert np.all(np.diff(cert.mus) < 0)
         assert cert.mus[-1] < 0.1 * cert.mus[0]
+
+    def test_descent_polish_lowers_the_last_mu_at_d4_p3(self):
+        # the reweighted rounds alone stop at 5.844e-4 on the last level;
+        # the projected-descent polish after them reaches 5.830e-4
+        cert = certificate_at(4, 3.0, lambda r: r**-0.5)
+        assert cert.mus[-1] < 5.831e-4
+
+    def test_steep_minimal_p_harmonic_decays_at_d3_p15(self):
+        # u = r^-3 is the minimal p-harmonic function at d = 3, p = 1.5; on
+        # level (0, 2048) its h-transformed p = 2 form um^2 cell_w / h^2
+        # spans 15.8 decades and is singular to rounding, so the
+        # certificate must not factor that form
+        cert = certificate_at(3, 1.5, lambda r: r**-3.0)
+        assert cert.verdict == "decaying-to-zero"
+        assert np.all(np.diff(cert.mus) < 0)
+        assert max(abs(m - 1.0) for m in cert.masses) <= 1e-12
 
 
 class TestComparison:

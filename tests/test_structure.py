@@ -210,6 +210,20 @@ def test_drivers_sample_each_potential_grid_pair_once(driver, sample_counter):
     assert repeated == []
 
 
+@pytest.mark.parametrize("compact", [(0.0, 1.0), (0.5, 1.0)])
+def test_uK_limit_samples_the_potential_once(compact, sample_counter):
+    # every level, and each component of it minus the set, is a slice of
+    # one bound grid
+    uK_limit(
+        RAY3,
+        CompactSetSpec(*compact),
+        (1.0, 1.0),
+        make_exhaustion(RAY3, 3, base=2.0, growth=2.0, style="balls"),
+        resolution=201,
+    )
+    assert len(sample_counter) == 1
+
+
 def test_positivity_weight_returns_the_verdicts_certificate(monkeypatch):
     rep = criticality_verdict(SUBCRITICAL, _annuli(9), resolution=201)
     assert rep.verdict == "subcritical"
