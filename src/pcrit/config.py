@@ -27,7 +27,7 @@ command with its parameters, an output directory, and tolerance overrides:
     dir = out
 
 [tolerances] keys are SolverConfig field names; integer fields take
-integers.
+integers, and residual_tol and eigen_rtol lie in (0, 1).
 
 Potentials are written as "zero", "constant <c>", "power <c> <s>" (c * |r|^s),
 "bump <center> <radius> <height>", or a sum of those joined with " + ".
@@ -306,6 +306,10 @@ def parse_config(
         tolerances[k] = parse(v, f"[tolerances] {k}")
     if tol_override is not None:
         tolerances["residual_tol"] = float(tol_override)
+    try:
+        solver = replace(DEFAULT_CONFIG, **tolerances)
+    except ValueError as e:
+        raise ConfigError(f"[tolerances] {e}") from None
 
     return RunConfig(
         problem=problem,
@@ -316,5 +320,5 @@ def parse_config(
         config_sha256=digest,
         source_path=path,
         seed=file_seed if seed is None else seed,
-        solver=replace(DEFAULT_CONFIG, **tolerances),
+        solver=solver,
     )

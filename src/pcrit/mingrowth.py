@@ -500,7 +500,7 @@ def _irls_minimize(grid, p, us, um, mass_mask, mass_of, objective):
         wcell = om * grid.cell_w
         diag, off = cell_tridiagonal(wcell * cm**2, wcell * cp**2, wcell * cm * cp, slice(0, n - 1))
         try:
-            _, vec = smallest_generalized_eigen(diag, off, msur[:-1])
+            vec = smallest_generalized_eigen(diag, off, msur[:-1])
         except PreconditionError:
             if w is None:
                 raise

@@ -251,15 +251,11 @@ class RadialProblem:
     def weight_exponent(self) -> float:
         return self.d - 1.0
 
-    def contains_interval(self, a: float, b: float) -> bool:
-        lo, hi = self.domain
-        return lo <= a < b <= hi
-
     def require_level(self, level: tuple[float, float]) -> tuple[float, float]:
         a, b = float(level[0]), float(level[1])
         if not (math.isfinite(a) and math.isfinite(b)):
             raise DomainError(f"level must be bounded, got ({a}, {b})")
-        if not self.contains_interval(a, b):
+        if not self.domain[0] <= a < b <= self.domain[1]:
             raise DomainError(f"level ({a}, {b}) not contained in domain {self.domain}")
         return (a, b)
 

@@ -28,12 +28,13 @@ slices read the bound samples, and capacities and exhaustion limits share
 its held-run solve.  Its weighted principal pair serves both the principal
 eigenpair (weight 1) and the probe thresholds of pcrit.criticality: for
 p = 2 the discrete quotient is minimized by the smallest eigenvector of a
-tridiagonal pencil, found by bisection on LDL^T factorizations; for p != 2
-an inverse power iteration is used, u_{k+1} solving
-Q'(u_{k+1}) = W phi_p(u_k) weakly.  At every p the eigenvalue is the
-quotient at the vector.  For the eigenpair the potential is shifted by a
-reported constant when it is negative somewhere, so the p = 2 pencil is
-positive definite and each p != 2 iterate solves a coercive problem.
+tridiagonal pencil, found by inverse iteration on one LDL^T factorization
+shifted just below a bisected bracket of its eigenvalue; for p != 2 an
+inverse power iteration is used, u_{k+1} solving Q'(u_{k+1}) =
+W phi_p(u_k) weakly.  At every p the eigenvalue is the quotient at the
+vector.  For the eigenpair the potential is shifted by a reported constant
+when it is negative somewhere, so the p = 2 pencil is positive definite
+and each p != 2 iterate solves a coercive problem.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dpttrf
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .energy import phi_p, q_parts
 from .errors import PreconditionError, StateError
@@ -101,12 +102,19 @@ class SolverConfig:
     1e-8 otherwise.  max_iter_per_stage caps the Newton iterations of each
     eps stage.  eigen_rtol is the relative stop of the p != 2 inverse power
     iteration on the quotient, and eigen_max_iter caps its outer iterations.
+    Both tolerances lie in (0, 1): the residual never exceeds its scale, so
+    a tolerance of 1 or more would accept an iteration's start.
     """
 
     residual_tol: float | None = None
     max_iter_per_stage: int = 200
     eigen_rtol: float = 1e-8
     eigen_max_iter: int = 400
+
+    def __post_init__(self):
+        for name, value in (("residual_tol", self.residual_tol), ("eigen_rtol", self.eigen_rtol)):
+            if value is not None and not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {value}")
 
     def tol_for(self, p: float) -> float:
         if self.residual_tol is not None:
@@ -318,9 +326,8 @@ class DiscreteOperator:
         if p == 2.0:
             # at p = 2 the Jacobian is the form's matrix, whatever u and eps
             ab = inner.jacobian(np.zeros(g.n), EPS_FLOOR)
-            _, vec = smallest_generalized_eigen(ab[1], ab[0, 1:], (g.node_w * weight)[g.free])
             u = np.zeros(g.n)
-            u[g.free] = vec
+            u[g.free] = smallest_generalized_eigen(ab[1], ab[0, 1:], (g.node_w * weight)[g.free])
             return self.quotient(u, weight)[0], u, 1, True
 
         a, b = g.interval
@@ -475,9 +482,9 @@ def _newton_core(
     config: SolverConfig,
     eps_start: float = EPS_START,
 ) -> tuple[np.ndarray, int, float, bool]:
-    """Damped Newton with eps-continuation from ``eps_start``.  Returns
-    (u, iterations, residual_norm, converged).  Dirichlet values of u0 are
-    held fixed.
+    """Damped Newton with eps-continuation from ``eps_start`` (only the
+    EPS_FLOOR stage at p = 2).  Returns (u, iterations, residual_norm,
+    converged).  Dirichlet values of u0 are held fixed.
 
     A stage above EPS_FLOOR ends at its gate (max(tol, eps / 100) times
     the residual scale), on a stall (STALL_STEPS accepted steps that
@@ -494,7 +501,7 @@ def _newton_core(
     u = u0.copy()
 
     stages = []
-    e = eps_start
+    e = EPS_FLOOR if p == 2.0 else eps_start
     while e > EPS_FLOOR * 1.0000001:
         stages.append(e)
         e *= EPS_FACTOR
@@ -608,26 +615,22 @@ def solve_dirichlet(
 # eigenpairs
 # ---------------------------------------------------------------------------
 
-def smallest_generalized_eigen(
-    diag: np.ndarray, off: np.ndarray, mass: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue of the pencil (A, M) for symmetric positive
-    definite tridiagonal A and diagonal M >= 0, with its eigenvector x
-    scaled to x^T M x = 1 and its largest-magnitude entry positive.
+def smallest_generalized_eigen(diag: np.ndarray, off: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Eigenvector x of the smallest eigenvalue of the pencil (A, M), for
+    symmetric positive definite tridiagonal A and diagonal M >= 0, scaled
+    to x^T M x = 1 with its largest-magnitude entry positive.  Callers take
+    the eigenvalue as the quotient at x, which is accurate to second order
+    in x's error.
 
     A - sigma M is positive definite exactly when sigma lies below the
     smallest eigenvalue (Sylvester's law of inertia; rows without mass carry
-    no sigma term), so the eigenvalue is bisected to adjacent floats on
-    whether dpttrf's LDL^T factorization of A - sigma M succeeds.  Every
-    number stays in range when the mass is graded over hundreds of decades
-    or vanishes outside a window.  Two steps of inverse iteration on
-    A - sigma M just below the eigenvalue give the vector on every node.
-    The work is O(m) per bisection step.  The eigenvalue is only as accurate
-    as the (diag, off) form of A lets any backward-stable method be: when
-    A's row sums are small against its diagonal (a stiffness matrix on a
-    fine grid) a small eigenvalue can carry relative errors far above
-    rounding, while the Rayleigh quotient at the vector is accurate to
-    second order in the vector's error.
+    no sigma term), so the eigenvalue is bracketed to relative width 1e-6
+    by bisection on whether dpttrf's LDL^T factorization of A - sigma M
+    succeeds.  Three steps of inverse iteration on the factors of
+    A - sigma M, sigma just below the bracket, give the vector on every
+    node.  Every number stays in range when the mass is graded over
+    hundreds of decades or vanishes outside a window, and the work is O(m)
+    per factorization.
 
     Raises ValueError for a negative or identically vanishing mass, and
     PreconditionError when A is not positive definite or the vector solve
@@ -650,30 +653,25 @@ def smallest_generalized_eigen(
     lo = hi
     while not below(lo):
         hi, lo = lo, lo * 2.0**-16
-    while lo < (mid := math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)) < hi:
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
+    while hi - lo > 1e-6 * hi:
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+        if not lo < mid < hi:  # a subnormal bracket runs out of digits first
+            break
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
 
-    shifted = np.zeros((3, diag.size))
-    shifted[0, 1:] = off
-    shifted[1, :] = diag - hi * (1.0 - 1e-10) * mass
-    shifted[2, :-1] = off
+    # the offset keeps the shift off an eigenvalue that the bisection landed
+    # on exactly, where the factors would be singular
+    dl, el, info = dpttrf(diag - lo * (1.0 - 1e-10) * mass, off)
     x = np.ones(diag.size)
-    try:
-        for _ in range(2):
-            x = solve_banded((1, 1), shifted, mass * x)
-            x /= np.max(np.abs(x))
-    except np.linalg.LinAlgError as exc:
-        raise PreconditionError(f"inverse iteration failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise PreconditionError("eigenvector came out non-finite")
-    return hi, _oriented(x / math.sqrt(float(np.sum(mass * x * x))))
-
-
-def _oriented(vec: np.ndarray) -> np.ndarray:
-    return -vec if vec[np.argmax(np.abs(vec))] < 0 else vec
+    for _ in range(3):
+        if info != 0:
+            break
+        x, info = dpttrs(dl, el, mass * x)
+        x /= np.max(np.abs(x))
+    if info != 0 or not np.all(np.isfinite(x)):
+        raise PreconditionError(f"inverse iteration gave no finite vector (LAPACK info {info})")
+    x /= math.sqrt(float(np.sum(mass * x * x)))
+    return -x if x[np.argmax(np.abs(x))] < 0 else x
 
 
 def principal_eigenpair(

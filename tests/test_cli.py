@@ -276,6 +276,20 @@ REFUSED = {
         False,
     ),
 }
+# a tolerance outside (0, 1) is never met, or is met at the start, and the
+# solve used to report convergence either way
+for _value in ("nan", "-1", "0", "1", "inf"):
+    REFUSED[f"residual-tol-{_value}"] = (
+        STUCK_SOLVE_INI.replace("max_iter_per_stage = 2", f"residual_tol = {_value}"),
+        "config error: [tolerances] residual_tol must lie in (0, 1)",
+        False,
+    )
+for _value in ("1", "inf"):
+    REFUSED[f"eigen-rtol-{_value}"] = (
+        P3_EIG_INI + f"\n[tolerances]\neigen_rtol = {_value}\n",
+        "config error: [tolerances] eigen_rtol must lie in (0, 1)",
+        False,
+    )
 
 
 def run_cli(tmp_path, ini_text, *extra):
@@ -457,6 +471,13 @@ class TestFailureModes:
         proc, out, report = run_cli(tmp_path, CERTIFY_INI, "--levels", count)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("config error: --levels:"), proc.stderr
+        assert report is None and not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "1"])
+    def test_tol_flag_out_of_range_is_config_error(self, tmp_path, tol):
+        proc, out, report = run_cli(tmp_path, STUCK_SOLVE_INI, f"--tol={tol}")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("config error: [tolerances] residual_tol must lie in (0, 1)")
         assert report is None and not out.exists()
 
     @pytest.mark.parametrize("case", sorted(REFUSED))

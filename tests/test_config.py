@@ -1,5 +1,6 @@
-"""parse_config on hostile input: every config either parses or is refused
-with ConfigError, which the CLI turns into exit 1.  Nothing here solves."""
+"""parse_config on hostile input: every config either parses, with its
+tolerances in (0, 1), or is refused with ConfigError, which the CLI turns
+into exit 1.  Nothing here solves."""
 
 from __future__ import annotations
 
@@ -52,6 +53,9 @@ def _parses_or_refuses(path, text: str) -> None:
     except Exception as exc:  # the failure names the config that escaped
         pytest.fail(f"{exc!r} escaped parse_config on\n{text}")
     assert isinstance(cfg, RunConfig)
+    tol = cfg.solver.residual_tol
+    assert tol is None or 0.0 < tol < 1.0, text
+    assert 0.0 < cfg.solver.eigen_rtol < 1.0, text
 
 
 def test_each_hostile_value_in_each_field(tmp_path):

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -106,6 +106,25 @@ class TestThreshold:
         t2 = threshold_tN(prob, (-4.0, 4.0), doubled, resolution=401)
         assert t2 == pytest.approx(0.5 * t1, rel=1e-9)
 
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(p=st.sampled_from([1.5, 3.0]), exponent=st.floats(-3.0, 3.0))
+    def test_threshold_scales_inversely_with_the_weight(self, p, exponent):
+        # c t_N(c W) = t_N(W): the quotient is linear in 1 / W.  Below
+        # c = 0.02 the p = 1.5 inner solves fail (see the next test)
+        c = 10.0**exponent
+        assume(p != 1.5 or c >= 0.02)
+        prob = ray_problem(3, p)
+        W = PotentialSpec.bump(2.0, 1.0, 1.0)
+        t = threshold_tN(prob, (0.5, 8.0), W)
+        assert c * threshold_tN(prob, (0.5, 8.0), W.scaled(c)) == pytest.approx(t, rel=1e-8)
+
+    @pytest.mark.xfail(raises=StateError, strict=True, reason="p < 2 Newton stalls (ROADMAP item 11)")
+    def test_p15_threshold_with_a_small_weight(self):
+        # an inner solve of the inverse power iteration runs its eps = 1e-8
+        # stage to the 200-iteration cap, at about 1e3 times its gate
+        prob = ray_problem(3, 1.5)
+        threshold_tN(prob, (0.5, 8.0), PotentialSpec.bump(2.0, 1.0, 1e-2))
+
     def test_log_frame_agrees_with_radial(self):
         # frame "auto" maps radial inputs through the log reduction when
         # d == p; "radial" forbids the mapping. Same quotient, two frames.
@@ -180,6 +199,27 @@ class TestVerdicts:
         ex = make_exhaustion(prob, 5, base=1.0, growth=2.0, style="line", x0=0.0)
         rep = criticality_verdict(prob, ex, weight=BUMP, resolution=401)
         assert rep.verdict == "undetermined"
+
+    def test_p2_eigensolve_factors_a_bracket_not_adjacent_floats(self, monkeypatch):
+        # criterion 05's d = 1 line verdict; bisecting the eigenvalue down
+        # to adjacent floats took 60 factorizations in one solve
+        counts = []
+        eigen, factor = solver.smallest_generalized_eigen, solver.dpttrf
+
+        def counted_eigen(*args):
+            counts.append(0)
+            return eigen(*args)
+
+        def counted_factor(*args):
+            counts[-1] += 1
+            return factor(*args)
+
+        monkeypatch.setattr(solver, "smallest_generalized_eigen", counted_eigen)
+        monkeypatch.setattr(solver, "dpttrf", counted_factor)
+        prob = line_problem()
+        ex = make_exhaustion(prob, 15, base=1.0, growth=2.0, style="line")
+        assert criticality_verdict(prob, ex, resolution=801).verdict == "critical"
+        assert counts and max(counts) <= 32
 
 
 class TestNullSequence:

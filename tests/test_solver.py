@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh, solveh_banded
 
 import oracles
@@ -90,6 +92,21 @@ class TestSolveDirichlet:
         exact = g.nodes * (1.0 - g.nodes)
         assert np.max(np.abs(rep.solution.values - exact)) <= 1e-12
         assert rep.solution.at(0.5) == pytest.approx(0.25, abs=1e-12)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(p=st.sampled_from([1.5, 2.0, 3.0, 4.0]), exponent=st.floats(-3.0, 3.0))
+    def test_solution_is_homogeneous_in_the_data(self, p, exponent):
+        # Q' is (p - 1)-homogeneous: boundary c b and forcing c^(p-1) f
+        # give c u
+        c = 10.0**exponent
+        prob = RadialProblem(p, 3, (0.0, np.inf), PotentialSpec.constant(1.0))
+        g = build_grid(prob, (0.5, 3.0), 401)
+        f = PotentialSpec.bump(1.5, 0.5, 2.0).sample(g.nodes)
+        base = solve_dirichlet(prob, g, (1.0, 0.5), f=make_field(g, f))
+        scaled = solve_dirichlet(prob, g, (c, 0.5 * c), f=make_field(g, c ** (p - 1.0) * f))
+        assert base.converged and scaled.converged
+        u = c * base.solution.values
+        assert np.max(np.abs(scaled.solution.values - u)) <= 1e-7 * np.max(np.abs(u))
 
     def test_linear_reproduction_general_p(self):
         prob = line_problem(p=3.5)
@@ -263,6 +280,11 @@ def dense_partial_mass_eigen(diag, off, mass):
     return 1.0 / vals[-1], vec if vec[np.argmax(np.abs(vec))] > 0 else -vec
 
 
+def rayleigh(diag, off, mass, x):
+    """The pencil's quotient at x, the eigenvalue its callers read."""
+    return float(diag @ (x * x) + 2.0 * off @ (x[:-1] * x[1:])) / float(mass @ (x * x))
+
+
 def laplacian_pencil(m, rng):
     """A stiffness-like positive definite tridiagonal A of order m: random
     cell couplings plus a positive potential."""
@@ -305,9 +327,9 @@ class TestSmallestGeneralizedEigen:
         diag, off = laplacian_pencil(m, rng)
         mass = make_mass(rng)
         assert 0 < np.count_nonzero(mass) < m
-        lam, vec = smallest_generalized_eigen(diag, off, mass)
+        vec = smallest_generalized_eigen(diag, off, mass)
         lam_ref, vec_ref = dense_partial_mass_eigen(diag, off, mass)
-        assert lam == pytest.approx(lam_ref, rel=1e-10)
+        assert rayleigh(diag, off, mass, vec) == pytest.approx(lam_ref, rel=1e-10)
         assert np.max(np.abs(vec - vec_ref)) <= 1e-10 * np.max(np.abs(vec_ref))
 
     @pytest.mark.parametrize(
@@ -322,7 +344,8 @@ class TestSmallestGeneralizedEigen:
         diag, off = 2.0 * np.ones(m), -np.ones(m - 1)
         mass = np.zeros(m)
         mass[window[0] : window[1]] = 1.0
-        lam, vec = smallest_generalized_eigen(diag, off, mass)
+        vec = smallest_generalized_eigen(diag, off, mass)
+        lam = rayleigh(diag, off, mass, vec)
         lam_ref, vec_ref = dense_partial_mass_eigen(diag, off, mass)
         assert lam == pytest.approx(exact, rel=1e-14)
         assert lam == pytest.approx(lam_ref, rel=1e-10)
@@ -333,7 +356,7 @@ class TestSmallestGeneralizedEigen:
         rng = np.random.default_rng(3)
         diag, off = laplacian_pencil(40, rng)
         mass = rng.uniform(0.5, 2.0, 40) if branch == "full-mass" else windows(40, [(10, 25)], rng)
-        _, vec = smallest_generalized_eigen(diag, off, mass)
+        vec = smallest_generalized_eigen(diag, off, mass)
         assert float(np.sum(mass * vec * vec)) == pytest.approx(1.0, rel=1e-13)
 
     @pytest.mark.parametrize("negative_at", ["complement", "support", "full-mass"])
@@ -352,14 +375,22 @@ class TestSmallestGeneralizedEigen:
             smallest_generalized_eigen(diag, off, mass)
 
     def test_failed_vector_solve_raises_precondition_error(self, monkeypatch):
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("singular matrix")
+        # a finite vector with a nonzero info: only the info check catches it
+        def singular(d, e, b):
+            return np.ones_like(b), 1
 
-        monkeypatch.setattr(solver, "solve_banded", singular)
+        monkeypatch.setattr(solver, "dpttrs", singular)
         mass = np.zeros(10)
         mass[3:6] = 1.0
         with pytest.raises(PreconditionError):
             smallest_generalized_eigen(2.0 * np.ones(10), -np.ones(9), mass)
+
+    def test_subnormal_pencil_ends_with_precondition_error(self):
+        # the bracket runs out of subnormal digits before its relative width
+        # reaches 1e-6, and the inverse iteration overflows
+        m = 10
+        with np.errstate(all="ignore"), pytest.raises(PreconditionError):
+            smallest_generalized_eigen(2e-318 * np.ones(m), -1e-318 * np.ones(m - 1), np.ones(m))
 
     @pytest.mark.parametrize("m", [8, 13, 40])
     @pytest.mark.parametrize("branch", ["full-mass", "partial-mass"])
@@ -370,7 +401,7 @@ class TestSmallestGeneralizedEigen:
         else:
             mass = np.zeros(m)
             mass[m // 3 : 2 * m // 3] = 1.0
-        _, vec = smallest_generalized_eigen(diag, off, mass)
+        vec = smallest_generalized_eigen(diag, off, mass)
         assert vec[np.argmax(np.abs(vec))] > 0
         # the principal vector of an irreducible M-matrix pencil is one-signed
         assert np.all(vec > 0)

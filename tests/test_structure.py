@@ -349,6 +349,27 @@ def test_near_constant_solve_leaves_stalled_stages(newton_stages):
     assert sum(newton_stages[0].values()) == rep.iterations <= 40
 
 
+def test_p2_solve_takes_no_eps_walk(monkeypatch, newton_stages):
+    # eps is inert at p = 2, so each stage above EPS_FLOOR only repeated
+    # the failed line search of the one before: 8 iterations and 282
+    # residual evaluations on this solve
+    evaluations = []
+    residual_and_scale = DiscreteOperator.residual_and_scale
+
+    def counted(self, u, load):
+        evaluations.append(1)
+        return residual_and_scale(self, u, load)
+
+    monkeypatch.setattr(DiscreteOperator, "residual_and_scale", counted)
+    prob = RadialProblem(2.0, 3, (0.0, np.inf), PotentialSpec.zero())
+    grid = build_grid(prob, (1.0, 2.0), 401)
+    rep = solve_dirichlet(prob, grid, (1.0, 1.0 + 1e-9))
+    assert rep.converged
+    [stages] = newton_stages
+    assert set(stages) == {EPS_FLOOR}
+    assert rep.iterations <= 2 and len(evaluations) <= 45
+
+
 _D4 = RadialProblem(3.0, 4, (0.0, np.inf), PotentialSpec.zero())
 _D3 = RadialProblem(3.0, 3, (0.0, np.inf), PotentialSpec.zero())
 _LOG9 = ExhaustionSchedule(tuple((-(2.0**k), 2.0**k) for k in range(1, 10)), 0.0)
