@@ -71,12 +71,7 @@ def _write_profile(path: Path, field: Field) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_eig(cfg: RunConfig, sc: SolverConfig, out: Path):
-    if "level" in cfg.params:
-        level = cfg.interval("level")
-    elif cfg.exhaustion is not None:
-        level = cfg.exhaustion.levels[0]
-    else:
-        raise ConfigError("[command] eig needs level or an [exhaustion] block")
+    level = cfg.interval("level")
     resolution = cfg.integer("resolution", 801)
     grid = build_grid(cfg.problem, level, resolution)
     res = principal_eigenpair(cfg.problem, grid, sc)

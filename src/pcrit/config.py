@@ -251,13 +251,8 @@ def parse_config(
             if levels_override is not None:
                 levels = levels[:levels_override]
             x0 = _parse_number(ex_sec.get("x0", str(sum(levels[0]) / 2)), "[exhaustion] x0")
-            x1 = (
-                _parse_number(ex_sec["x1"], "[exhaustion] x1")
-                if "x1" in ex_sec
-                else None
-            )
             try:
-                exhaustion = ExhaustionSchedule(levels, x0=x0, x1=x1)
+                exhaustion = ExhaustionSchedule(levels, x0=x0)
             except ValueError as e:
                 raise ConfigError(f"[exhaustion]: {e}") from None
         else:
@@ -267,12 +262,9 @@ def parse_config(
             x0 = (
                 _parse_number(ex_sec["x0"], "[exhaustion] x0") if "x0" in ex_sec else None
             )
-            x1 = (
-                _parse_number(ex_sec["x1"], "[exhaustion] x1") if "x1" in ex_sec else None
-            )
             try:
                 exhaustion = make_exhaustion(
-                    problem, count, base=base, growth=growth, style=style, x0=x0, x1=x1
+                    problem, count, base=base, growth=growth, style=style, x0=x0
                 )
             except (ValueError, DomainError) as e:
                 raise ConfigError(f"[exhaustion]: {e}") from None

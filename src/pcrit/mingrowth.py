@@ -250,7 +250,8 @@ def point_singularity_solution(
     singularity: the puncture radius is a_N - x0 (strictly decreasing), the
     forcing is a unit bump on the annulus between one and two puncture
     radii, boundary data is zero at both ends, and the solve is rescaled to
-    equal 1 at x1 afterwards (exact by degree-(p-1) homogeneity).  The
+    equal 1 at x1 (default: the exhaustion's x0) afterwards (exact by
+    degree-(p-1) homogeneity).  The
     run's ``limit`` carries the singularity profile on windows between the
     final puncture and x1.
     """
@@ -262,7 +263,7 @@ def point_singularity_solution(
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ValueError("puncture radii (a_N - x0) must be strictly decreasing")
     if x1 is None:
-        x1 = exhaustion.x1 if exhaustion.x1 is not None else exhaustion.x0
+        x1 = exhaustion.x0
     if not levels[0][0] < x1 < levels[0][1]:
         raise ValueError(f"normalization point {x1} must lie inside the first level")
 
@@ -434,7 +435,7 @@ def removability_test(
     flux = float(r_ext[j0])
     # floor at the rounding level of the flux terms so that fields with
     # vanishing residual scale (constants with V = 0) still get a sane gate
-    scale = max(scale, 1e-6 * op.flux_floor(ext.values), 1e-300)
+    scale = max(scale, 1e-6 * op.flux_sensitivity(ext.values), 1e-300)
     gate = 10.0 * tol * scale
     verdict = "nonremovable-flux" if abs(flux) > gate else "removable"
     return RemovabilityReport(verdict, tuple(sups), flux, scale, gate)

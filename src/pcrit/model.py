@@ -605,23 +605,19 @@ class CompactSetSpec:
 
 @dataclass(frozen=True)
 class ExhaustionSchedule:
-    """Nested bounded levels exhausting the domain, with reference points.
+    """Nested bounded levels exhausting the domain, with a reference point.
 
     x0 must lie in the first level; it is where ground states and null
-    sequences are normalized.  x1 is an optional second reference used by
-    operations that need one (point-singularity normalization).
+    sequences are normalized.
     """
 
     levels: tuple[tuple[float, float], ...]
     x0: float
-    x1: float | None = None
 
     def __post_init__(self):
         levels = tuple((float(a), float(b)) for a, b in self.levels)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "x0", float(self.x0))
-        if self.x1 is not None:
-            object.__setattr__(self, "x1", float(self.x1))
         if len(levels) < 1:
             raise ValueError("exhaustion needs at least one level")
         for a, b in levels:
@@ -660,7 +656,6 @@ def make_exhaustion(
     growth: float = 2.0,
     style: str = "auto",
     x0: float | None = None,
-    x1: float | None = None,
 ) -> ExhaustionSchedule:
     """Standard exhaustion schedules.
 
@@ -728,7 +723,7 @@ def make_exhaustion(
     else:
         raise ValueError(f"unknown exhaustion style {style!r}")
 
-    sched = ExhaustionSchedule(tuple(levels), ref if x0 is None else float(x0), x1)
+    sched = ExhaustionSchedule(tuple(levels), ref if x0 is None else float(x0))
     sched.validate(problem)
     return sched
 

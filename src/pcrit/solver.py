@@ -231,14 +231,11 @@ class DiscreteOperator:
         r += pot - load
         return r
 
-    def residual(self, u: np.ndarray, load: np.ndarray) -> np.ndarray:
-        """Residual at every node (values at Dirichlet nodes are reported
-        too, where they equal the boundary flux defect; callers mask them)."""
-        return self._assemble(*self._flux_and_potential(u), load)
-
     def residual_and_scale(self, u: np.ndarray, load: np.ndarray) -> tuple[np.ndarray, float]:
-        """The residual, and the magnitude of its constituent terms before
-        cancellation (tolerances are taken relative to it)."""
+        """The residual at every node, and the magnitude of its constituent
+        terms before cancellation (tolerances are taken relative to it).
+        Values at Dirichlet nodes are reported too, where they equal the
+        boundary flux defect; callers mask them."""
         flux, pot = self._flux_and_potential(u)
         g_abs = np.abs(flux)
         flux_part = np.zeros_like(u)
@@ -274,17 +271,13 @@ class DiscreteOperator:
             return math.nan, mass
         return (q.gradient_term + q.potential_term) / mass, mass
 
-    def flux_floor(self, u: np.ndarray) -> float:
-        """max(cell_w / h) * max|u|: the size of the flux terms at u's
-        magnitude, whose rounding bounds how small a residual can get."""
-        return float(np.max(self._flux_w)) * float(np.max(np.abs(u), initial=0.0))
-
     def flux_sensitivity(self, u: np.ndarray) -> float:
         """max over cells of (cell_w / h) phi_p'(|s| + t), times max|u|: how
         far the flux terms move when u moves by a relative eps, up to the
         factor eps / h, which bounds how small a residual can get.  The
         offset t = eps max|u| / min h, the slope change of a one-ulp move of
-        u, keeps phi_p' finite for p < 2.  At p = 2 this is flux_floor."""
+        u, keeps phi_p' finite for p < 2.  At p = 2 this is
+        max(cell_w / h) * max|u|."""
         g, p = self.grid, self.p
         umax = float(np.max(np.abs(u), initial=0.0))
         if umax == 0.0:
@@ -460,7 +453,7 @@ def weak_residual(u: Field, problem: RadialProblem, f: Field | None = None) -> F
     function pairing with midpoint fluxes and dual-cell mass weights.
     """
     op = DiscreteOperator.bind(problem, u.grid)
-    r = op.residual(u.values, op.load(f))
+    r = op.residual_and_scale(u.values, op.load(f))[0]
     r[u.grid.dirichlet_mask] = 0.0
     return Field(u.grid, r)
 
@@ -536,25 +529,15 @@ def _newton_core(
                         eps, res_norm, ratio, STALL_STEPS,
                     )
                     break
-            ab = op.jacobian(u, eps)
-            du = None
-            shift = 0.0
-            for _attempt in range(8):
-                try:
-                    ab_try = ab.copy()
-                    ab_try[1, :] += shift
-                    du = solve_banded(
-                        (1, 1), ab_try, -r, overwrite_ab=True, overwrite_b=True, check_finite=False
-                    )
-                except np.linalg.LinAlgError:
-                    du = None
-                if du is not None and np.all(np.isfinite(du)):
-                    break
-                shift = max(2.0 * shift, 1e-8 * float(np.max(np.abs(ab[1])))) if shift else 1e-12 * float(
-                    np.max(np.abs(ab[1])) or 1.0
+            try:
+                du = solve_banded(
+                    (1, 1), op.jacobian(u, eps), -r,
+                    overwrite_ab=True, overwrite_b=True, check_finite=False,
                 )
+            except np.linalg.LinAlgError:
+                du = None
             if du is None or not np.all(np.isfinite(du)):
-                logger.debug("newton: linear solve failed irrecoverably at eps=%g", eps)
+                logger.debug("newton: linear solve failed at eps=%g", eps)
                 break
             merit = 0.5 * float(np.dot(r, r))
             alpha = 1.0
@@ -599,7 +582,6 @@ def solve_dirichlet(
     boundary: tuple[float | None, float],
     f: Field | None = None,
     config: SolverConfig = DEFAULT_CONFIG,
-    initial: Field | None = None,
 ) -> SolveReport:
     """Solve Q'(u) = f on the grid with prescribed nonnegative boundary data.
 
@@ -608,7 +590,7 @@ def solve_dirichlet(
     there).  f, when given, must be a nonnegative field on the same grid.
     Non-convergence is reported through the ``converged`` flag.
     """
-    return DiscreteOperator.bind(problem, grid).dirichlet(boundary, f, config, initial)
+    return DiscreteOperator.bind(problem, grid).dirichlet(boundary, f, config, None)
 
 
 # ---------------------------------------------------------------------------

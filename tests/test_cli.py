@@ -139,6 +139,30 @@ OVERFLOW_SOLVE_INI = dedent(
     """
 )
 
+# one Newton step per eps stage starves the first level's threshold
+# eigensolve, so no level yields a threshold and the verdict cannot be made
+NO_THRESHOLD_CRIT_INI = dedent(
+    """\
+    [problem]
+    p = 3.0
+    d = 3
+    domain = 0 inf
+    potential = zero
+
+    [exhaustion]
+    style = annuli
+    count = 5
+
+    [command]
+    name = critical
+    frame = radial
+    resolution = 201
+
+    [tolerances]
+    max_iter_per_stage = 1
+    """
+)
+
 # the inverse power iteration's start has no usable quotient: at p = 1e308
 # its weighted mass |u|^p underflows to 0, and at V = -1e308 the quotient
 # cancels the eigenpair's shift to 0.0
@@ -407,6 +431,24 @@ class TestMingrowthCommand:
         assert (out / "mingrowth_profile.csv").is_file()
 
 
+class TestLevelsFlag:
+    # CERTIFY_INI lists its levels (0, 16), (0, 32); CRIT_INI builds
+    # (-2**k, 2**k) for k = 1..15 from the line style
+    @pytest.mark.parametrize(
+        "ini_text, kept, csv_name, level_his",
+        [
+            (CERTIFY_INI, "1", "certify_mus.csv", [16.0]),
+            (CRIT_INI, "6", "critical_thresholds.csv", [2.0**k for k in range(1, 7)]),
+        ],
+        ids=["levels-list", "style"],
+    )
+    def test_levels_flag_keeps_the_first_levels(self, tmp_path, ini_text, kept, csv_name, level_his):
+        proc, out, _ = run_cli(tmp_path, ini_text, "--levels", kept)
+        assert proc.returncode == 0, proc.stderr
+        rows = (out / csv_name).read_text().splitlines()[1:]
+        assert [float(row.split(",")[2]) for row in rows] == level_his
+
+
 class TestValidateCommand:
     def test_all_suites_pass(self, tmp_path):
         proc, _, report = run_cli(tmp_path, VALIDATE_INI)
@@ -453,6 +495,13 @@ class TestFailureModes:
         assert report["results"]["converged"] is False
         assert report["results"]["final_residual_norm"] == "inf"
         assert report["problem"]["domain"] == [0.0, "inf"]
+
+    def test_state_error_exits_2_without_output(self, tmp_path):
+        proc, out, _ = run_cli(tmp_path, NO_THRESHOLD_CRIT_INI)
+        assert proc.returncode == 2, proc.stderr
+        assert "solver failure: no level produced a threshold; cannot classify" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(NO_MASS_EIG_INI))
     def test_eigensolve_without_a_usable_start_reports_failure(self, tmp_path, case):

@@ -85,18 +85,19 @@ potential = st.lists(
     min_size=1,
     max_size=3,
 ).map(" + ".join)
+# every example draws a real style, so each make_exhaustion branch meets
+# the hostile values; test_each_hostile_value_in_each_field puts hostile
+# values in the style key itself
+style = st.sampled_from(["line", "annuli", "balls", "halfline", "shrink", "auto"])
 overrides = st.dictionaries(
-    st.sampled_from(sorted(VALID)),
-    st.one_of(
-        number,
-        st.tuples(number, number).map(" ".join),
-        st.sampled_from(["line", "annuli", "shrink", "halfline", "auto"]),
-    ),
+    st.sampled_from(sorted(set(VALID) - {("exhaustion", "style")})),
+    st.one_of(number, st.tuples(number, number).map(" ".join)),
     max_size=3,
 )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(overrides, potential)
-def test_hostile_combinations(tmp_path_factory, changed, potential_text):
+@given(style, overrides, potential)
+def test_hostile_combinations(tmp_path_factory, style_name, changed, potential_text):
+    changed[("exhaustion", "style")] = style_name
     _parses_or_refuses(tmp_path_factory.getbasetemp() / "fuzz.ini", _ini(changed, potential_text))

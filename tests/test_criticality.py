@@ -3,6 +3,7 @@ capacity, and positivity weights."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from pcrit import (
     criticality_verdict,
     ground_state,
     classify_sign,
+    log_reduced_level,
     log_reduced_problem,
     make_exhaustion,
     null_sequence,
@@ -239,6 +241,20 @@ class TestNullSequence:
         energies = [e.energy for e in run.entries]
         assert all(a > b for a, b in zip(energies, energies[1:]))
         assert energies[-1] < 1e-3 * energies[0]
+
+    def test_auto_frame_maps_annuli_to_log_coordinates(self):
+        # at d == p with every level away from 0, "auto" runs in the log
+        # frame: the same levels and x0 given already mapped agree bit for bit
+        prob = ray_problem(3, 3.0)
+        ex = make_exhaustion(prob, 5, style="annuli")
+        auto = null_sequence(prob, ex, resolution=201, frame="auto")
+        mapped = ExhaustionSchedule(
+            tuple(log_reduced_level(lv) for lv in ex.levels), math.log(ex.x0)
+        )
+        log = null_sequence(prob, mapped, resolution=201, frame="log")
+        assert auto.coordinates == log.coordinates == "log"
+        assert auto.failures == () and len(auto.entries) == 5
+        assert [e.t for e in auto.entries] == [e.t for e in log.entries]
 
     def test_masses_stay_banded(self):
         prob = line_problem()

@@ -175,6 +175,27 @@ class TestExhaustion:
         ex.validate(prob)
         assert all(a == 0.0 for a, _ in ex.levels)
 
+    @pytest.mark.parametrize(
+        "d, domain, picked",
+        [
+            (1, (-np.inf, np.inf), "line"),
+            (3, (0.0, np.inf), "annuli"),
+            (1, (0.0, np.inf), "halfline"),
+            (3, (1.0, np.inf), "halfline"),
+            (3, (0.0, 1.0), "shrink"),
+            (1, (-1.0, 2.0), "shrink"),
+        ],
+    )
+    def test_auto_style_follows_the_domain_shape(self, d, domain, picked):
+        prob = RadialProblem(2.0, d, domain, PotentialSpec.zero())
+        ex = make_exhaustion(prob, 5)
+        ex.validate(prob)
+        assert ex == make_exhaustion(prob, 5, style=picked)
+        for (a0, b0), (a1, b1) in zip(ex.levels, ex.levels[1:]):
+            assert a1 <= a0 and b0 <= b1 and (a1, b1) != (a0, b0)
+        a, b = ex.levels[0]
+        assert a < ex.x0 < b
+
     def test_repeated_interior_endpoint_rejected(self):
         # repeating a non-center endpoint breaks strict exhaustion growth
         prob = RadialProblem(2.0, 3, (1.0, np.inf), PotentialSpec.zero())
@@ -217,6 +238,50 @@ class TestPotentials:
         vals = spec.sample(r)
         assert vals[0] == pytest.approx(2.0)
         assert vals[1] == pytest.approx(1.0)
+
+
+finite = st.floats(-5.0, 5.0)
+simple_potential = st.one_of(
+    st.just(PotentialSpec.zero()),
+    st.builds(PotentialSpec.constant, finite),
+    st.builds(PotentialSpec.power, finite, st.floats(-3.0, 3.0)),
+    st.builds(PotentialSpec.bump, st.floats(-1.0, 4.0), st.floats(0.1, 3.0), finite),
+)
+any_potential = st.one_of(
+    simple_potential,
+    st.builds(PotentialSpec.log_reduced, simple_potential, st.floats(1.5, 4.0)),
+    st.builds(PotentialSpec.combination, simple_potential, simple_potential, finite),
+)
+
+
+def term_magnitude(spec: PotentialSpec, r: np.ndarray) -> np.ndarray:
+    """Sum of the absolute values of the spec's terms at r, the scale its
+    rounding is relative to."""
+    if spec.kind == "combo":
+        base, other = spec.inner
+        return term_magnitude(base, r) + abs(spec.coeffs[0]) * term_magnitude(other, r)
+    if spec.kind == "logmap":
+        return np.exp(spec.coeffs[0] * r) * term_magnitude(spec.inner, np.exp(r))
+    return np.abs(spec(r))
+
+
+class TestPotentialKinds:
+    R = np.linspace(0.1, 3.0, 30)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(spec=any_potential, c=st.floats(-10.0, 10.0))
+    def test_scaled_multiplies_the_values(self, spec, c):
+        scale = abs(c) * term_magnitude(spec, self.R)
+        assert np.all(np.abs(spec.scaled(c)(self.R) - c * spec(self.R)) <= 1e-14 * scale)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(spec=any_potential)
+    def test_describe_names_each_kind(self, spec):
+        text = spec.describe()
+        assert text.startswith(spec.kind)
+        if spec.kind in ("logmap", "combo"):
+            inner = spec.inner if spec.kind == "combo" else (spec.inner,)
+            assert all(part.describe() in text for part in inner)
 
 
 class TestCompactSetSpec:

@@ -191,6 +191,28 @@ class TestSolveDirichlet:
         assert rep.iterations == 0
         assert rep.final_residual_norm == np.inf
 
+    @pytest.mark.parametrize("failure", ["raises", "nan-step"])
+    def test_failed_linear_solve_ends_unconverged(self, monkeypatch, failure):
+        # one banded solve per Newton step: a singular Jacobian or a
+        # non-finite step ends its eps stage with no retry, and the solve
+        # is reported as failed
+        calls = []
+
+        def broken(*args, **kwargs):
+            calls.append(args)
+            if failure == "raises":
+                raise np.linalg.LinAlgError("singular matrix")
+            return np.full(args[2].size, np.nan)
+
+        monkeypatch.setattr(solver, "solve_banded", broken)
+        prob = RadialProblem(3.0, 3, (0.0, np.inf), PotentialSpec.constant(0.5))
+        g = build_grid(prob, (1.0, 2.0), 101)
+        rep = solve_dirichlet(prob, g, (1.0, 0.5))
+        assert rep.converged is False
+        assert rep.iterations == 0
+        assert len(calls) == 8  # one failed step in each eps stage, 1e-1 down to 1e-8
+        assert np.all(np.isfinite(rep.solution.values))
+
     def test_stage_cap_hits_are_logged(self, caplog):
         prob = RadialProblem(3.0, 4, (0.0, np.inf), PotentialSpec.zero())
         g = build_grid(prob, (1.0, 2.0), 801, law="uniform")

@@ -277,10 +277,18 @@ def test_newton_evaluates_each_point_once(monkeypatch):
         monkeypatch.setattr(DiscreteOperator, name, counted)
 
     record("residual_and_scale", "r")
-    record("residual", "r")
     record("jacobian", "s")
+    banded = []
+    solve_banded = solver.solve_banded
+
+    def counted_solve(*args, **kwargs):
+        banded.append(args)
+        return solve_banded(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_banded", counted_solve)
     rep = solve_dirichlet(prob, grid, (None, 1.0))
     assert rep.converged
+    assert len(banded) == rep.iterations  # one linear solve per Newton step
 
     # one evaluation at the start, then only the line-search trials that
     # follow each step: no evaluation at the top of a step or at the end
