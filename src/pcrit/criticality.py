@@ -8,7 +8,7 @@ nonnegative probe weight W supported near the reference point,
 
 the largest coupling for which the functional with potential V - t W stays
 nonnegative on the level.  The infimum is computed as the principal
-eigenvalue of the weighted pencil (tridiagonal bisection at p = 2,
+eigenvalue of the weighted pencil (shifted inverse iteration at p = 2,
 weighted inverse power iteration otherwise).  Minimizers of the quotient
 are the null-sequence elements: normalizing them at the reference point
 turns a decaying t_N into a locally uniform limit, the ground state.

@@ -449,9 +449,11 @@ def build_graded_grid(
 
     Outside the focus the local cell size is max(h_fine, 0.02 * |r|), so
     the spacing is position-geometric far from the origin and floors at the
-    fine spacing near it.  On levels spanning many decades this keeps the
-    node count logarithmic in the span while fully resolving the window
-    where the interesting structure (a probe weight, a forcing bump) lives.
+    fine spacing near it; a march ends at the level's end once that is
+    within 1.5 steps, and is built one regime of that law at a time.  On
+    levels spanning many decades this keeps the node count logarithmic in
+    the span while fully resolving the window where the interesting
+    structure (a probe weight, a forcing bump) lives.
     """
     a, b = problem.require_level(level)
     resolution = int(resolution)
@@ -463,21 +465,40 @@ def build_graded_grid(
         raise ValueError(f"focus window {focus} does not meet the level ({a}, {b})")
     h0 = (fb - fa) / (resolution - 1)
 
-    def march(start: float, target: float, sign: float) -> list[float]:
-        out = []
+    def march(start: float, target: float, sign: float) -> np.ndarray:
+        # the nodes after start through target, one array per regime; a
+        # run's length comes from its distance to the target or the regime's
+        # edge, capped at 20000 steps so that 1.02**k stays below 1e173
+        runs = []
         r = start
         while True:
-            step = max(h0, 0.02 * abs(r))
-            remaining = (target - r) * sign
-            if remaining <= 1.5 * step:
-                out.append(target)
-                return out
-            r = r + sign * step
-            out.append(r)
+            geometric = 0.02 * abs(r) > h0
+            if geometric:
+                c = 0.02 if sign * r > 0 else -0.02
+                g = 1.0 + c
+                # |r| moves to a target on this side of 0, or to 50 h0
+                edge = max(50.0 * h0, abs(target) if (target > 0) == (r > 0) else 0.0)
+                n = int(abs(math.log(edge) - math.log(abs(r))) / abs(math.log(g))) + 1
+                k = np.arange(max(2, min(n, 20000)))
+                # g = fl(1 + c) misses a step's factor 1 + c by the exactly
+                # representable (1 - g) + c, put back to first order in k
+                nodes = r * g**k * (1.0 + k * (((1.0 - g) + c) / g))
+            else:  # one step past |r| = 50 h0, where the law turns geometric
+                span = min((target - r) * sign, 51.0 * h0 - sign * r)
+                nodes = r + sign * h0 * np.arange(max(2, int(span / h0) + 1))
+            law = 0.02 * np.abs(nodes)
+            stop = (target - nodes) * sign <= 1.5 * np.maximum(h0, law)
+            hit = np.flatnonzero(stop | ((law > h0) != geometric))
+            j = hit[0] if hit.size else nodes.size - 1
+            runs.append(nodes[1 : j + 1])
+            if stop[j]:
+                runs.append([target])
+                return np.concatenate(runs)
+            r = nodes[j]
 
     core = np.linspace(fa, fb, resolution)
-    left = march(fa, a, -1.0)[::-1] if fa > a else []
-    right = march(fb, b, +1.0) if fb < b else []
+    left = march(fa, a, -1.0)[::-1] if fa > a else ()
+    right = march(fb, b, +1.0) if fb < b else ()
     nodes = np.concatenate((left, core, right))
     return Grid(nodes, problem.weight_exponent)
 

@@ -28,13 +28,14 @@ slices read the bound samples, and capacities and exhaustion limits share
 its held-run solve.  Its weighted principal pair serves both the principal
 eigenpair (weight 1) and the probe thresholds of pcrit.criticality: for
 p = 2 the discrete quotient is minimized by the smallest eigenvector of a
-tridiagonal pencil, found by inverse iteration on one LDL^T factorization
-shifted just below a bisected bracket of its eigenvalue; for p != 2 an
-inverse power iteration is used, u_{k+1} solving Q'(u_{k+1}) =
-W phi_p(u_k) weakly.  At every p the eigenvalue is the quotient at the
-vector.  For the eigenpair the potential is shifted by a reported constant
-when it is negative somewhere, so the p = 2 pencil is positive definite
-and each p != 2 iterate solves a coercive problem.
+tridiagonal pencil, found by rounds of inverse iteration, each on one LDL^T
+factorization shifted just below a bracket of its eigenvalue that bisection
+narrows between rounds; for p != 2 an inverse power iteration is used,
+u_{k+1} solving Q'(u_{k+1}) = W phi_p(u_k) weakly.  At every p the
+eigenvalue is the quotient at the vector.  For the eigenpair the potential
+is shifted by a reported constant when it is negative somewhere, so the
+p = 2 pencil is positive definite and each p != 2 iterate solves a
+coercive problem.
 """
 from __future__ import annotations
 
@@ -606,11 +607,13 @@ def smallest_generalized_eigen(diag: np.ndarray, off: np.ndarray, mass: np.ndarr
 
     A - sigma M is positive definite exactly when sigma lies below the
     smallest eigenvalue (Sylvester's law of inertia; rows without mass carry
-    no sigma term), so the eigenvalue is bracketed to relative width 1e-6
-    by bisection on whether dpttrf's LDL^T factorization of A - sigma M
-    succeeds.  Three steps of inverse iteration on the factors of
-    A - sigma M, sigma just below the bracket, give the vector on every
-    node.  Every number stays in range when the mass is graded over
+    no sigma term), so dpttrf's LDL^T factorization of A - sigma M brackets
+    the eigenvalue, to a factor 2 by geometric bisection.  Each round then
+    factors once, sigma just below the bracket, and takes up to 8 inverse
+    iteration steps, which converge at the rate (lambda_1 - sigma) /
+    (lambda_2 - sigma); unless two successive vectors agree to 1e-13, it
+    bisects the bracket 4 more times and hands its vector to the next
+    round.  Every number stays in range when the mass is graded over
     hundreds of decades or vanishes outside a window, and the work is O(m)
     per factorization.
 
@@ -627,29 +630,38 @@ def smallest_generalized_eigen(diag: np.ndarray, off: np.ndarray, mass: np.ndarr
     def below(sigma: float) -> bool:
         return dpttrf(diag - sigma * mass, off)[2] == 0
 
+    def bisect(mid: float) -> bool:
+        # False once a subnormal bracket has no digits left to split
+        nonlocal lo, hi
+        if not lo < mid < hi:
+            return False
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+        return True
+
     if not below(0.0):
         raise PreconditionError("quadratic form is not positive definite on the level")
-    # bracket from the quotient at a unit vector, then bisect geometrically
-    # while the bracket spans more than a factor 2
+    # bracket from the quotient at a unit vector
     hi = float(np.min(diag[on] / mass[on]))
     lo = hi
     while not below(lo):
         hi, lo = lo, lo * 2.0**-16
-    while hi - lo > 1e-6 * hi:
-        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
-        if not lo < mid < hi:  # a subnormal bracket runs out of digits first
-            break
-        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    while hi > 2.0 * lo and bisect(math.sqrt(lo) * math.sqrt(hi)):
+        pass
 
-    # the offset keeps the shift off an eigenvalue that the bisection landed
-    # on exactly, where the factors would be singular
-    dl, el, info = dpttrf(diag - lo * (1.0 - 1e-10) * mass, off)
     x = np.ones(diag.size)
-    for _ in range(3):
-        if info != 0:
+    while True:
+        # the offset keeps the shift off an eigenvalue the bisection hit exactly
+        dl, el, info = dpttrf(diag - lo * (1.0 - 1e-10) * mass, off)
+        change = np.inf
+        for _ in range(8):
+            if info != 0 or not change > 1e-13:
+                break
+            y, info = dpttrs(dl, el, mass * x)
+            y /= np.max(np.abs(y))
+            change, x = np.max(np.abs(y - x)), y
+        # a non-finite vector stops the rounds too; the checks below refuse it
+        if not change > 1e-13 or info != 0 or not all(bisect(0.5 * (lo + hi)) for _ in range(4)):
             break
-        x, info = dpttrs(dl, el, mass * x)
-        x /= np.max(np.abs(x))
     if info != 0 or not np.all(np.isfinite(x)):
         raise PreconditionError(f"inverse iteration gave no finite vector (LAPACK info {info})")
     x /= math.sqrt(float(np.sum(mass * x * x)))

@@ -281,3 +281,31 @@ def envelope_sweep(p: float, n_angle: int = 60, n_mag: int = 120):
     denom = nb**2 * (na + nb) ** (p - 2.0)
     ratios = (numer / denom).astype(float)
     return float(ratios.min()), float(ratios.max())
+
+
+def graded_grid_nodes(
+    level: tuple[float, float], focus: tuple[float, float], resolution: int
+) -> np.ndarray:
+    """Nodes of the graded grid, one node at a time: uniform on the focus
+    window, then marching outward with step max(h0, 0.02 |r|) and ending at
+    the level's end once it is within 1.5 steps.
+    """
+    a, b = level
+    fa, fb = max(float(focus[0]), a), min(float(focus[1]), b)
+    h0 = (fb - fa) / (resolution - 1)
+
+    def march(start: float, target: float, sign: float) -> list[float]:
+        out = []
+        r = start
+        while True:
+            step = max(h0, 0.02 * abs(r))
+            remaining = (target - r) * sign
+            if remaining <= 1.5 * step:
+                out.append(target)
+                return out
+            r = r + sign * step
+            out.append(r)
+
+    left = march(fa, a, -1.0)[::-1] if fa > a else []
+    right = march(fb, b, +1.0) if fb < b else []
+    return np.concatenate((left, np.linspace(fa, fb, resolution), right))

@@ -8,11 +8,12 @@ import subprocess
 import sys
 from textwrap import dedent
 
+import numpy as np
 import pytest
 
 import oracles
 import pcrit
-from pcrit.cli import VALIDATION_SUITES, main
+from pcrit.cli import VALIDATION_SUITES, _write_csv, main
 
 PCRIT_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(pcrit.__file__)))
 
@@ -395,6 +396,19 @@ class TestEigCommand:
         csv_b = (out_b / "eig_profile.csv").read_bytes()
         assert csv_a == csv_b
         assert rep_a["results"] == rep_b["results"]
+
+    def test_csv_rows_match_the_per_value_format(self, tmp_path):
+        # the threshold and certificate files carry an integer index, and
+        # the profiles numpy floats: a row formatted at once must give the
+        # bytes that formatting each value and joining them gave
+        rows = [
+            (7, -0.0, 5e-324, 1e308, 0.1),
+            (0, np.float64(0.1), np.float64(-2.5e-310), -1e308, 1.0 / 3.0),
+        ]
+        header = "index,a,b,c,d"
+        _write_csv(tmp_path / "rows.csv", header, iter(rows))
+        expected = "\n".join([header] + [",".join("%.17g" % x for x in row) for row in rows])
+        assert (tmp_path / "rows.csv").read_bytes() == (expected + "\n").encode()
 
 
 class TestCriticalCommand:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from pcrit import (
     CompactSetSpec,
     DomainError,
@@ -214,6 +217,38 @@ class TestGradedGrid:
         steps = np.diff(g.nodes)
         inside = g.nodes[:-1] < 0.01
         assert steps[inside].max() < steps.max() / 10.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.floats(-1e6, 1e6),
+        span=st.floats(-3.0, 6.0).map(lambda e: 10.0**e),
+        cut=st.tuples(st.floats(0.0, 1.0), st.floats(-6.0, 0.0)),
+        at_zero=st.booleans(),
+        resolution=st.integers(3, 1200),
+    )
+    @example(a=1.0, span=1e300, cut=(0.0, -299.0), at_zero=False, resolution=401)
+    @example(a=-1.0, span=1e300, cut=(0.0, -310.0), at_zero=True, resolution=801)
+    @example(a=-50.0, span=100.0, cut=(0.0, -2.0), at_zero=True, resolution=51)
+    def test_matches_the_per_node_law(self, a, span, cut, at_zero, resolution):
+        # levels that cross 0, focus windows at 0, spans up to 1e6 and level
+        # ends at 1e300, one of them 310 decades from its window; the
+        # builder runs whole regimes where the oracle steps node by node,
+        # so the nodes agree to rounding
+        b = a + span
+        if at_zero and a < 0.0 < b:
+            focus = (0.0, b * 10.0 ** cut[1])
+        else:
+            fa = a + cut[0] * (b - a)
+            focus = (fa, fa + (b - fa) * 10.0 ** cut[1])
+        # the focus window's own linspace must resolve its spacing
+        assume((focus[1] - focus[0]) / (resolution - 1) > 1e-12 * max(map(abs, focus)))
+        ref = oracles.graded_grid_nodes((a, b), focus, resolution)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            nodes = build_graded_grid(line_problem(), (a, b), focus, resolution).nodes
+        assert nodes.size == ref.size
+        assert np.max(np.abs(nodes - ref)) <= 1e-13 * max(abs(a), abs(b))
+        assert np.all(np.diff(nodes) > 0)
 
 
 class TestPotentials:

@@ -373,6 +373,30 @@ class TestSmallestGeneralizedEigen:
         assert lam == pytest.approx(lam_ref, rel=1e-10)
         assert np.max(np.abs(vec - vec_ref)) <= 1e-10 * np.max(np.abs(vec_ref))
 
+    @pytest.mark.parametrize("m", [50, 70, 110, 190])
+    def test_two_near_equal_wells_need_refinement_rounds(self, m, monkeypatch):
+        # mirrored windows whose masses differ by 1e-3 put lambda_2 within
+        # about 1e-3 of lambda_1, so one round's 8 steps at a factor-2
+        # bracket cannot settle the vector; one dpttrf call per round and
+        # one per bisection, where a 1e-6 bracket took 28
+        calls = []
+        factor = solver.dpttrf
+
+        def counted_factor(*args):
+            calls.append(0)
+            return factor(*args)
+
+        monkeypatch.setattr(solver, "dpttrf", counted_factor)
+        diag, off = 2.0 * np.ones(m), -np.ones(m - 1)
+        mass = np.zeros(m)
+        mass[10:15] = 1.0
+        mass[m - 15 : m - 10] = 1.0 + 1e-3
+        vec = smallest_generalized_eigen(diag, off, mass)
+        lam_ref, vec_ref = dense_partial_mass_eigen(diag, off, mass)
+        assert rayleigh(diag, off, mass, vec) == pytest.approx(lam_ref, rel=1e-10)
+        assert np.max(np.abs(vec - vec_ref)) <= 1e-10 * np.max(np.abs(vec_ref))
+        assert len(calls) <= 20
+
     @pytest.mark.parametrize("branch", ["full-mass", "partial-mass"])
     def test_vector_has_unit_mass(self, branch):
         rng = np.random.default_rng(3)
