@@ -19,9 +19,12 @@ p and the continuation only steers the iteration.  Each eps stage above
 the last ends at its own looser gate, or as soon as two accepted steps
 fail to halve the residual: eps is absolute in slope units, so on grids
 whose slopes sit far below it a stage would otherwise spin to its cap.
-The last stage runs to the true gate or its cap.  Solver failure is
-reported, never raised, except by the held-run solve, which has no report
-to carry it.
+The last stage runs to the true gate or its cap.  The residual is the
+gradient of the discrete energy J(u) = Q(u) - <f, u>, so at p > 2 the
+last stage's line search also accepts a step that lowers J: where the
+profile peaks, the degenerate flux derivative makes the residual's norm a
+poor merit and full steps raise it.  Solver failure is reported, never
+raised, except by the held-run solve, which has no report to carry it.
 
 All of this goes through one DiscreteOperator bound to (p, grid, V); its
 slices read the bound samples, and capacities and exhaustion limits share
@@ -81,8 +84,10 @@ __all__ = [
 
 
 # Newton's fixed schedule: Jacobian eps from EPS_START down by EPS_FACTOR to
-# EPS_FLOOR; at most BACKTRACK_MAX step halvings.  A stage above EPS_FLOOR
-# ends once STALL_STEPS accepted steps fail to shrink the residual by
+# EPS_FLOOR; at most BACKTRACK_MAX step halvings, each trial accepted when
+# it passes Armijo with ARMIJO_C on the residual's squared norm, or, in the
+# EPS_FLOOR stage at p > 2, on the energy J.  A stage above EPS_FLOOR ends
+# once STALL_STEPS accepted steps fail to shrink the residual by
 # STALL_FACTOR.
 # Inner solves of the inverse power iteration that start from a warm iterate
 # begin the walk at EPS_WARM instead.
@@ -223,27 +228,38 @@ class DiscreteOperator:
         flux = phi_p((u[1:] - u[:-1]) / self.grid.h, self.p) * self._flux_w
         return flux, self._pot_w * phi_p(u, self.p)
 
-    @staticmethod
-    def _assemble(flux: np.ndarray, pot: np.ndarray, load: np.ndarray) -> np.ndarray:
-        r = np.empty_like(pot)
-        r[0] = -flux[0]
-        r[-1] = flux[-1]
-        r[1:-1] = flux[:-1] - flux[1:]
-        r += pot - load
-        return r
-
     def residual_and_scale(self, u: np.ndarray, load: np.ndarray) -> tuple[np.ndarray, float]:
         """The residual at every node, and the magnitude of its constituent
         terms before cancellation (tolerances are taken relative to it).
         Values at Dirichlet nodes are reported too, where they equal the
         boundary flux defect; callers mask them."""
+        return self.residual_terms(u, load)[:2]
+
+    def residual_terms(
+        self, u: np.ndarray, load: np.ndarray
+    ) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray]]:
+        """residual_and_scale, plus the cell fluxes and nodal potential terms
+        it was assembled from, which ``energy`` reads."""
         flux, pot = self._flux_and_potential(u)
         g_abs = np.abs(flux)
         flux_part = np.zeros_like(u)
         flux_part[:-1] += g_abs
         flux_part[1:] += g_abs
         terms = flux_part + np.abs(pot) + np.abs(load)
-        return self._assemble(flux, pot, load), float(terms.max())
+        r = np.empty_like(pot)
+        r[0] = -flux[0]
+        r[-1] = flux[-1]
+        r[1:-1] = flux[:-1] - flux[1:]
+        r += pot - load
+        return r, float(terms.max()), (flux, pot)
+
+    def energy(self, u: np.ndarray, terms: tuple[np.ndarray, np.ndarray], load: np.ndarray) -> float:
+        """J(u) = Q(u) - <load, u>, whose gradient on the free nodes is the
+        residual, from residual_terms' terms at u without another power:
+        |G_i| |u_{i+1} - u_i| = cell_w |s_i|^p and pot_j u_j = node_w V |u_j|^p."""
+        flux, pot = terms
+        q = float(np.dot(np.abs(flux), np.abs(np.diff(u)))) + float(np.dot(pot, u))
+        return q / self.p - float(np.dot(load, u))
 
     def jacobian(self, u: np.ndarray, eps: float) -> np.ndarray:
         """Tridiagonal Jacobian of the residual on the free nodes, in
@@ -484,11 +500,23 @@ def _newton_core(
     the residual scale), on a stall (STALL_STEPS accepted steps that
     shrink the residual's max norm by less than STALL_FACTOR; the stage's
     entry residual is the first value) or at max_iter_per_stage.  The
-    last stage has no stall exit: it alone decides ``converged``, and its
-    damped steps can creep for dozens of iterations before Newton's local
-    convergence sets in (about 90 on an inner solve of the d = 3, p = 3
-    eigenpair on (0.5, 4)), so a stall exit there would report failure on
-    solves that converge."""
+    last stage has no stall exit: it alone decides ``converged``, on the
+    residual gate or the rounding floor, and its damped steps can take a
+    dozen or more iterations before Newton's local convergence sets in.
+
+    A trial step u + alpha d is accepted when it passes Armijo on half
+    the residual's squared norm.  In the last stage at p > 2 it is also
+    accepted when it passes Armijo on J(u) = Q(u) - <load, u>, the energy
+    whose gradient on the free nodes is the residual: J(u + alpha d) <=
+    J(u) + ARMIJO_C alpha <r, d>, provided <r, d> < 0 and the residual
+    lies above 100 times the rounding floor.  J is read from the trial's
+    residual pass, and only for a trial whose residual test failed.  Each
+    limit keeps the residual-only search where energy steps did harm:
+    below p = 2 they slow solves or stall them (a p = 1.5 solve scaled by
+    1e-2 ran to its cap), in the stages above the last they change what
+    the continuation does within a stage's cap, and near the rounding
+    floor J's rounding swamps its decrease (a near-harmonic p = 3 solve
+    took 203 iterations instead of 4)."""
     grid, p = op.grid, op.p
     free = grid.free
     tol = config.tol_for(p)
@@ -502,15 +530,22 @@ def _newton_core(
     stages.append(EPS_FLOOR)
 
     def evaluate(v):
-        """(free residual, its max norm, scale, whether both are finite)"""
-        r_full, sc = op.residual_and_scale(v, load)
+        """(free residual, its max norm, scale, whether both are finite, the
+        terms J is read from)"""
+        r_full, sc, terms = op.residual_terms(v, load)
         r = r_full[free]
         norm = float(np.max(np.abs(r))) if r.size else 0.0
-        return r, norm, max(sc, 1e-300), math.isfinite(norm) and math.isfinite(sc)
+        return r, norm, max(sc, 1e-300), math.isfinite(norm) and math.isfinite(sc), terms
+
+    def rounding_floor(v, sc):
+        # near-harmonic solutions have residual terms far below what a
+        # one-ulp change of u does to the fluxes, so the relative gate can
+        # undershoot what rounding lets any iterate reach
+        return 1e4 * float(np.finfo(float).eps) * max(op.flux_sensitivity(v), sc)
 
     # each iterate's residual is evaluated once, as the accepted trial of
     # the step that made it; a non-finite residual ends the solve, failed
-    r, res_norm, scale, finite = evaluate(u)
+    r, res_norm, scale, finite, terms = evaluate(u)
     total_iter = 0
     for stage_idx, eps in enumerate(stages):
         final_stage = stage_idx == len(stages) - 1
@@ -541,6 +576,11 @@ def _newton_core(
                 logger.debug("newton: linear solve failed at eps=%g", eps)
                 break
             merit = 0.5 * float(np.dot(r, r))
+            # J's slope along du; J(u) and the rounding guard are read only
+            # once a trial fails the residual test
+            slope = float(np.dot(r, du))
+            energy_test = final_stage and p > 2.0 and slope < 0.0
+            energy_u = None
             alpha = 1.0
             accepted = False
             for _bt in range(BACKTRACK_MAX):
@@ -549,9 +589,17 @@ def _newton_core(
                 trial = evaluate(u_try)
                 merit_try = 0.5 * float(np.dot(trial[0], trial[0]))
                 if np.isfinite(merit_try) and merit_try <= merit * (1.0 - ARMIJO_C * alpha):
-                    u = u_try
-                    r, res_norm, scale, finite = trial
                     accepted = True
+                elif energy_test and trial[3]:
+                    if energy_u is None:
+                        energy_test = res_norm > 100.0 * rounding_floor(u, scale)
+                        energy_u = op.energy(u, terms, load) if energy_test else None
+                    accepted = energy_test and (
+                        op.energy(u_try, trial[4], load) <= energy_u + ARMIJO_C * alpha * slope
+                    )
+                if accepted:
+                    u = u_try
+                    r, res_norm, scale, finite, terms = trial
                     break
                 alpha *= 0.5
             total_iter += 1
@@ -566,14 +614,8 @@ def _newton_core(
     if not finite:
         logger.debug("newton: non-finite residual, res=%g, scale=%g", res_norm, scale)
 
-    # stagnation at the rounding floor: near-harmonic solutions have
-    # residual terms far below what a one-ulp change of u does to the
-    # fluxes, so the relative gate can undershoot what rounding lets any
-    # iterate reach; accept when the defect is at that level
-    converged = finite and (
-        res_norm <= tol * scale
-        or res_norm <= 1e4 * float(np.finfo(float).eps) * max(op.flux_sensitivity(u), scale)
-    )
+    # stagnation at the rounding floor: accept when the defect is at that level
+    converged = finite and (res_norm <= tol * scale or res_norm <= rounding_floor(u, scale))
     return u, total_iter, res_norm, converged
 
 

@@ -32,9 +32,10 @@ EIG_INI = dedent(
     """
 )
 
-# p = 3 on an unbounded domain; the first warm inner solve of its inverse
-# power iteration spends about 90 damped steps in the last eps stage
-# before Newton's local convergence sets in
+# p = 3 on an unbounded domain; the warm inner solves of its inverse power
+# iteration take up to 22 damped steps in the last eps stage (101 while
+# steps were accepted on the residual alone) before Newton's local
+# convergence sets in
 P3_EIG_INI = dedent(
     """\
     [problem]

@@ -26,12 +26,32 @@ from pcrit import (
 )
 from pcrit import solver
 from pcrit.errors import PreconditionError
-from pcrit.solver import smallest_generalized_eigen
+from pcrit.solver import DiscreteOperator, smallest_generalized_eigen
 
 
 def line_problem(p=2.0, V=None):
     pot = V if V is not None else PotentialSpec.zero()
     return RadialProblem(p, 1, (0.0, np.inf), pot)
+
+
+@pytest.fixture
+def newton_work(monkeypatch):
+    """Newton iterations per solve and residual evaluations in all."""
+    work = {"iterations": [], "evaluations": 0}
+    core, residual_terms = solver._newton_core, DiscreteOperator.residual_terms
+
+    def counted_core(*args, **kwargs):
+        out = core(*args, **kwargs)
+        work["iterations"].append(out[1])
+        return out
+
+    def counted_residual(self, u, load):
+        work["evaluations"] += 1
+        return residual_terms(self, u, load)
+
+    monkeypatch.setattr(solver, "_newton_core", counted_core)
+    monkeypatch.setattr(DiscreteOperator, "residual_terms", counted_residual)
+    return work
 
 
 class TestWeakResidual:
@@ -220,6 +240,34 @@ class TestSolveDirichlet:
             solve_dirichlet(prob, g, (1.0, 0.25), config=SolverConfig(max_iter_per_stage=1))
         assert any("iteration cap" in rec.getMessage() for rec in caplog.records)
 
+    def test_p15_solve_never_reads_energy(self, monkeypatch, newton_work):
+        # the CLI's solve config: energy acceptance at p = 1.5 doubled its
+        # iterations (46) and left a rescaled p = 1.5 solve at its cap, so
+        # below p = 2 the line search stays on the residual alone and the
+        # iteration is the residual-only one, step for step
+        def refused(self, *args):
+            raise AssertionError("J read at p = 1.5")
+
+        monkeypatch.setattr(DiscreteOperator, "energy", refused)
+        prob = RadialProblem(1.5, 3, (0.0, np.inf), PotentialSpec.constant(1.0))
+        g = build_grid(prob, (0.25, 8.0), 4001)
+        f = make_field(g, PotentialSpec.bump(1.5, 0.3, 2.0).sample(g.nodes))
+        rep = solve_dirichlet(prob, g, (0.5, 1.0), f=f)
+        assert rep.converged
+        assert (rep.iterations, newton_work["evaluations"]) == (23, 37)
+
+    def test_capped_stages_stay_unconverged(self):
+        # two iterations per eps stage are too few for this forced p = 3
+        # solve; with energy acceptance in every stage it reached the gate
+        # anyway, so the stages above EPS_FLOOR keep the residual test alone
+        prob = RadialProblem(3.0, 1, (0.0, 1.0), PotentialSpec.zero())
+        g = build_grid(prob, (0.0, 1.0), 201)
+        f = make_field(g, np.full(g.n, 5.0))
+        assert solve_dirichlet(prob, g, (0.0, 1.0), f=f).converged
+        rep = solve_dirichlet(prob, g, (0.0, 1.0), f=f, config=SolverConfig(max_iter_per_stage=2))
+        assert rep.converged is False
+        assert rep.iterations == 16
+
     def test_negative_boundary_rejected(self):
         prob = line_problem()
         g = build_grid(prob, (0.0, 1.0), 32, law="uniform")
@@ -279,6 +327,18 @@ class TestEigen:
         rep = principal_eigenpair(prob, g)
         assert rep.converged
         assert rep.lam == pytest.approx(oracles.FROZEN["eig_shoot_p3"], rel=5e-3)
+
+    def test_p3_inner_solves_descend_on_energy(self, newton_work):
+        # the CLI's eig config: with steps accepted on the residual alone,
+        # two warm inner solves crept through 101 and 50 damped steps, 265
+        # Newton iterations and 1,202 residual evaluations in all
+        prob = RadialProblem(3.0, 3, (0.0, np.inf), PotentialSpec.constant(0.5))
+        g = build_grid(prob, (0.5, 4.0), 1601)
+        rep = principal_eigenpair(prob, g)
+        assert rep.converged
+        assert sum(newton_work["iterations"]) <= 130
+        assert newton_work["evaluations"] <= 350
+        assert rep.lam == pytest.approx(1.1056301747738588, rel=1e-12)
 
 
 def dense_partial_mass_eigen(diag, off, mass):

@@ -276,8 +276,9 @@ def test_newton_evaluates_each_point_once(monkeypatch):
 
         monkeypatch.setattr(DiscreteOperator, name, counted)
 
-    record("residual_and_scale", "r")
+    record("residual_terms", "r")
     record("jacobian", "s")
+    record("energy", "e")
     banded = []
     solve_banded = solver.solve_banded
 
@@ -293,6 +294,7 @@ def test_newton_evaluates_each_point_once(monkeypatch):
     # one evaluation at the start, then only the line-search trials that
     # follow each step: no evaluation at the top of a step or at the end
     kinds = "".join(kind for kind, _, _ in events)
+    assert "e" not in kinds  # J is never read below p = 2
     assert kinds.startswith("rs") and "ss" not in kinds and kinds.endswith("r")
     assert kinds.count("s") == rep.iterations
     assert len({args for kind, _, args in events if kind == "s"}) > 1  # eps stages
@@ -306,6 +308,58 @@ def test_newton_evaluates_each_point_once(monkeypatch):
     op = DiscreteOperator.bind(prob, grid)
     r, _ = op.residual_and_scale(rep.solution.values, op.load(None))
     assert rep.final_residual_norm == float(np.max(np.abs(r[grid.free])))
+
+
+def test_newton_reads_energy_only_after_a_failed_residual_test(monkeypatch):
+    # a p = 4 ball-center solve whose last eps stage accepts steps on J; J
+    # is read only in that stage, at a trial only after its residual test
+    # failed and at the iterate at most once per step, from the same
+    # residual pass
+    prob = RadialProblem(4.0, 3, (0.0, np.inf), PotentialSpec.bump(1.0, 0.5, 5.0))
+    grid = build_grid(prob, (0.0, 4.0), 201)
+    events, terms_at = [], {}
+    residual_terms, energy, jacobian = (
+        DiscreteOperator.residual_terms, DiscreteOperator.energy, DiscreteOperator.jacobian
+    )
+
+    def recorded_residual(self, u, load):
+        out = residual_terms(self, u, load)
+        r = out[0][grid.free]
+        events.append(("r", u.tobytes(), 0.5 * float(np.dot(r, r))))
+        terms_at[u.tobytes()] = out[2]
+        return out
+
+    def recorded_energy(self, u, terms, load):
+        assert terms is terms_at[u.tobytes()]  # no second power pass
+        events.append(("e", u.tobytes(), None))
+        return energy(self, u, terms, load)
+
+    def recorded_jacobian(self, u, eps):
+        events.append(("s", u.tobytes(), eps))
+        return jacobian(self, u, eps)
+
+    monkeypatch.setattr(DiscreteOperator, "residual_terms", recorded_residual)
+    monkeypatch.setattr(DiscreteOperator, "energy", recorded_energy)
+    monkeypatch.setattr(DiscreteOperator, "jacobian", recorded_jacobian)
+    rep = solve_dirichlet(prob, grid, (None, 1.0))
+    assert rep.converged
+
+    merit = {u: m for kind, u, m in events if kind == "r"}
+    iterate = trial = None
+    reads = at_iterate = 0
+    for kind, u, value in events:
+        if kind == "s":
+            iterate, trial, at_iterate, eps = u, None, 0, value
+        elif kind == "r":
+            trial = u
+        else:
+            assert eps == EPS_FLOOR
+            assert trial is not None and merit[trial] > (1.0 - solver.ARMIJO_C) * merit[iterate]
+            assert u in (iterate, trial)
+            at_iterate += u == iterate
+            assert at_iterate <= 1
+            reads += 1
+    assert reads > 0
 
 
 @pytest.fixture
@@ -362,13 +416,17 @@ def test_p2_solve_takes_no_eps_walk(monkeypatch, newton_stages):
     # the failed line search of the one before: 8 iterations and 282
     # residual evaluations on this solve
     evaluations = []
-    residual_and_scale = DiscreteOperator.residual_and_scale
+    residual_terms = DiscreteOperator.residual_terms
 
     def counted(self, u, load):
         evaluations.append(1)
-        return residual_and_scale(self, u, load)
+        return residual_terms(self, u, load)
 
-    monkeypatch.setattr(DiscreteOperator, "residual_and_scale", counted)
+    def refused(self, *args):
+        raise AssertionError("J read at p = 2")
+
+    monkeypatch.setattr(DiscreteOperator, "residual_terms", counted)
+    monkeypatch.setattr(DiscreteOperator, "energy", refused)
     prob = RadialProblem(2.0, 3, (0.0, np.inf), PotentialSpec.zero())
     grid = build_grid(prob, (1.0, 2.0), 401)
     rep = solve_dirichlet(prob, grid, (1.0, 1.0 + 1e-9))
