@@ -241,11 +241,50 @@ class VectorIneqRatio(NamedTuple):
     degenerate: bool
 
 
+def _defect_ratio(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """The ratio for each row pair (a, b) of two (n, d) arrays whose rows
+    a are unit vectors.
+
+    With q = p/2 and t = 2 a.b + |b|^2 = |a+b|^2 - 1 the numerator is
+    exactly f_q(t) + q |b|^2, where f_q(t) = (1+t)^q - 1 - q t.  Both terms
+    are formed without cancellation: f_q by its Taylor series (17 terms,
+    Horner's rule) for |t| <= 0.1, and otherwise as expm1(q log(1+t)) - q t,
+    which loses at most one digit there.  log(1+t) is log1p(t), or
+    log(|a+b|^2) where that is below 1/2: near b = -a the rounding of t
+    would swamp 1 + t.  At p = 2 every series coefficient vanishes, so the
+    ratio is exactly 1 for |t| <= 0.1.
+    """
+    s = a + b
+    ab, bb, ss = (np.einsum("ij,ij->i", x, y) for x, y in ((a, b), (b, b), (s, s)))
+    q = 0.5 * p
+    t = 2.0 * ab + bb
+    coef = [q * (q - 1.0) / 2.0]
+    for k in range(3, 19):
+        coef.append(coef[-1] * (q - k + 1.0) / k)
+    small = np.abs(t) <= 0.1
+    ts = t[small]
+    series = np.full_like(ts, coef[-1])
+    for c in reversed(coef[:-1]):
+        series = series * ts + c
+    f = np.empty_like(t)
+    f[small] = series * ts * ts
+    tl, sl = t[~small], ss[~small]
+    near = sl < 0.5
+    log1t = np.empty_like(tl)
+    with np.errstate(divide="ignore"):  # log(0) at b = -a
+        log1t[near] = np.log(sl[near])
+    log1t[~near] = np.log1p(tl[~near])
+    f[~small] = np.expm1(q * log1t) - q * tl
+    return (f + q * bb) / (bb * (1.0 + np.sqrt(bb)) ** (p - 2.0))
+
+
 def vector_inequality_ratio(a, b, p: float) -> VectorIneqRatio:
     """(|a+b|^p - |a|^p - p|a|^(p-2) a.b) / (|b|^2 (|a|+|b|)^(p-2)).
 
     Both sides vanish at b = 0; that case returns ratio 1 with the
-    degenerate flag set.  a = b = 0 is rejected.
+    degenerate flag set.  At a = 0 the ratio is exactly 1.  a = b = 0 is
+    rejected.  The ratio is scale invariant, so the pair is scaled to
+    |a| = 1 and evaluated by the same kernel as the envelope sweep.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -256,18 +295,9 @@ def vector_inequality_ratio(a, b, p: float) -> VectorIneqRatio:
         raise ValueError("vector_inequality_ratio is undefined at a = b = 0")
     if nb == 0.0:
         return VectorIneqRatio(1.0, True)
-    # the numerator is a difference of nearly equal quantities when |b| is
-    # far below |a|; evaluate it in extended precision so the ratio keeps
-    # meaning over wide magnitude spreads
-    al = a.astype(np.longdouble)
-    bl = b.astype(np.longdouble)
-    nal = np.sqrt(np.dot(al, al))
-    nbl = np.sqrt(np.dot(bl, bl))
-    abl = np.dot(al, bl)
-    nabl = np.sqrt(np.dot(al + bl, al + bl))
-    numer = nabl**p - nal**p - p * nal ** (p - 2.0) * abl if na > 0 else nabl**p
-    denom = nbl**2 * (nal + nbl) ** (p - 2.0)
-    return VectorIneqRatio(float(numer / denom), False)
+    if na == 0.0:
+        return VectorIneqRatio(1.0, False)
+    return VectorIneqRatio(float(_defect_ratio(a[None] / na, b[None] / na, p)[0]), False)
 
 
 @dataclass(frozen=True)
@@ -294,18 +324,7 @@ def vector_inequality_envelope(
     bdir = rng.normal(size=(n, 3))
     bdir /= np.linalg.norm(bdir, axis=1, keepdims=True)
     mags = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=n))
-    # when |b| << |a| the numerator loses ~ (|a+b|/|b|)^2 relative digits to
-    # cancellation, which at the bottom of the magnitude range swamps the
-    # p = 2 constancy of the ratio; extended precision keeps the sweep honest
-    al = a.astype(np.longdouble)
-    bl = (bdir * mags[:, None]).astype(np.longdouble)
-    na = np.sqrt(np.einsum("ij,ij->i", al, al))
-    nb = np.sqrt(np.einsum("ij,ij->i", bl, bl))
-    ab = al + bl
-    nab = np.sqrt(np.einsum("ij,ij->i", ab, ab))
-    numer = nab**p - na**p - p * np.einsum("ij,ij->i", al, bl)
-    denom = nb**2 * (na + nb) ** (p - 2.0)
-    ratios = (numer / denom).astype(float)
+    ratios = _defect_ratio(a, bdir * mags[:, None], p)
     if not np.all(np.isfinite(ratios)):
         raise FloatingPointError("non-finite ratio encountered in envelope sweep")
     return EnvelopeReport(p, n, float(ratios.min()), float(ratios.max()))

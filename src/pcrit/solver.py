@@ -84,11 +84,12 @@ __all__ = [
 
 
 # Newton's fixed schedule: Jacobian eps from EPS_START down by EPS_FACTOR to
-# EPS_FLOOR; at most BACKTRACK_MAX step halvings, each trial accepted when
-# it passes Armijo with ARMIJO_C on the residual's squared norm, or, in the
-# EPS_FLOOR stage at p > 2, on the energy J.  A stage above EPS_FLOOR ends
-# once STALL_STEPS accepted steps fail to shrink the residual by
-# STALL_FACTOR.
+# EPS_FLOOR; at most BACKTRACK_MAX line-search trials per step, halving from
+# the first (1, or at p != 2 the largest power of two that keeps the step's
+# max norm within the iterate's), each accepted when it passes Armijo with
+# ARMIJO_C on the residual's squared norm, or, in the EPS_FLOOR stage at
+# p > 2, on the energy J.  A stage above EPS_FLOOR ends once STALL_STEPS
+# accepted steps fail to shrink the residual by STALL_FACTOR.
 # Inner solves of the inverse power iteration that start from a warm iterate
 # begin the walk at EPS_WARM instead.
 EPS_START, EPS_FACTOR, EPS_FLOOR = 1e-1, 0.1, 1e-8
@@ -504,11 +505,21 @@ def _newton_core(
     residual gate or the rounding floor, and its damped steps can take a
     dozen or more iterations before Newton's local convergence sets in.
 
-    A trial step u + alpha d is accepted when it passes Armijo on half
-    the residual's squared norm.  In the last stage at p > 2 it is also
-    accepted when it passes Armijo on J(u) = Q(u) - <load, u>, the energy
-    whose gradient on the free nodes is the residual: J(u + alpha d) <=
-    J(u) + ARMIJO_C alpha <r, d>, provided <r, d> < 0 and the residual
+    The line search tries u + alpha d for alpha halving from alpha_0 = 1,
+    or at p != 2, when max|d| > max|u| > 0, from alpha_0 =
+    2^floor(log2(max|u| / max|d|)).  Away from p = 2 the Jacobian is only
+    regularized: on the cells where a warm start was extended by zero its
+    eps = 1e-6 flux derivative is nearly singular, a full step overshoots
+    by about 2^20, and the search would spend 20 trials halving back to
+    the iterate's scale.  The trials are a subset of the powers of two
+    tried from 1, so a step accepted at alpha <= alpha_0 is the same step.
+    At p = 2 the Jacobian is exact and the search starts at 1.
+
+    A trial step is accepted when it passes Armijo on half the residual's
+    squared norm.  In the last stage at p > 2 it is also accepted when it
+    passes Armijo on J(u) = Q(u) - <load, u>, the energy whose gradient on
+    the free nodes is the residual: J(u + alpha d) <= J(u) + ARMIJO_C
+    alpha <r, d>, provided <r, d> < 0 and the residual
     lies above 100 times the rounding floor.  J is read from the trial's
     residual pass, and only for a trial whose residual test failed.  Each
     limit keeps the residual-only search where energy steps did harm:
@@ -582,6 +593,11 @@ def _newton_core(
             energy_test = final_stage and p > 2.0 and slope < 0.0
             energy_u = None
             alpha = 1.0
+            if p != 2.0:
+                u_max, du_max = float(np.max(np.abs(u))), float(np.max(np.abs(du)))
+                if du_max > u_max > 0.0:
+                    # 2^floor(log2(u_max / du_max)): frexp's mantissa is in [1/2, 1)
+                    alpha = math.ldexp(1.0, math.frexp(u_max / du_max)[1] - 1)
             accepted = False
             for _bt in range(BACKTRACK_MAX):
                 u_try = u.copy()

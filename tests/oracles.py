@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import eigh
@@ -281,6 +282,25 @@ def envelope_sweep(p: float, n_angle: int = 60, n_mag: int = 120):
     denom = nb**2 * (na + nb) ** (p - 2.0)
     ratios = (numer / denom).astype(float)
     return float(ratios.min()), float(ratios.max())
+
+
+def vector_ratio_mp(a, b, p: float) -> float:
+    """The vector inequality's ratio
+
+        (|a+b|^p - |a|^p - p |a|^(p-2) a.b) / (|b|^2 (|a|+|b|)^(p-2))
+
+    straight from its definition in 50-digit arithmetic, at the exact
+    values of the float entries of a and b (a != 0, b != 0)."""
+    with mpmath.workdps(50):
+        a = [mpmath.mpf(float(x)) for x in a]
+        b = [mpmath.mpf(float(x)) for x in b]
+        p = mpmath.mpf(p)
+        na = mpmath.sqrt(mpmath.fsum(x * x for x in a))
+        nb = mpmath.sqrt(mpmath.fsum(y * y for y in b))
+        nab = mpmath.sqrt(mpmath.fsum((x + y) ** 2 for x, y in zip(a, b)))
+        dot = mpmath.fsum(x * y for x, y in zip(a, b))
+        numer = nab**p - na**p - p * na ** (p - 2) * dot
+        return float(numer / (nb**2 * (na + nb) ** (p - 2)))
 
 
 def graded_grid_nodes(

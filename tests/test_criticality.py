@@ -311,6 +311,23 @@ class TestWarmStart:
             threshold_tN(D4_P3, e.level, run.weight, resolution=301)
         assert warm < 0.5 * len(calls)
 
+    def test_warm_steps_start_inside_the_iterate_scale(self, monkeypatch):
+        # a work count: a warm start extended by zero leaves the Jacobian
+        # nearly singular on the new cells, so a first trial of alpha = 1
+        # overshoots by about 2^20 and the line search halves its way back
+        # (347 residual evaluations in 159 Newton iterations without the cap)
+        evaluations = []
+        residual_terms = solver.DiscreteOperator.residual_terms
+
+        def counted(self, u, load):
+            evaluations.append(1)
+            return residual_terms(self, u, load)
+
+        monkeypatch.setattr(solver.DiscreteOperator, "residual_terms", counted)
+        run = null_sequence(D4_P3, D4_ANNULI, resolution=301)
+        assert run.failures == ()
+        assert len(evaluations) <= 300
+
 
 class TestGroundState:
     def test_whole_line_ground_state_is_flat(self):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -304,20 +304,72 @@ class TestSimplifiedEnergy:
         assert maxima[1] <= 1.1 * maxima[0]
 
 
+MP_EXPONENTS = [1.2, 1.5, 2.0, 3.0, 4.0]
+
+
+@st.composite
+def vector_pairs(draw):
+    """(a, b) in R^3 with |b|/|a| log-uniform in [1e-3, 1e3] and |a| over
+    four decades."""
+    unit = st.floats(-1.0, 1.0)
+    a = np.array(draw(st.tuples(unit, unit, unit)))
+    bdir = np.array(draw(st.tuples(unit, unit, unit)))
+    na, nd = np.linalg.norm(a), np.linalg.norm(bdir)
+    assume(na >= 1e-2 and nd >= 1e-2)
+    a *= 10.0 ** draw(st.floats(-2.0, 2.0)) / na
+    b = bdir * (np.linalg.norm(a) * 10.0 ** draw(st.floats(-3.0, 3.0)) / nd)
+    return a, b
+
+
 class TestVectorInequality:
     def test_p2_exact(self):
-        # comparable scales: cancellation in the remainder grows like
-        # (|a+b|/|b|)^2, so wildly mismatched magnitudes dilute the digits
+        # the numerator is formed without cancellation, so the ratio stays 1
+        # over the envelope's whole magnitude range
         rng = np.random.default_rng(1)
         for _ in range(200):
             a = rng.normal(size=3)
-            b = rng.normal(size=3) * 10.0 ** rng.uniform(-1.5, 1.5)
+            b = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 3.0)
             r = vector_inequality_ratio(a, b, 2.0)
             assert abs(r.ratio - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("p", MP_EXPONENTS)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pair=vector_pairs())
+    @example(pair=((1.0, 2.0, 3.0), (-1.0, -2.0, -3.0)))  # b = -a
+    @example(pair=((1.0, 2.0, 3.0), (-1.0, -2.0, -3.000001)))  # b near -a
+    @example(pair=((0.3, 0.1, -2.0), (-0.3, -0.1, 2.0000000001)))
+    @example(pair=((1.0, 0.0, 0.0), (0.0, 1e-3, 0.0)))  # b orthogonal to a
+    @example(pair=((1.0, 0.0, 0.0), (0.0, 1e3, 0.0)))
+    @example(pair=((1.0, 1.0, 0.0), (1.0, -1.0, 0.0)))
+    def test_ratio_matches_mp(self, p, pair):
+        a, b = pair
+        ref = oracles.vector_ratio_mp(a, b, p)
+        assert vector_inequality_ratio(a, b, p).ratio == pytest.approx(ref, rel=1e-11, abs=0)
+
+    @pytest.mark.parametrize("p", MP_EXPONENTS)
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_envelope_matches_mp(self, p, seed):
+        # the envelope's own draws, repeated in the same order
+        n = 8
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, 3))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        bdir = rng.normal(size=(n, 3))
+        bdir /= np.linalg.norm(bdir, axis=1, keepdims=True)
+        b = bdir * np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=n))[:, None]
+        refs = [oracles.vector_ratio_mp(x, y, p) for x, y in zip(a, b)]
+        rep = vector_inequality_envelope(p, n, np.random.default_rng(seed))
+        assert rep.c_min == pytest.approx(min(refs), rel=1e-11, abs=0)
+        assert rep.c_max == pytest.approx(max(refs), rel=1e-11, abs=0)
 
     def test_b_zero_convention(self):
         r = vector_inequality_ratio(np.array([1.0, 0.0]), np.zeros(2), 3.0)
         assert r.ratio == 1.0 and r.degenerate
+
+    def test_a_zero_ratio_is_one(self):
+        r = vector_inequality_ratio(np.zeros(3), np.array([0.5, -2.0, 1.0]), 1.5)
+        assert r.ratio == 1.0 and not r.degenerate
 
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError):

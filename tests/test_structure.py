@@ -2,8 +2,9 @@
 module's private names, no import goes unused, package imports sit at
 module top level, every SolverConfig field is read somewhere, every
 solver and residual entry point samples the potential once per (problem,
-grid), no driver samples one (potential, grid) pair twice, and a verdict's
-positivity certificate is computed once."""
+grid), no driver samples one (potential, grid) pair twice, a verdict's
+positivity certificate is computed once, and no module uses an extended
+precision dtype."""
 
 from __future__ import annotations
 
@@ -62,6 +63,18 @@ def _exported(tree: ast.Module) -> set[str]:
 
 def test_sources_found():
     assert {"solver.py", "criticality.py", "mingrowth.py"} <= {p.name for p in SOURCES}
+
+
+def test_no_extended_precision_dtypes():
+    # long double is only 64 bits on some platforms, so no result may rest
+    # on its extra digits
+    offenders = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line, text in enumerate(path.read_text().splitlines(), 1)
+        if "longdouble" in text or "float128" in text
+    ]
+    assert offenders == []
 
 
 def test_no_private_imports_across_modules():
