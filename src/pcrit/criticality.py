@@ -407,7 +407,7 @@ def _collatz_lower(
     node, where the Picone inequality needs R(v) >= 0.
     """
     load = t * op.grid.node_w * wvals * phi_p(v, op.p)
-    r, scale = op.residual_and_scale(v, load)
+    r, scale, _ = op.residual_terms(v, load)
     gate = tol * max(scale, 1e-300)
     free = ~op.grid.dirichlet_mask
     weighted = free & (load > gate)
@@ -548,7 +548,7 @@ def q_capacity(
     converged = False
     for iterations in range(1, int(in_set.sum()) + 2):
         u = op.held_runs(active, 1.0, config)
-        r, scale = op.residual_and_scale(u, unforced)
+        r, scale, _ = op.residual_terms(u, unforced)
         scale = max(scale, 1e-300)
         new = (active & (r >= -1e-8 * scale)) | (in_set & (u < 1.0))
         if np.array_equal(new, active):

@@ -283,21 +283,41 @@ def vector_inequality_ratio(a, b, p: float) -> VectorIneqRatio:
 
     Both sides vanish at b = 0; that case returns ratio 1 with the
     degenerate flag set.  At a = 0 the ratio is exactly 1.  a = b = 0 is
-    rejected.  The ratio is scale invariant, so the pair is scaled to
-    |a| = 1 and evaluated by the same kernel as the envelope sweep.
+    rejected.  The ratio is scale invariant, and each vector is scaled by
+    its largest entry before its norm is taken.  For 1e-100 <= |b|/|a| <=
+    1e3 the pair is scaled to |a| = 1 and evaluated by the same kernel as
+    the envelope sweep.  Outside that range the kernel leaves double range;
+    with c the cosine of the angle between a and b, below it the ratio is
+    its b -> 0 limit (p/2)(1 + (p-2) c^2), exact to O(|b|/|a|), and above
+    it, with e = |a|/|b|, it is ((1 + 2ec + e^2)^(p/2) - e^p - p e^(p-1) c)
+    / (1 + e)^(p-2), which has no cancellation.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("a and b must be 1D vectors of equal length")
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if na == 0.0 and nb == 0.0:
+    ma, mb = float(np.max(np.abs(a), initial=0.0)), float(np.max(np.abs(b), initial=0.0))
+    if ma == 0.0 and mb == 0.0:
         raise ValueError("vector_inequality_ratio is undefined at a = b = 0")
-    if nb == 0.0:
+    if mb == 0.0:
         return VectorIneqRatio(1.0, True)
-    if na == 0.0:
+    if ma == 0.0:
         return VectorIneqRatio(1.0, False)
-    return VectorIneqRatio(float(_defect_ratio(a[None] / na, b[None] / na, p)[0]), False)
+    ka, kb = float(np.linalg.norm(a / ma)), float(np.linalg.norm(b / mb))
+    rho = mb / ma * (kb / ka)
+    if 1e-100 <= rho <= 1e3:
+        # a power of two brings the pair into range and leaves a / |a| and
+        # b / |a| bit for bit as they are wherever they were in range
+        k = math.frexp(ma)[1]
+        a, b = np.ldexp(a, -k), np.ldexp(b, -k)
+        na = float(np.linalg.norm(a))
+        return VectorIneqRatio(float(_defect_ratio(a[None] / na, b[None] / na, p)[0]), False)
+    q, c = 0.5 * p, float(np.dot(a / ma, b / mb)) / (ka * kb)
+    if rho < 1e-100:
+        return VectorIneqRatio(q * (1.0 + (p - 2.0) * c * c), False)
+    e = ma / mb * (ka / kb)
+    numer = math.exp(q * math.log1p(2.0 * e * c + e * e)) - e**p - p * e ** (p - 1.0) * c
+    return VectorIneqRatio(numer / (1.0 + e) ** (p - 2.0), False)
 
 
 @dataclass(frozen=True)

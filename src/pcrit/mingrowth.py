@@ -424,7 +424,7 @@ def removability_test(
         ext = Field(Grid(ext_nodes, u.grid.weight_exponent), ext_vals)
         j0 = 0
     op = DiscreteOperator.bind(problem, ext.grid)
-    r_ext, scale = op.residual_and_scale(ext.values, op.load(None))
+    r_ext, scale, _ = op.residual_terms(ext.values, op.load(None))
     if j0 == 0:
         # the extension is flat on its first cell, so the pairing that sees
         # the incoming flux is the hat at the first real node

@@ -11,20 +11,16 @@ with s_i the cell slopes and tau_j the dual-cell mass weights.  Dirichlet
 nodes are eliminated; a ball-center node (r = 0, d > 1) is kept as an
 unknown with its one-sided flux, which is the natural boundary condition.
 
-The nonlinear solves run damped Newton iterations on the exact residual.
-Only the Jacobian is regularized: the flux derivative uses
-(s^2 + eps^2)^((p-2)/2) factors with eps walked down a geometric schedule,
-so the converged solution satisfies the true residual tolerance for every
-p and the continuation only steers the iteration.  Each eps stage above
-the last ends at its own looser gate, or as soon as two accepted steps
-fail to halve the residual: eps is absolute in slope units, so on grids
-whose slopes sit far below it a stage would otherwise spin to its cap.
-The last stage runs to the true gate or its cap.  The residual is the
-gradient of the discrete energy J(u) = Q(u) - <f, u>, so at p > 2 the
-last stage's line search also accepts a step that lowers J: where the
-profile peaks, the degenerate flux derivative makes the residual's norm a
-poor merit and full steps raise it.  Solver failure is reported, never
-raised, except by the held-run solve, which has no report to carry it.
+The nonlinear solves run damped Newton iterations on the exact residual,
+which is the gradient of the discrete energy J(u) = Q(u) - <f, u>.  Only
+the Jacobian is modified: its powers are regularized by a fixed EPS, and at
+p > 2 it drops V's negative part, so it is positive definite and its step
+descends J (Newton with Hessian modification).  At p > 2 the line search
+also accepts a step that lowers J: where the profile peaks, the degenerate
+flux derivative makes the residual's norm a poor merit.  A cold Dirichlet
+solve at p > 2 starts from the p = 2 solution of the same data.  Solver
+failure is reported, never raised, except by the held-run solve, which has
+no report to carry it.
 
 All of this goes through one DiscreteOperator bound to (p, grid, V); its
 slices read the bound samples, and capacities and exhaustion limits share
@@ -83,20 +79,12 @@ __all__ = [
 ]
 
 
-# Newton's fixed schedule: Jacobian eps from EPS_START down by EPS_FACTOR to
-# EPS_FLOOR; at most BACKTRACK_MAX line-search trials per step, halving from
-# the first (1, or at p != 2 the largest power of two that keeps the step's
-# max norm within the iterate's), each accepted when it passes Armijo with
-# ARMIJO_C on the residual's squared norm, or, in the EPS_FLOOR stage at
-# p > 2, on the energy J.  A stage above EPS_FLOOR ends once STALL_STEPS
-# accepted steps fail to shrink the residual by STALL_FACTOR.
-# Inner solves of the inverse power iteration that start from a warm iterate
-# begin the walk at EPS_WARM instead.
-EPS_START, EPS_FACTOR, EPS_FLOOR = 1e-1, 0.1, 1e-8
-EPS_WARM = 1e-6
+# Newton's Jacobian regularization EPS, and its line search: at most
+# BACKTRACK_MAX halving trials per step, each accepted by Armijo with
+# ARMIJO_C on the residual's squared norm or, at p > 2, on the energy J.
+EPS = 1e-8
 ARMIJO_C = 1e-4
 BACKTRACK_MAX = 40
-STALL_STEPS, STALL_FACTOR = 2, 0.5
 
 
 @dataclass(frozen=True)
@@ -106,9 +94,12 @@ class SolverConfig:
 
     residual_tol is relative to the magnitude of the residual's constituent
     terms (fluxes, potential and load terms); None picks 1e-10 for p = 2 and
-    1e-8 otherwise.  max_iter_per_stage caps the Newton iterations of each
-    eps stage.  eigen_rtol is the relative stop of the p != 2 inverse power
-    iteration on the quotient, and eigen_max_iter caps its outer iterations.
+    1e-8 otherwise.  max_iter_per_stage caps the iterations of each Newton
+    solve; a cold Dirichlet solve at p > 2 makes two, its p = 2 start and
+    the solve itself.  The name is kept from the continuation stages it
+    once capped, because [tolerances] configs set it.  eigen_rtol is the
+    relative stop of the p != 2 inverse power iteration on the quotient,
+    and eigen_max_iter caps its outer iterations.
     Both tolerances lie in (0, 1): the residual never exceeds its scale, so
     a tolerance of 1 or more would accept an iteration's start.
     """
@@ -229,18 +220,15 @@ class DiscreteOperator:
         flux = phi_p((u[1:] - u[:-1]) / self.grid.h, self.p) * self._flux_w
         return flux, self._pot_w * phi_p(u, self.p)
 
-    def residual_and_scale(self, u: np.ndarray, load: np.ndarray) -> tuple[np.ndarray, float]:
-        """The residual at every node, and the magnitude of its constituent
-        terms before cancellation (tolerances are taken relative to it).
-        Values at Dirichlet nodes are reported too, where they equal the
-        boundary flux defect; callers mask them."""
-        return self.residual_terms(u, load)[:2]
-
     def residual_terms(
         self, u: np.ndarray, load: np.ndarray
     ) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray]]:
-        """residual_and_scale, plus the cell fluxes and nodal potential terms
-        it was assembled from, which ``energy`` reads."""
+        """The residual at every node; the magnitude of its constituent
+        terms before cancellation, which tolerances are taken relative to;
+        and the cell fluxes and nodal potential terms it was assembled
+        from, which ``energy`` reads.  Values at Dirichlet nodes are
+        reported too, where they equal the boundary flux defect; callers
+        mask them."""
         flux, pot = self._flux_and_potential(u)
         g_abs = np.abs(flux)
         flux_part = np.zeros_like(u)
@@ -262,17 +250,19 @@ class DiscreteOperator:
         q = float(np.dot(np.abs(flux), np.abs(np.diff(u)))) + float(np.dot(pot, u))
         return q / self.p - float(np.dot(load, u))
 
-    def jacobian(self, u: np.ndarray, eps: float) -> np.ndarray:
+    def jacobian(self, u: np.ndarray) -> np.ndarray:
         """Tridiagonal Jacobian of the residual on the free nodes, in
         solve_banded's (3, m) layout.  Flux and potential derivatives use
-        the eps-regularized powers; at p = 2 the regularization is exactly
-        inert."""
+        the EPS-regularized powers, which are exact at p = 2.  At p > 2 the
+        potential weights node_w V are clipped at 0, so the matrix is
+        positive definite and its step descends J where V < 0."""
         g, p = self.grid, self.p
         s = (u[1:] - u[:-1]) / g.h
-        reg = (s * s + eps * eps) ** (0.5 * (p - 2.0))
-        gp = reg * (1.0 + (p - 2.0) * s * s / (s * s + eps * eps)) * self._flux_w
+        reg = (s * s + EPS * EPS) ** (0.5 * (p - 2.0))
+        gp = reg * (1.0 + (p - 2.0) * s * s / (s * s + EPS * EPS)) * self._flux_w
         kcell = gp / g.h  # coupling strength of each cell
-        pot = self._pot_w * (p - 1.0) * (u * u + eps * eps) ** (0.5 * (p - 2.0))
+        pot_w = np.maximum(self._pot_w, 0.0) if p > 2.0 else self._pot_w
+        pot = pot_w * (p - 1.0) * (u * u + EPS * EPS) ** (0.5 * (p - 2.0))
         diag, off = cell_tridiagonal(kcell, kcell, -kcell, g.free)
         ab = np.zeros((3, diag.size))
         ab[1, :] = diag + pot[g.free]
@@ -325,18 +315,16 @@ class DiscreteOperator:
         W phi_p(u_k) and is scaled to unit weighted mass; the iteration
         stops once the quotient moves by at most
         eigen_rtol * max(stop_floor, |lam|).  The iteration starts from
-        ``initial`` when given (a tent otherwise); p = 2 ignores it.  Inner
-        solves from a warm iterate (any after the first, and the first from
-        ``initial``) start their eps walk at EPS_WARM.  An iterate whose
-        weighted mass, or quotient plus shift, is not positive and finite
-        ends the iteration unconverged, before any inner solve when it is
-        the start.
+        ``initial`` when given (a tent otherwise); p = 2 ignores it.  An
+        iterate whose weighted mass, or quotient plus shift, is not positive
+        and finite ends the iteration unconverged, before any inner solve
+        when it is the start.
         """
         g, p = self.grid, self.p
         inner = DiscreteOperator(p, g, self.vvals + shift)
         if p == 2.0:
-            # at p = 2 the Jacobian is the form's matrix, whatever u and eps
-            ab = inner.jacobian(np.zeros(g.n), EPS_FLOOR)
+            # at p = 2 the Jacobian is the form's matrix, whatever u
+            ab = inner.jacobian(np.zeros(g.n))
             u = np.zeros(g.n)
             u[g.free] = smallest_generalized_eigen(ab[1], ab[0, 1:], (g.node_w * weight)[g.free])
             return self.quotient(u, weight)[0], u, 1, True
@@ -363,14 +351,12 @@ class DiscreteOperator:
             return lam, u, 0, False
         u = u / mass ** (1.0 / p)
 
-        eps_start = EPS_START if initial is None else EPS_WARM
         converged = False
         iters = 0
         for iters in range(1, config.eigen_max_iter + 1):
             load = g.node_w * weight * phi_p(u, p)
             w0 = u * (lam + shift) ** (-1.0 / (p - 1.0))
-            w, _, _, ok = _newton_core(inner, load, w0, config, eps_start)
-            eps_start = EPS_WARM
+            w, _, _, ok = _newton_core(inner, load, w0, config)
             if not ok:
                 logger.debug("principal pair: inner solve failed at iteration %d", iters)
                 break
@@ -408,7 +394,11 @@ class DiscreteOperator:
         initial: Field | None,
     ) -> SolveReport:
         """Solve Q'(u) = f with prescribed boundary data (see
-        solve_dirichlet)."""
+        solve_dirichlet) from ``initial``, or from the straight line between
+        the boundary values.  A cold solve at p > 2 first solves the same
+        data at p = 2 and, when that converges, starts from its solution,
+        which lies in Newton's basin where the line need not; the report
+        counts the iterations of both solves."""
         grid = self.grid
         bl, br = boundary
         if grid.natural_left:
@@ -436,8 +426,14 @@ class DiscreteOperator:
             u0[0] = bl
         u0[-1] = br
 
+        start_iters = 0
+        if initial is None and self.p > 2.0:
+            linear = DiscreteOperator(2.0, grid, self.vvals)
+            u2, start_iters, _, ok = _newton_core(linear, load, u0, config)
+            if ok:
+                u0 = u2
         u, iters, res, conv = _newton_core(self, load, u0, config)
-        return SolveReport(Field(grid, u), iters, res, conv)
+        return SolveReport(Field(grid, u), start_iters + iters, res, conv)
 
     def held_runs(
         self, held: np.ndarray, values, config: SolverConfig, initial: np.ndarray | None = None
@@ -471,7 +467,7 @@ def weak_residual(u: Field, problem: RadialProblem, f: Field | None = None) -> F
     function pairing with midpoint fluxes and dual-cell mass weights.
     """
     op = DiscreteOperator.bind(problem, u.grid)
-    r = op.residual_and_scale(u.values, op.load(f))[0]
+    r = op.residual_terms(u.values, op.load(f))[0]
     r[u.grid.dirichlet_mask] = 0.0
     return Field(u.grid, r)
 
@@ -479,11 +475,11 @@ def weak_residual(u: Field, problem: RadialProblem, f: Field | None = None) -> F
 def residual_scale(u: Field, problem: RadialProblem, f: Field | None = None) -> float:
     """Size of the residual's terms; tolerances are taken relative to it."""
     op = DiscreteOperator.bind(problem, u.grid)
-    return op.residual_and_scale(u.values, op.load(f))[1]
+    return op.residual_terms(u.values, op.load(f))[1]
 
 
 # ---------------------------------------------------------------------------
-# Newton continuation
+# Newton
 # ---------------------------------------------------------------------------
 
 def _newton_core(
@@ -491,54 +487,37 @@ def _newton_core(
     load: np.ndarray,
     u0: np.ndarray,
     config: SolverConfig,
-    eps_start: float = EPS_START,
 ) -> tuple[np.ndarray, int, float, bool]:
-    """Damped Newton with eps-continuation from ``eps_start`` (only the
-    EPS_FLOOR stage at p = 2).  Returns (u, iterations, residual_norm,
-    converged).  Dirichlet values of u0 are held fixed.
+    """Damped Newton on the modified Jacobian.  Returns (u, iterations,
+    residual_norm, converged).  Dirichlet values of u0 are held fixed.  The
+    iteration ends at the residual gate (tol times the residual scale), at
+    max_iter_per_stage iterations, at a failed linear solve or at a step
+    without descent; ``converged`` is read on the gate or the rounding
+    floor.
 
-    A stage above EPS_FLOOR ends at its gate (max(tol, eps / 100) times
-    the residual scale), on a stall (STALL_STEPS accepted steps that
-    shrink the residual's max norm by less than STALL_FACTOR; the stage's
-    entry residual is the first value) or at max_iter_per_stage.  The
-    last stage has no stall exit: it alone decides ``converged``, on the
-    residual gate or the rounding floor, and its damped steps can take a
-    dozen or more iterations before Newton's local convergence sets in.
-
-    The line search tries u + alpha d for alpha halving from alpha_0 = 1,
-    or at p != 2, when max|d| > max|u| > 0, from alpha_0 =
-    2^floor(log2(max|u| / max|d|)).  Away from p = 2 the Jacobian is only
-    regularized: on the cells where a warm start was extended by zero its
-    eps = 1e-6 flux derivative is nearly singular, a full step overshoots
-    by about 2^20, and the search would spend 20 trials halving back to
-    the iterate's scale.  The trials are a subset of the powers of two
-    tried from 1, so a step accepted at alpha <= alpha_0 is the same step.
-    At p = 2 the Jacobian is exact and the search starts at 1.
+    The line search halves alpha from alpha_0 = 1, or at p != 2, when
+    max|d| > max|u| > 0, from the largest power of two with alpha_0 max|d|
+    <= max|u|: where a warm start was extended by zero the regularized flux
+    derivative is nearly singular, and a full step overshoots by orders of
+    magnitude.  The trials are a subset of the powers of two tried from 1,
+    so a step accepted at alpha <= alpha_0 is the same step.
 
     A trial step is accepted when it passes Armijo on half the residual's
-    squared norm.  In the last stage at p > 2 it is also accepted when it
-    passes Armijo on J(u) = Q(u) - <load, u>, the energy whose gradient on
-    the free nodes is the residual: J(u + alpha d) <= J(u) + ARMIJO_C
-    alpha <r, d>, provided <r, d> < 0 and the residual
+    squared norm.  At p > 2 it is also accepted when it passes Armijo on J,
+    the energy whose gradient on the free nodes is the residual: J(u +
+    alpha d) <= J(u) + ARMIJO_C alpha <r, d>, provided <r, d> < 0 (the
+    positive definite Jacobian makes it so up to rounding) and the residual
     lies above 100 times the rounding floor.  J is read from the trial's
     residual pass, and only for a trial whose residual test failed.  Each
     limit keeps the residual-only search where energy steps did harm:
     below p = 2 they slow solves or stall them (a p = 1.5 solve scaled by
-    1e-2 ran to its cap), in the stages above the last they change what
-    the continuation does within a stage's cap, and near the rounding
-    floor J's rounding swamps its decrease (a near-harmonic p = 3 solve
-    took 203 iterations instead of 4)."""
+    1e-2 ran to its cap), and near the rounding floor J's rounding swamps
+    its decrease (a near-harmonic p = 3 solve took 203 iterations instead
+    of 4)."""
     grid, p = op.grid, op.p
     free = grid.free
     tol = config.tol_for(p)
     u = u0.copy()
-
-    stages = []
-    e = EPS_FLOOR if p == 2.0 else eps_start
-    while e > EPS_FLOOR * 1.0000001:
-        stages.append(e)
-        e *= EPS_FACTOR
-    stages.append(EPS_FLOOR)
 
     def evaluate(v):
         """(free residual, its max norm, scale, whether both are finite, the
@@ -554,85 +533,70 @@ def _newton_core(
         # undershoot what rounding lets any iterate reach
         return 1e4 * float(np.finfo(float).eps) * max(op.flux_sensitivity(v), sc)
 
+    def merit(r):
+        with np.errstate(over="ignore"):  # an overflow to inf fails Armijo
+            return 0.5 * float(np.dot(r, r))
+
     # each iterate's residual is evaluated once, as the accepted trial of
     # the step that made it; a non-finite residual ends the solve, failed
     r, res_norm, scale, finite, terms = evaluate(u)
-    total_iter = 0
-    for stage_idx, eps in enumerate(stages):
-        final_stage = stage_idx == len(stages) - 1
-        stage_tol_factor = tol if final_stage else max(tol, eps * 1e-2)
-        # the stage's entry residual, then the residual after each accepted
-        # step (a step without descent ends the stage)
-        norms = []
-        for _ in range(config.max_iter_per_stage):
-            if not finite or res_norm <= stage_tol_factor * scale:
-                break
-            norms.append(res_norm)
-            if not final_stage and len(norms) > STALL_STEPS:
-                ratio = res_norm / norms[-1 - STALL_STEPS]
-                if ratio > STALL_FACTOR:
-                    logger.debug(
-                        "newton: eps=%g stage stalled, res=%g, contraction ratio %g over %d steps",
-                        eps, res_norm, ratio, STALL_STEPS,
-                    )
-                    break
-            try:
-                du = solve_banded(
-                    (1, 1), op.jacobian(u, eps), -r,
-                    overwrite_ab=True, overwrite_b=True, check_finite=False,
-                )
-            except np.linalg.LinAlgError:
-                du = None
-            if du is None or not np.all(np.isfinite(du)):
-                logger.debug("newton: linear solve failed at eps=%g", eps)
-                break
-            merit = 0.5 * float(np.dot(r, r))
-            # J's slope along du; J(u) and the rounding guard are read only
-            # once a trial fails the residual test
-            slope = float(np.dot(r, du))
-            energy_test = final_stage and p > 2.0 and slope < 0.0
-            energy_u = None
-            alpha = 1.0
-            if p != 2.0:
-                u_max, du_max = float(np.max(np.abs(u))), float(np.max(np.abs(du)))
-                if du_max > u_max > 0.0:
-                    # 2^floor(log2(u_max / du_max)): frexp's mantissa is in [1/2, 1)
-                    alpha = math.ldexp(1.0, math.frexp(u_max / du_max)[1] - 1)
-            accepted = False
-            for _bt in range(BACKTRACK_MAX):
-                u_try = u.copy()
-                u_try[free] = u[free] + alpha * du
-                trial = evaluate(u_try)
-                merit_try = 0.5 * float(np.dot(trial[0], trial[0]))
-                if np.isfinite(merit_try) and merit_try <= merit * (1.0 - ARMIJO_C * alpha):
-                    accepted = True
-                elif energy_test and trial[3]:
-                    if energy_u is None:
-                        energy_test = res_norm > 100.0 * rounding_floor(u, scale)
-                        energy_u = op.energy(u, terms, load) if energy_test else None
-                    accepted = energy_test and (
-                        op.energy(u_try, trial[4], load) <= energy_u + ARMIJO_C * alpha * slope
-                    )
-                if accepted:
-                    u = u_try
-                    r, res_norm, scale, finite, terms = trial
-                    break
-                alpha *= 0.5
-            total_iter += 1
-            if not accepted:
-                logger.debug("newton: no descent at eps=%g, res=%g", eps, res_norm)
-                break
-        else:
-            logger.debug(
-                "newton: eps=%g stage hit its %d-iteration cap, res=%g > gate %g",
-                eps, config.max_iter_per_stage, res_norm, stage_tol_factor * scale,
+    iters = 0
+    while finite and res_norm > tol * scale:
+        if iters == config.max_iter_per_stage:
+            logger.debug("newton: hit its %d-iteration cap, res=%g > %g", iters, res_norm, tol * scale)
+            break
+        try:
+            du = solve_banded(
+                (1, 1), op.jacobian(u), -r,
+                overwrite_ab=True, overwrite_b=True, check_finite=False,
             )
+        except np.linalg.LinAlgError:
+            du = None
+        if du is None or not np.all(np.isfinite(du)):
+            logger.debug("newton: linear solve failed at res=%g", res_norm)
+            break
+        merit_u = merit(r)
+        # J's slope along du; J(u) and the rounding guard are read only
+        # once a trial fails the residual test
+        slope = float(np.dot(r, du))
+        energy_test = p > 2.0 and slope < 0.0
+        energy_u = None
+        alpha = 1.0
+        if p != 2.0:
+            u_max, du_max = float(np.max(np.abs(u))), float(np.max(np.abs(du)))
+            if du_max > u_max > 0.0:
+                # 2^floor(log2(u_max / du_max)): frexp's mantissa is in [1/2, 1)
+                alpha = math.ldexp(1.0, math.frexp(u_max / du_max)[1] - 1)
+        accepted = False
+        for _bt in range(BACKTRACK_MAX):
+            u_try = u.copy()
+            u_try[free] = u[free] + alpha * du
+            trial = evaluate(u_try)
+            merit_try = merit(trial[0])
+            if np.isfinite(merit_try) and merit_try <= merit_u * (1.0 - ARMIJO_C * alpha):
+                accepted = True
+            elif energy_test and trial[3]:
+                if energy_u is None:
+                    energy_test = res_norm > 100.0 * rounding_floor(u, scale)
+                    energy_u = op.energy(u, terms, load) if energy_test else None
+                accepted = energy_test and (
+                    op.energy(u_try, trial[4], load) <= energy_u + ARMIJO_C * alpha * slope
+                )
+            if accepted:
+                u = u_try
+                r, res_norm, scale, finite, terms = trial
+                break
+            alpha *= 0.5
+        iters += 1
+        if not accepted:
+            logger.debug("newton: no descent, res=%g", res_norm)
+            break
     if not finite:
         logger.debug("newton: non-finite residual, res=%g, scale=%g", res_norm, scale)
 
     # stagnation at the rounding floor: accept when the defect is at that level
     converged = finite and (res_norm <= tol * scale or res_norm <= rounding_floor(u, scale))
-    return u, total_iter, res_norm, converged
+    return u, iters, res_norm, converged
 
 
 def solve_dirichlet(
@@ -760,7 +724,7 @@ def classify_sign(u: Field, problem: RadialProblem, tol: float) -> SignClassific
         raise PreconditionError("classify_sign expects a nonnegative field")
     grid = u.grid
     op = DiscreteOperator.bind(problem, grid)
-    r, scale = op.residual_and_scale(u.values, op.load(None))
+    r, scale, _ = op.residual_terms(u.values, op.load(None))
     rfree = r[~grid.dirichlet_mask]
     scale = max(scale, 1e-300)
     rmin = float(rfree.min()) if rfree.size else 0.0
@@ -797,8 +761,8 @@ def wcp_check(
     grid = u1.grid
     check_same_grid(grid, u2.grid)
     op = DiscreteOperator.bind(problem, grid)
-    r1, scale1 = op.residual_and_scale(u1.values, op.load(None))
-    r2, scale2 = op.residual_and_scale(u2.values, op.load(None))
+    r1, scale1, _ = op.residual_terms(u1.values, op.load(None))
+    r2, scale2, _ = op.residual_terms(u2.values, op.load(None))
     free = ~grid.dirichlet_mask
     scale = max(scale1, scale2, 1e-300)
     gate = hypothesis_tol * scale

@@ -289,11 +289,14 @@ def vector_ratio_mp(a, b, p: float) -> float:
 
         (|a+b|^p - |a|^p - p |a|^(p-2) a.b) / (|b|^2 (|a|+|b|)^(p-2))
 
-    straight from its definition in 50-digit arithmetic, at the exact
-    values of the float entries of a and b (a != 0, b != 0)."""
-    with mpmath.workdps(50):
-        a = [mpmath.mpf(float(x)) for x in a]
-        b = [mpmath.mpf(float(x)) for x in b]
+    straight from its definition, at the exact values of the float entries
+    of a and b (a != 0, b != 0).  The numerator cancels to about
+    |b|^2 / |a|^2 of its terms, so the 50 working digits get twice the
+    decades of |a| / |b| on top."""
+    a = [mpmath.mpf(float(x)) for x in a]
+    b = [mpmath.mpf(float(x)) for x in b]
+    decades = mpmath.log10(max(abs(x) for x in a) / max(abs(y) for y in b))
+    with mpmath.workdps(50 + 2 * max(0, int(mpmath.ceil(decades)))):
         p = mpmath.mpf(p)
         na = mpmath.sqrt(mpmath.fsum(x * x for x in a))
         nb = mpmath.sqrt(mpmath.fsum(y * y for y in b))

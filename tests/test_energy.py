@@ -346,6 +346,23 @@ class TestVectorInequality:
         ref = oracles.vector_ratio_mp(a, b, p)
         assert vector_inequality_ratio(a, b, p).ratio == pytest.approx(ref, rel=1e-11, abs=0)
 
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize(
+        "a, b",
+        [((1.0, 0.0, 0.0), (rho, 0.0, 0.0)) for rho in (1e-300, 1e-170, 1e154, 1e300)]
+        + [((1.0, 0.0, 0.0), (0.0, rho, 0.0)) for rho in (1e-300, 1e-170, 1e154, 1e300)]
+        + [
+            ((1e-150, 0.0, 0.0), (0.0, 1.0, 0.0)),  # |a|^2 underflows, |b|^2/|a|^2 overflows
+            ((1e-200, 0.0, 0.0), (0.0, 1e-200, 0.0)),  # both squares underflow
+        ],
+    )
+    def test_ratio_matches_mp_far_outside_the_envelope(self, p, a, b):
+        # |b|^2 / |a|^2 leaves double range, where the unit-a kernel gives
+        # nan or takes b for 0
+        r = vector_inequality_ratio(a, b, p)
+        assert r.ratio == pytest.approx(oracles.vector_ratio_mp(a, b, p), rel=1e-11, abs=0)
+        assert not r.degenerate
+
     @pytest.mark.parametrize("p", MP_EXPONENTS)
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1))

@@ -43,7 +43,7 @@ from pcrit import (
     weak_residual,
 )
 from pcrit.model import ExhaustionSchedule
-from pcrit.solver import EPS_FLOOR, DiscreteOperator
+from pcrit.solver import DiscreteOperator
 
 SOURCES = sorted(Path(pcrit.__file__).parent.glob("*.py"))
 
@@ -272,11 +272,11 @@ def test_subcritical_verdict_solves_once_per_level(monkeypatch):
 
 
 def test_newton_evaluates_each_point_once(monkeypatch):
-    # a ball-center p = 1.5 solve that steps in several eps stages and
-    # backtracks on some steps; each accepted trial's residual is carried
-    # into the next step's gate and into the final test, so no point is
-    # evaluated twice
-    prob = RadialProblem(1.5, 3, (0.0, np.inf), PotentialSpec.constant(0.5))
+    # a ball-center p = 1.5 solve that backtracks on some steps (with
+    # V = 0.5 it takes only full steps); each accepted trial's residual is
+    # carried into the next step's gate and into the final test, so no
+    # point is evaluated twice
+    prob = RadialProblem(1.5, 3, (0.0, np.inf), PotentialSpec.constant(2.0))
     grid = build_grid(prob, (0.0, 4.0), 201)
     events = []
 
@@ -310,7 +310,6 @@ def test_newton_evaluates_each_point_once(monkeypatch):
     assert "e" not in kinds  # J is never read below p = 2
     assert kinds.startswith("rs") and "ss" not in kinds and kinds.endswith("r")
     assert kinds.count("s") == rep.iterations
-    assert len({args for kind, _, args in events if kind == "s"}) > 1  # eps stages
     trials = kinds[1:].count("r")
     assert trials > rep.iterations  # some step backtracked
     points = [u for kind, u, _ in events if kind == "r"]
@@ -319,7 +318,7 @@ def test_newton_evaluates_each_point_once(monkeypatch):
 
     monkeypatch.undo()
     op = DiscreteOperator.bind(prob, grid)
-    r, _ = op.residual_and_scale(rep.solution.values, op.load(None))
+    r = op.residual_terms(rep.solution.values, op.load(None))[0]
     assert rep.final_residual_norm == float(np.max(np.abs(r[grid.free])))
 
 
@@ -347,9 +346,9 @@ def test_newton_reads_energy_only_after_a_failed_residual_test(monkeypatch):
         events.append(("e", u.tobytes(), None))
         return energy(self, u, terms, load)
 
-    def recorded_jacobian(self, u, eps):
-        events.append(("s", u.tobytes(), eps))
-        return jacobian(self, u, eps)
+    def recorded_jacobian(self, u):
+        events.append(("s", u.tobytes(), self.p))
+        return jacobian(self, u)
 
     monkeypatch.setattr(DiscreteOperator, "residual_terms", recorded_residual)
     monkeypatch.setattr(DiscreteOperator, "energy", recorded_energy)
@@ -362,11 +361,11 @@ def test_newton_reads_energy_only_after_a_failed_residual_test(monkeypatch):
     reads = at_iterate = 0
     for kind, u, value in events:
         if kind == "s":
-            iterate, trial, at_iterate, eps = u, None, 0, value
+            iterate, trial, at_iterate, p = u, None, 0, value
         elif kind == "r":
             trial = u
         else:
-            assert eps == EPS_FLOOR
+            assert p > 2.0
             assert trial is not None and merit[trial] > (1.0 - solver.ARMIJO_C) * merit[iterate]
             assert u in (iterate, trial)
             at_iterate += u == iterate
@@ -376,57 +375,51 @@ def test_newton_reads_energy_only_after_a_failed_residual_test(monkeypatch):
 
 
 @pytest.fixture
-def newton_stages(monkeypatch):
-    """One Counter per Newton solve, of its Jacobian evaluations (one per
-    iteration) by eps stage."""
-    solves = []
+def newton_calls(monkeypatch):
+    """The Jacobian evaluations (one per iteration) of each Newton call."""
+    calls = []
     core, jacobian = solver._newton_core, DiscreteOperator.jacobian
 
     def counted_core(*args, **kwargs):
-        solves.append(Counter())
+        calls.append(0)
         return core(*args, **kwargs)
 
-    def counted_jacobian(self, u, eps):
-        solves[-1][eps] += 1
-        return jacobian(self, u, eps)
+    def counted_jacobian(self, u):
+        calls[-1] += 1
+        return jacobian(self, u)
 
     monkeypatch.setattr(solver, "_newton_core", counted_core)
     monkeypatch.setattr(DiscreteOperator, "jacobian", counted_jacobian)
-    return solves
+    return calls
 
 
-def _capped_stages(solves):
-    cap = SolverConfig().max_iter_per_stage
-    return [(eps, n) for s in solves for eps, n in s.items() if eps != EPS_FLOOR and n >= cap]
-
-
-def test_forced_p15_solve_leaves_stalled_stages(newton_stages):
-    # the CLI's solve config: its eps = 1e-2 stage used to hit the cap of
-    # 200 a hair above its gate, and the 1e-3 stage took 122 more
-    # iterations, 361 in all
+def test_forced_p15_solve_leaves_stalled_stages(newton_calls):
+    # the CLI's solve config: an eps-continuation once took 361 iterations
+    # on it, with one stage at the cap of 200 a hair above its gate
     prob = RadialProblem(1.5, 3, (0.0, np.inf), PotentialSpec.constant(1.0))
     grid = build_grid(prob, (0.25, 8.0), 4001)
     f = make_field(grid, PotentialSpec.bump(1.5, 0.3, 2.0).sample(grid.nodes))
     rep = solve_dirichlet(prob, grid, (0.5, 1.0), f=f)
     assert rep.converged
-    assert _capped_stages(newton_stages) == []
-    assert sum(newton_stages[0].values()) == rep.iterations <= 40
+    assert newton_calls == [rep.iterations]
+    assert rep.iterations <= 40
 
 
-def test_near_constant_solve_leaves_stalled_stages(newton_stages):
-    # boundary data 1e-9 apart at p = 3: the eps = 1e-6 stage used to spin
-    # to its cap at a residual within 5x of its start, 312 iterations in all
+def test_near_constant_solve_leaves_stalled_stages(newton_calls):
+    # boundary data 1e-9 apart at p = 3: an eps-continuation stage once
+    # spun to its cap at a residual within 5x of its start, 312 iterations
+    # in all; the solve is now its p = 2 start and one Newton call
     prob = RadialProblem(3.0, 3, (0.0, np.inf), PotentialSpec.zero())
     grid = build_grid(prob, (1.0, 2.0), 401)
     rep = solve_dirichlet(prob, grid, (1.0, 1.0 + 1e-9))
     assert rep.converged
-    assert _capped_stages(newton_stages) == []
-    assert sum(newton_stages[0].values()) == rep.iterations <= 40
+    assert len(newton_calls) == 2
+    assert sum(newton_calls) == rep.iterations <= 40
 
 
-def test_p2_solve_takes_no_eps_walk(monkeypatch, newton_stages):
-    # eps is inert at p = 2, so each stage above EPS_FLOOR only repeated
-    # the failed line search of the one before: 8 iterations and 282
+def test_p2_solve_takes_no_eps_walk(monkeypatch, newton_calls):
+    # the Jacobian is exact at p = 2: an eps-continuation there only
+    # repeated its failed line search once per stage, 8 iterations and 282
     # residual evaluations on this solve
     evaluations = []
     residual_terms = DiscreteOperator.residual_terms
@@ -444,8 +437,7 @@ def test_p2_solve_takes_no_eps_walk(monkeypatch, newton_stages):
     grid = build_grid(prob, (1.0, 2.0), 401)
     rep = solve_dirichlet(prob, grid, (1.0, 1.0 + 1e-9))
     assert rep.converged
-    [stages] = newton_stages
-    assert set(stages) == {EPS_FLOOR}
+    assert newton_calls == [rep.iterations]
     assert rep.iterations <= 2 and len(evaluations) <= 45
 
 
@@ -458,27 +450,26 @@ _LOG9 = ExhaustionSchedule(tuple((-(2.0**k), 2.0**k) for k in range(1, 10)), 0.0
     "problem, exhaustion, frame",
     [
         # criterion 05's two p = 3 runs; on the d = 4 run's largest level
-        # (slopes far below eps = 0.1 and 0.01) the cold nonnegativity
-        # eigensolve used to hit the cap in both of those stages, 447
-        # Newton iterations for one outer iteration
+        # (slopes far below 0.1 and 0.01) an eps-continuation from those
+        # values once hit the cap in both stages of the cold nonnegativity
+        # eigensolve, 447 Newton iterations for one outer iteration
         (_D4, make_exhaustion(_D4, 15, base=1.0, growth=2.0, style="annuli"), "auto"),
         (_D3, _LOG9, "log"),
     ],
     ids=["d4-annuli", "d3-log"],
 )
-def test_nonnegativity_eigensolve_leaves_stalled_stages(problem, exhaustion, frame, monkeypatch, newton_stages):
+def test_nonnegativity_eigensolve_leaves_stalled_stages(problem, exhaustion, frame, monkeypatch, newton_calls):
     checks = []
     eigenpair = DiscreteOperator.eigenpair
 
     def recorded(self, config):
-        before = len(newton_stages)
+        before = len(newton_calls)
         result = eigenpair(self, config)
-        checks.append((result, newton_stages[before:]))
+        checks.append((result, newton_calls[before:]))
         return result
 
     monkeypatch.setattr(DiscreteOperator, "eigenpair", recorded)
     null_sequence(problem, exhaustion, resolution=601, frame=frame)
     [(result, solves)] = checks
     assert result.converged
-    assert _capped_stages(solves) == []
-    assert sum(sum(s.values()) for s in solves) <= 40
+    assert sum(solves) <= 40
