@@ -25,7 +25,6 @@ from .criticality import criticality_verdict, ground_state, positivity_weight, q
 from .energy import (
     energy_Q,
     picone_density,
-    picone_gap,
     vector_inequality_envelope,
 )
 from .errors import PcritError, StateError
@@ -202,7 +201,7 @@ def _cmd_mingrowth(cfg: RunConfig, sc: SolverConfig, out: Path):
         "window": list(run_res.window),
         "window_gaps": list(run_res.window_gaps),
         "cauchy_converged": run_res.converged,
-        "lambda_1": list(run_res.lambda_1),
+        "lambda_1_lower": run_res.lambda_1_lower,
     }
     status = 0 if len(run_res.fields) == len(cfg.exhaustion.levels) else 2
     return results, files, status
@@ -297,7 +296,7 @@ def _suite_picone(rng: np.random.Generator, sc: SolverConfig):
             scale = max(float(np.max(np.abs(lag.cell_values))), 1e-30)
             worst_density = max(worst_density, -float(np.min(lag.cell_values)) / scale)
             q = energy_Q(u, prob).total
-            worst_gap = max(worst_gap, abs(picone_gap(u, v, prob)) / (1.0 + abs(q)))
+            worst_gap = max(worst_gap, abs(q - lag.total) / (1.0 + abs(q)))
         ok &= worst_density <= 1e-12 and worst_gap <= 1e-4
         details.append(f"p={p}: min density {-worst_density:.2e}, identity defect {worst_gap:.2e}")
     return ok, "; ".join(details)
@@ -332,7 +331,7 @@ def _suite_wcp(rng: np.random.Generator, sc: SolverConfig):
             p=p, d=3, domain=(0.0, float("inf")), potential=PotentialSpec.constant(1.0)
         )
         grid = build_grid(prob, (1.0, 2.0), 301)
-        lambda_1 = principal_eigenpair(prob, grid, sc).lam
+        lambda_1 = None  # the first pair's check certifies it for the rest
         for _ in range(10):
             h1 = float(rng.uniform(0.1, 0.5))
             h2 = h1 + float(rng.uniform(0.1, 0.5))
@@ -347,8 +346,10 @@ def _suite_wcp(rng: np.random.Generator, sc: SolverConfig):
                 return False, "wcp reference solve failed"
             # hypothesis gate above the p != 2 solver residual tolerance
             res = wcp_check(
-                r1.solution, r2.solution, prob, hypothesis_tol=1e-7, lambda_1=lambda_1
+                r1.solution, r2.solution, prob, hypothesis_tol=1e-7, lambda_1=lambda_1,
+                config=sc,
             )
+            lambda_1 = res.lambda_1
             ok &= res.ok
             worst = max(worst, res.max_violation)
             count += 1
@@ -367,7 +368,7 @@ def _suite_uk_monotone(rng: np.random.Generator, sc: SolverConfig):
         config=sc,
     )
     worst = max(run_res.monotonicity_log) if run_res.monotonicity_log else 0.0
-    ok = worst <= 1e-8 and all(l > 0 for l in run_res.lambda_1)
+    ok = worst <= 1e-8 and run_res.lambda_1_lower > 0
     return ok, f"max monotonicity violation {worst:.2e} over {len(run_res.fields)} levels"
 
 

@@ -76,7 +76,7 @@ class MinimalGrowthRun:
     window_gaps: tuple[float, ...]  # max|u_{N+1} - u_N| on the fixed window
     window: tuple[float, float]
     converged: bool
-    lambda_1: tuple[float, ...]
+    lambda_1_lower: float  # certified lower bound on lambda_1 of every level minus the set
 
 
 @dataclass(frozen=True)
@@ -156,9 +156,16 @@ def uK_limit(
     trace interpolant and each component of the level minus the set is a
     held run, warm-started from the previous level.  The per-level fields
     (extended by zero beyond their level) are nodewise comparable; the log
-    records the worst monotonicity violation at each step.  The principal
-    eigenvalue of each component is checked positive; a level whose solve
-    fails ends the run there.
+    records the worst monotonicity violation at each step.  A level whose
+    solve fails ends the run there.
+
+    Before any level is solved, the principal eigenvalue of each component
+    of the largest level minus the set is certified positive, once for the
+    run: every smaller level's components lie inside those, on the same
+    grid, so their discrete lambda_1 can only be larger.  A component's
+    lower bound is its torsion bound, or its eigenvalue where the torsion
+    bound is None; the smallest is reported as ``lambda_1_lower``, and a
+    bound <= 0 raises PreconditionError.
     """
     exhaustion.validate(problem)
     compact.validate(problem)
@@ -183,8 +190,20 @@ def uK_limit(
     held_vals = t_lo + (full.nodes - k_lo) / max(k_hi - k_lo, 1e-300) * (t_hi - t_lo)
     held_vals[s1] = t_hi  # the interpolant's end value, exactly
 
+    a, b = levels[-1]
+    lo, hi = (int(i) for i in np.searchsorted(full.nodes, (a, b)))
+    lam = math.inf
+    for i, j in ((lo, s0), (s1, hi)):  # the components of the level minus the set
+        if i < j:
+            part = op.restrict(i, j + 1)
+            mu = part.torsion_bound(config)
+            lam = min(lam, part.eigenpair(config).lam if mu is None else mu)
+    if not lam > 0:
+        raise PreconditionError(
+            f"principal eigenvalue on level ({a}, {b}) minus the set is {lam:.3e} <= 0"
+        )
+
     fields: list[Field] = []
-    lam1s: list[float] = []
     mono: list[float] = []
     gaps: list[float] = []
     window = (k_hi, levels[0][1])
@@ -198,14 +217,6 @@ def uK_limit(
         except StateError as exc:
             logger.warning("level (%g, %g): %s, truncating", a, b, exc)
             break
-        # the components of the level minus the set, in level indices
-        parts = [(0, s0 - lo), (s1 - lo, hi - lo)]
-        lam = min(level.restrict(i, j + 1).eigenpair(config).lam for i, j in parts if i < j)
-        if not lam > 0:
-            raise PreconditionError(
-                f"principal eigenvalue on level ({a}, {b}) minus the set is {lam:.3e} <= 0"
-            )
-        lam1s.append(lam)
         u_full = np.zeros(full.n)
         u_full[lo : hi + 1] = u
         if fields:
@@ -227,7 +238,7 @@ def uK_limit(
         window_gaps=tuple(gaps),
         window=window,
         converged=converged,
-        lambda_1=tuple(lam1s),
+        lambda_1_lower=lam,
     )
 
 

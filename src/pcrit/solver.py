@@ -150,6 +150,10 @@ class SignClassification:
 
 @dataclass(frozen=True)
 class WcpResult:
+    """The conclusion u1 <= u2 + tol, its worst violation, and lambda_1:
+    the principal eigenvalue that was given, or else a certified lower bound
+    on it (see wcp_check)."""
+
     ok: bool
     max_violation: float
     lambda_1: float
@@ -425,15 +429,52 @@ class DiscreteOperator:
         if not grid.natural_left:
             u0[0] = bl
         u0[-1] = br
+        u, iters, res, conv = self._newton(load, u0, config, cold=initial is None)
+        return SolveReport(Field(grid, u), iters, res, conv)
 
+    def _newton(
+        self, load: np.ndarray, u0: np.ndarray, config: SolverConfig, cold: bool
+    ) -> tuple[np.ndarray, int, float, bool]:
+        """_newton_core from u0, after the p = 2 start of a cold solve at
+        p > 2 (see dirichlet); the iteration count covers both solves."""
         start_iters = 0
-        if initial is None and self.p > 2.0:
-            linear = DiscreteOperator(2.0, grid, self.vvals)
+        if cold and self.p > 2.0:
+            linear = DiscreteOperator(2.0, self.grid, self.vvals)
             u2, start_iters, _, ok = _newton_core(linear, load, u0, config)
             if ok:
                 u0 = u2
         u, iters, res, conv = _newton_core(self, load, u0, config)
-        return SolveReport(Field(grid, u), start_iters + iters, res, conv)
+        return u, start_iters + iters, res, conv
+
+    def torsion_bound(self, config: SolverConfig) -> float | None:
+        """A lower bound mu > 0 on the principal Dirichlet eigenvalue of Q
+        on the grid, or None.
+
+        The torsion function w solves Q'(w) = 1 at every free node (a unit
+        nodal load) and vanishes at the Dirichlet nodes, by the cold solve
+        of ``dirichlet``.  With its residual r, Q'(w)_j = 1 + r_j, and
+
+            mu = min over free nodes j of (1 + r_j) / (node_w_j w_j^(p-1)),
+
+        so Q'(w) >= mu node_w phi_p(w) on the free nodes.  Paired with
+        v^p / w^(p-1) for any v vanishing at the Dirichlet nodes, the cellwise
+        discrete Picone inequality gives Q(v) >= mu sum node_w |v|^p: a
+        positive supersolution bounds lambda_1 from below (Allegretto-
+        Piepenbrink; the Collatz-Wielandt bound of pcrit.criticality).  The
+        bound is read off w's own residual, so it holds whether or not the
+        solve met its gate.  None when w is not positive at every free node
+        or mu <= 0.  The load is one per node, not node_w: the solve's gate
+        is relative to its largest term, so with node weights graded over
+        decades a node_w load goes unresolved at the light nodes."""
+        g, p = self.grid, self.p
+        free = ~g.dirichlet_mask
+        load = free.astype(float)
+        w = self._newton(load, np.zeros(g.n), config, cold=True)[0]
+        if not np.all(w[free] > 0.0):
+            return None
+        r = self.residual_terms(w, load)[0]
+        mu = float(np.min((1.0 + r[free]) / (g.node_w[free] * w[free] ** (p - 1.0))))
+        return mu if mu > 0.0 else None
 
     def held_runs(
         self, held: np.ndarray, values, config: SolverConfig, initial: np.ndarray | None = None
@@ -755,8 +796,11 @@ def wcp_check(
 
     Hypotheses: Q'(u1) <= Q'(u2) nodewise, Q'(u2) >= 0, u1 <= u2 on the
     Dirichlet boundary, u2 >= 0 there, and a positive principal eigenvalue
-    on the grid.  Any failure raises PreconditionError naming the culprit;
-    the conclusion's violation is returned, not raised.
+    on the grid.  That eigenvalue is ``lambda_1`` when given; otherwise the
+    grid's torsion bound (DiscreteOperator.torsion_bound) stands in for it,
+    or the eigenvalue itself where that bound is None.  Any failure raises
+    PreconditionError naming the culprit; the conclusion's violation is
+    returned, not raised.
     """
     grid = u1.grid
     check_same_grid(grid, u2.grid)
@@ -779,7 +823,9 @@ def wcp_check(
     if np.any(u2.values[bmask] < -bgate):
         failures.append("u2 >= 0 on the boundary")
     if lambda_1 is None:
-        lambda_1 = op.eigenpair(config).lam
+        lambda_1 = op.torsion_bound(config)
+        if lambda_1 is None:
+            lambda_1 = op.eigenpair(config).lam
     if not lambda_1 > 0:
         failures.append("lambda_1 > 0 on the level")
     if failures:

@@ -212,6 +212,28 @@ MINGROWTH_BALL_INI = dedent(
     """
 )
 
+MINGROWTH_NON_COERCIVE_INI = dedent(
+    """\
+    [problem]
+    p = 3.0
+    d = 3
+    domain = 0 inf
+    potential = constant -0.05
+
+    [exhaustion]
+    style = balls
+    count = 4
+    base = 1.0
+    growth = 2.0
+    x0 = 1.5
+
+    [command]
+    name = mingrowth
+    set = 0 1
+    resolution = 301
+    """
+)
+
 CERTIFY_INI = dedent(
     """\
     [problem]
@@ -442,8 +464,19 @@ class TestMingrowthCommand:
         assert proc.returncode == 0, proc.stderr
         res = report["results"]
         assert res["levels_completed"] == 3
-        assert len(res["lambda_1"]) == 3 and min(res["lambda_1"]) > 0.0
+        assert res["lambda_1_lower"] > 0.0
         assert (out / "mingrowth_profile.csv").is_file()
+
+    def test_non_coercive_level_is_a_precondition_failure(self, tmp_path):
+        # V = -0.05 at p = 3: the largest level's component outside the set
+        # has lambda_1 = -0.043, so the run is refused before any level is
+        # solved, not truncated where the (0, 16) solve fails
+        proc, out, report = run_cli(tmp_path, MINGROWTH_NON_COERCIVE_INI)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(
+            "error: principal eigenvalue on level (0.0, 16.0) minus the set is -4.266e-02 <= 0"
+        ), proc.stderr
+        assert report is None and not out.exists()
 
 
 class TestLevelsFlag:

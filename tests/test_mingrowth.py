@@ -22,6 +22,7 @@ from pcrit import (
 )
 from pcrit.errors import PreconditionError
 from pcrit.model import Field, Grid, build_grid
+from pcrit.solver import DiscreteOperator, SolverConfig
 
 
 def ray_problem(d, p=2.0):
@@ -58,7 +59,7 @@ class TestUkLimit:
             resolution=601, cauchy_tol=1e-2,
         )
         assert run.converged
-        assert all(lam > 0.0 for lam in run.lambda_1)
+        assert run.lambda_1_lower > 0.0
         assert max(run.monotonicity_log) == 0.0
         gaps = run.window_gaps
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -111,12 +112,41 @@ class TestUkLimit:
         ex = make_exhaustion(PROB3, 3, base=2.0, growth=2.0, style="balls")
         run = uK_limit(PROB3, CompactSetSpec(0.5, 1.0), (1.0, 1.0), ex, resolution=201)
         assert len(run.fields) == 3
-        assert all(lam > 0.0 for lam in run.lambda_1)
+        assert run.lambda_1_lower > 0.0
         assert max(run.monotonicity_log) <= 1e-12
         # V = 0 with a constant trace: the inner ball stays at the trace
         nodes, vals = run.limit.grid.nodes, run.limit.values
         assert nodes[0] == 0.0
         assert np.max(np.abs(vals[nodes <= 1.0] - 1.0)) <= 1e-12
+
+    def test_lambda_1_is_certified_once_per_run(self, monkeypatch):
+        # the cli-batch mingrowth config: the set touches the ball center, so
+        # the largest level minus the set has one component, and its torsion
+        # bound certifies the whole run without an eigensolve
+        calls = []
+        bound, eigenpair = DiscreteOperator.torsion_bound, DiscreteOperator.eigenpair
+        monkeypatch.setattr(
+            DiscreteOperator, "torsion_bound", lambda op, c: calls.append("bound") or bound(op, c)
+        )
+        monkeypatch.setattr(
+            DiscreteOperator, "eigenpair", lambda op, c: calls.append("eigen") or eigenpair(op, c)
+        )
+        prob = ray_problem(3, p=3.0)
+        ex = make_exhaustion(prob, 5, base=1.0, growth=2.0, style="balls", x0=1.5)
+        run = uK_limit(prob, CompactSetSpec(0.0, 1.0), (1.0, 1.0), ex, resolution=801)
+        assert len(run.fields) == 5
+        assert calls == ["bound"]
+        # one check suffices: on the run's master grid each smaller level's
+        # component has a lambda_1 at least the largest level's
+        grid = run.limit.grid
+        op = DiscreteOperator.bind(prob, grid)
+        s1 = int(np.searchsorted(grid.nodes, 1.0))
+        lams = [
+            op.restrict(s1, int(np.searchsorted(grid.nodes, b)) + 1).eigenpair(SolverConfig()).lam
+            for _, b in run.levels
+        ]
+        assert all(lam >= lams[-1] for lam in lams[:-1])
+        assert 0.0 < run.lambda_1_lower <= lams[-1]
 
 
 class TestSingularityExponent:

@@ -382,6 +382,42 @@ class TestEigen:
         assert rep.lam == pytest.approx(1.1056301747738588, rel=1e-12)
 
 
+class TestTorsionBound:
+    @pytest.mark.parametrize("shape", sorted(BASELINE_SHAPES))
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    def test_bound_lies_below_lambda_1(self, p, shape):
+        # the Dirichlet problem on each Baseline shape's level.  The quotient
+        # at any vector lies above the discrete lambda_1, so the eigensolve's
+        # quotient bounds mu whether or not it converged (it does not at
+        # p = 1.5 on shape 8).  Measured: mu reads 0.09 to 0.93 of it, and is None
+        # exactly where lambda_1 < 0 (p = 4, shape 8)
+        d, level, nodes, potential, _ = BASELINE_SHAPES[shape]
+        prob = RadialProblem(p, d, (0.0, np.inf), potential)
+        op = DiscreteOperator.bind(prob, build_grid(prob, level, nodes))
+        mu = op.torsion_bound(SolverConfig())
+        eig = op.eigenpair(SolverConfig())
+        if eig.lam > 0.0:
+            assert mu is not None and 0.0 < mu <= eig.lam
+        else:
+            assert mu is None
+
+    @pytest.mark.parametrize("p, V, lam", [(2.0, -20.0, -10.13), (3.0, -60.0, -31.71)])
+    def test_no_bound_below_zero(self, p, V, lam):
+        prob = line_problem(p=p, V=PotentialSpec.constant(V))
+        op = DiscreteOperator.bind(prob, build_grid(prob, (0.0, 1.0), 401, law="uniform"))
+        assert op.eigenpair(SolverConfig()).lam == pytest.approx(lam, abs=0.01)
+        assert op.torsion_bound(SolverConfig()) is None
+
+    def test_wcp_without_lambda_refuses_a_negative_eigenvalue(self):
+        # u1 = u2 = 0 meets every other hypothesis, so the eigenvalue
+        # fallback behind the missing bound is what refuses the level
+        prob = line_problem(p=2.0, V=PotentialSpec.constant(-20.0))
+        g = build_grid(prob, (0.0, 1.0), 401, law="uniform")
+        zero = make_field(g, np.zeros(g.n))
+        with pytest.raises(PreconditionError, match=r"hypotheses failed: lambda_1 > 0 on the level$"):
+            wcp_check(zero, zero, prob)
+
+
 def dense_partial_mass_eigen(diag, off, mass):
     """Reference for the partial-mass pencil through dense algebra: lam is
     1 / nu for the largest eigenvalue nu of M^(1/2) A^(-1) M^(1/2) on the
