@@ -112,8 +112,8 @@ def q_parts(grid: Grid, p: float, vvals: np.ndarray, u: np.ndarray) -> EnergyBre
     """Q of the nodal values u on the grid, with V given by its nodal
     samples vvals: exact slopes per cell, nodal values against the dual-cell
     weights.  Every evaluation of Q in the package goes through here."""
-    grad = float(np.sum(np.abs(np.diff(u) / grid.h) ** p * grid.cell_w))
-    pot = float(np.sum(vvals * np.abs(u) ** p * grid.node_w))
+    grad = float((np.abs(np.diff(u) / grid.h) ** p * grid.cell_w).sum())
+    pot = float((vvals * np.abs(u) ** p * grid.node_w).sum())
     return EnergyBreakdown(grad, pot, (grad + pot) / p)
 
 

@@ -45,8 +45,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from .energy import phi_p, q_parts
 from .errors import PreconditionError, StateError
@@ -54,10 +53,11 @@ from .model import Field, Grid, RadialProblem, check_same_grid
 
 logger = logging.getLogger(__name__)
 
-# benchmark/tracer.py counts the scipy kernels bound in this module by name.
-# No solve here calls these three any more; they stay bound so that the
-# tracer's kernel.eigh, kernel.solveh_banded and kernel.eigh_tridiagonal
-# counters read 0.
+# benchmark/tracer.py counts the kernels bound in this module by name:
+# solve_banded below, pcrit's own call of LAPACK's gtsv, which every Newton
+# step makes once, and these three scipy functions, which no solve here
+# calls any more; they stay bound so that the tracer's kernel.eigh,
+# kernel.solveh_banded and kernel.eigh_tridiagonal counters read 0.
 eigh = scipy.linalg.eigh
 solveh_banded = scipy.linalg.solveh_banded
 eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
@@ -254,25 +254,28 @@ class DiscreteOperator:
         q = float(np.dot(np.abs(flux), np.abs(np.diff(u)))) + float(np.dot(pot, u))
         return q / self.p - float(np.dot(load, u))
 
-    def jacobian(self, u: np.ndarray) -> np.ndarray:
-        """Tridiagonal Jacobian of the residual on the free nodes, in
-        solve_banded's (3, m) layout.  Flux and potential derivatives use
-        the EPS-regularized powers, which are exact at p = 2.  At p > 2 the
+    def jacobian(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Tridiagonal Jacobian of the residual on the free nodes, as its
+        (diagonal, off-diagonal).  Flux and potential derivatives use the
+        EPS-regularized powers, which are exact at p = 2.  At p > 2 the
         potential weights node_w V are clipped at 0, so the matrix is
         positive definite and its step descends J where V < 0."""
         g, p = self.grid, self.p
+        lo, hi = g.free.start, g.free.stop
         s = (u[1:] - u[:-1]) / g.h
-        reg = (s * s + EPS * EPS) ** (0.5 * (p - 2.0))
-        gp = reg * (1.0 + (p - 2.0) * s * s / (s * s + EPS * EPS)) * self._flux_w
+        s2_reg = s * s + EPS * EPS
+        reg = s2_reg ** (0.5 * (p - 2.0))
+        gp = reg * (1.0 + (p - 2.0) * s * s / s2_reg) * self._flux_w
         kcell = gp / g.h  # coupling strength of each cell
-        pot_w = np.maximum(self._pot_w, 0.0) if p > 2.0 else self._pot_w
-        pot = pot_w * (p - 1.0) * (u * u + EPS * EPS) ** (0.5 * (p - 2.0))
-        diag, off = cell_tridiagonal(kcell, kcell, -kcell, g.free)
-        ab = np.zeros((3, diag.size))
-        ab[1, :] = diag + pot[g.free]
-        ab[0, 1:] = off
-        ab[2, :-1] = off
-        return ab
+        pot_w = np.maximum(self._pot_w[lo:hi], 0.0) if p > 2.0 else self._pot_w[lo:hi]
+        uf = u[lo:hi]
+        pot = pot_w * (p - 1.0) * (uf * uf + EPS * EPS) ** (0.5 * (p - 2.0))
+        # free node j couples through cell j to its right and, unless it is
+        # the ball center (lo = 0), through cell j - 1 to its left
+        diag = kcell[lo:hi].copy()
+        diag[1 - lo :] += kcell[: hi - 1]
+        diag += pot
+        return diag, -kcell[lo : hi - 1]
 
     def quotient(self, u: np.ndarray, weight: np.ndarray) -> tuple[float, float]:
         """(p Q(u) / integral(W |u|^p), integral(W |u|^p)) for the nodal
@@ -328,9 +331,9 @@ class DiscreteOperator:
         inner = DiscreteOperator(p, g, self.vvals + shift)
         if p == 2.0:
             # at p = 2 the Jacobian is the form's matrix, whatever u
-            ab = inner.jacobian(np.zeros(g.n))
+            diag, off = inner.jacobian(np.zeros(g.n))
             u = np.zeros(g.n)
-            u[g.free] = smallest_generalized_eigen(ab[1], ab[0, 1:], (g.node_w * weight)[g.free])
+            u[g.free] = smallest_generalized_eigen(diag, off, (g.node_w * weight)[g.free])
             return self.quotient(u, weight)[0], u, 1, True
 
         a, b = g.interval
@@ -523,6 +526,25 @@ def residual_scale(u: Field, problem: RadialProblem, f: Field | None = None) -> 
 # Newton
 # ---------------------------------------------------------------------------
 
+def solve_banded(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solution x of the symmetric tridiagonal system with diagonal ``diag``
+    and off-diagonal ``off``, by LAPACK's gtsv (Gaussian elimination with
+    partial pivoting): the routine scipy.linalg.solve_banded calls for one
+    band on each side, given the same arrays, so x carries the same bits.
+    A 1x1 system is divided, as scipy does.  diag and rhs may be
+    overwritten.  Raises np.linalg.LinAlgError when a pivot is exactly
+    zero."""
+    if diag.size == 1:
+        return rhs / diag
+    # gtsv overwrites both off-diagonals, so only one may be off itself
+    x, info = dgtsv(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)[3:]
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in the {-info}-th argument of gtsv")
+    return x
+
+
 def _newton_core(
     op: DiscreteOperator,
     load: np.ndarray,
@@ -534,7 +556,9 @@ def _newton_core(
     iteration ends at the residual gate (tol times the residual scale), at
     max_iter_per_stage iterations, at a failed linear solve or at a step
     without descent; ``converged`` is read on the gate or the rounding
-    floor.
+    floor.  Each step is one solve_banded call on the Jacobian's two
+    diagonals; the residual, its norm and its merit at each iterate are
+    those of the trial that produced it.
 
     The line search halves alpha from alpha_0 = 1, or at p != 2, when
     max|d| > max|u| > 0, from the largest power of two with alpha_0 max|d|
@@ -565,7 +589,7 @@ def _newton_core(
         terms J is read from)"""
         r_full, sc, terms = op.residual_terms(v, load)
         r = r_full[free]
-        norm = float(np.max(np.abs(r))) if r.size else 0.0
+        norm = float(np.abs(r).max()) if r.size else 0.0
         return r, norm, max(sc, 1e-300), math.isfinite(norm) and math.isfinite(sc), terms
 
     def rounding_floor(v, sc):
@@ -578,25 +602,23 @@ def _newton_core(
         with np.errstate(over="ignore"):  # an overflow to inf fails Armijo
             return 0.5 * float(np.dot(r, r))
 
-    # each iterate's residual is evaluated once, as the accepted trial of
-    # the step that made it; a non-finite residual ends the solve, failed
+    # each iterate's residual and merit are evaluated once, as the accepted
+    # trial of the step that made it; a non-finite residual ends the solve,
+    # failed
     r, res_norm, scale, finite, terms = evaluate(u)
+    merit_u = merit(r)
     iters = 0
     while finite and res_norm > tol * scale:
         if iters == config.max_iter_per_stage:
             logger.debug("newton: hit its %d-iteration cap, res=%g > %g", iters, res_norm, tol * scale)
             break
         try:
-            du = solve_banded(
-                (1, 1), op.jacobian(u), -r,
-                overwrite_ab=True, overwrite_b=True, check_finite=False,
-            )
+            du = solve_banded(*op.jacobian(u), -r)
         except np.linalg.LinAlgError:
             du = None
-        if du is None or not np.all(np.isfinite(du)):
+        if du is None or not np.isfinite(du).all():
             logger.debug("newton: linear solve failed at res=%g", res_norm)
             break
-        merit_u = merit(r)
         # J's slope along du; J(u) and the rounding guard are read only
         # once a trial fails the residual test
         slope = float(np.dot(r, du))
@@ -604,7 +626,7 @@ def _newton_core(
         energy_u = None
         alpha = 1.0
         if p != 2.0:
-            u_max, du_max = float(np.max(np.abs(u))), float(np.max(np.abs(du)))
+            u_max, du_max = float(np.abs(u).max()), float(np.abs(du).max())
             if du_max > u_max > 0.0:
                 # 2^floor(log2(u_max / du_max)): frexp's mantissa is in [1/2, 1)
                 alpha = math.ldexp(1.0, math.frexp(u_max / du_max)[1] - 1)
@@ -614,7 +636,7 @@ def _newton_core(
             u_try[free] = u[free] + alpha * du
             trial = evaluate(u_try)
             merit_try = merit(trial[0])
-            if np.isfinite(merit_try) and merit_try <= merit_u * (1.0 - ARMIJO_C * alpha):
+            if math.isfinite(merit_try) and merit_try <= merit_u * (1.0 - ARMIJO_C * alpha):
                 accepted = True
             elif energy_test and trial[3]:
                 if energy_u is None:
@@ -624,7 +646,7 @@ def _newton_core(
                     op.energy(u_try, trial[4], load) <= energy_u + ARMIJO_C * alpha * slope
                 )
             if accepted:
-                u = u_try
+                u, merit_u = u_try, merit_try
                 r, res_norm, scale, finite, terms = trial
                 break
             alpha *= 0.5
@@ -689,6 +711,10 @@ def smallest_generalized_eigen(diag: np.ndarray, off: np.ndarray, mass: np.ndarr
     on = mass > 0
     if not np.any(on):
         raise ValueError("mass diagonal vanishes identically")
+    if diag.size == 1:  # dpttrf takes no empty off-diagonal
+        if not diag[0] > 0.0:
+            raise PreconditionError("quadratic form is not positive definite on the level")
+        return 1.0 / np.sqrt(mass)
 
     def below(sigma: float) -> bool:
         return dpttrf(diag - sigma * mass, off)[2] == 0

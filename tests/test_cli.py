@@ -33,9 +33,8 @@ EIG_INI = dedent(
 )
 
 # p = 3 on an unbounded domain; the warm inner solves of its inverse power
-# iteration take up to 22 damped steps in the last eps stage (101 while
-# steps were accepted on the residual alone) before Newton's local
-# convergence sets in
+# iteration take up to 18 damped steps (101 while steps were accepted on
+# the residual alone) before Newton's local convergence sets in
 P3_EIG_INI = dedent(
     """\
     [problem]
@@ -141,7 +140,7 @@ OVERFLOW_SOLVE_INI = dedent(
     """
 )
 
-# one Newton step per eps stage starves the first level's threshold
+# one Newton step per solve starves the first level's threshold
 # eigensolve, so no level yields a threshold and the verdict cannot be made
 NO_THRESHOLD_CRIT_INI = dedent(
     """\
@@ -381,6 +380,17 @@ class TestEigCommand:
         a, b = lines[1000].split(",")
         float(a), float(b)
 
+    def test_p2_eigenpair_on_one_free_node(self, tmp_path):
+        # resolution 3 leaves one free node, a pencil of order 1 that
+        # dpttrf refused for its empty off-diagonal; the eigenvalue is the
+        # quotient at the hat function: two cells of weight 1/2 at slope 2
+        # over a nodal mass of 1/2
+        ini = EIG_INI.replace("resolution = 2001", "resolution = 3")
+        proc, out, report = run_cli(tmp_path, ini)
+        assert proc.returncode == 0, proc.stderr
+        assert report["results"]["lambda"] == 8.0
+        assert report["results"]["converged"] is True
+
     def test_report_embeds_config_hash_and_tolerances(self, tmp_path):
         proc, _, report = run_cli(tmp_path, EIG_INI)
         assert proc.returncode == 0
@@ -400,8 +410,9 @@ class TestEigCommand:
         assert report["tolerances"]["residual_tol"] == 3e-9
 
     def test_p3_eigenpair_converges_in_its_last_stage(self, tmp_path):
-        # the last eps stage has no stall exit; with one, the second inner
-        # solve stopped after 6 steps and this run exited 2
+        # the Newton solve has no stall exit; when the last eps stage had
+        # one, the second inner solve stopped after 6 steps and this run
+        # exited 2
         proc, out, _ = run_cli(tmp_path, P3_EIG_INI)
         assert proc.returncode == 0, proc.stderr
         report = strict_report(out)

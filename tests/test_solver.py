@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy.linalg import eigh, solveh_banded
+from scipy.linalg.lapack import dpttrf
 
 import oracles
 from conftest import random_compact_field
@@ -382,6 +384,94 @@ class TestEigen:
         assert rep.lam == pytest.approx(1.1056301747738588, rel=1e-12)
 
 
+def tridiagonal_times(diag, off, v):
+    out = diag * v
+    out[:-1] += off * v[1:]
+    out[1:] += off * v[:-1]
+    return out
+
+
+class TestTridiagonalKernel:
+    @pytest.mark.parametrize("m", [1, 2, 3, 599, 4001])
+    @pytest.mark.parametrize("kind", ["dominant", "indefinite"])
+    def test_bits_match_scipy_solve_banded(self, m, kind):
+        rng = np.random.default_rng(m)
+        off = rng.normal(size=m - 1)
+        if kind == "dominant":
+            diag = rng.uniform(0.1, 1.0, m)
+            diag[:-1] += np.abs(off)
+            diag[1:] += np.abs(off)
+        else:
+            diag = rng.normal(size=m)
+        rhs = rng.normal(size=m)
+        ab = np.zeros((3, m))
+        ab[0, 1:], ab[1], ab[2, :-1] = off, diag, off
+        ref = scipy.linalg.solve_banded((1, 1), ab, rhs)
+        x = solver.solve_banded(diag.copy(), off.copy(), rhs.copy())
+        assert x.tobytes() == ref.tobytes()
+
+    def test_singular_system_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            solver.solve_banded(np.ones(2), np.ones(1), np.ones(2))
+
+
+# levels of a ball and an annulus, whose free blocks start at the center
+# node and after the left Dirichlet node
+JACOBIAN_LEVELS = pytest.mark.parametrize("level", [(0.0, 2.0), (1.0, 3.0)], ids=["ball", "annulus"])
+
+
+class TestJacobian:
+    @JACOBIAN_LEVELS
+    def test_p2_is_the_residual_difference(self, level):
+        # the residual is linear at p = 2, and V's sign is kept
+        prob = RadialProblem(2.0, 3, (0.0, np.inf), PotentialSpec.bump(1.5, 0.5, -4.0))
+        g = build_grid(prob, level, 301)
+        op = DiscreteOperator.bind(prob, g)
+        rng = np.random.default_rng(0)
+        u = 1.0 + rng.uniform(0.0, 1.0, g.n)
+        v = np.zeros(g.n)
+        v[g.free] = rng.normal(size=v[g.free].size)
+        load = op.load(None)
+        r_u, scale, _ = op.residual_terms(u, load)
+        r_uv = op.residual_terms(u + v, load)[0]
+        diag, off = op.jacobian(u)
+        jv = tridiagonal_times(diag, off, v[g.free])
+        assert np.max(np.abs(jv - (r_uv - r_u)[g.free])) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    @JACOBIAN_LEVELS
+    def test_matches_central_difference(self, p, level):
+        # V >= 0 is not clipped, and slopes near -2 keep the EPS
+        # regularization far below the difference's accuracy
+        prob = RadialProblem(p, 3, (0.0, np.inf), PotentialSpec.bump(1.5, 0.5, 3.0))
+        g = build_grid(prob, level, 301)
+        op = DiscreteOperator.bind(prob, g)
+        u = 1.0 + 2.0 * (level[1] - g.nodes) + 0.3 * np.sin(g.nodes)
+        rng = np.random.default_rng(1)
+        v = np.zeros(g.n)
+        v[g.free] = rng.normal(size=v[g.free].size)
+        t, load = 1e-6, op.load(None)
+        r_plus = op.residual_terms(u + t * v, load)[0]
+        r_minus = op.residual_terms(u - t * v, load)[0]
+        fd = ((r_plus - r_minus) / (2.0 * t))[g.free]
+        jv = tridiagonal_times(*op.jacobian(u), v[g.free])
+        assert np.max(np.abs(jv - fd)) <= 1e-5 * np.max(np.abs(jv))
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+    @JACOBIAN_LEVELS
+    def test_positive_definite_where_v_is_negative(self, p, level):
+        # a deep well under a flat stretch of u: V's negative part outweighs
+        # the regularized flux there, so only its clipping at p > 2 keeps
+        # the matrix positive definite
+        prob = RadialProblem(p, 3, (0.0, np.inf), PotentialSpec.bump(1.5, 0.3, -1e3))
+        g = build_grid(prob, level, 301)
+        op = DiscreteOperator.bind(prob, g)
+        u = 1.0 + np.maximum(g.nodes - 1.8, 0.0)
+        assert np.min(op.vvals) < 0.0 and np.max(op.vvals) == 0.0
+        diag, off = op.jacobian(u)
+        assert dpttrf(diag, off)[2] == 0
+
+
 class TestTorsionBound:
     @pytest.mark.parametrize("shape", sorted(BASELINE_SHAPES))
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
@@ -541,6 +631,15 @@ class TestSmallestGeneralizedEigen:
         mass = rng.uniform(0.5, 2.0, 40) if branch == "full-mass" else windows(40, [(10, 25)], rng)
         vec = smallest_generalized_eigen(diag, off, mass)
         assert float(np.sum(mass * vec * vec)) == pytest.approx(1.0, rel=1e-13)
+
+    def test_pencil_of_order_one(self):
+        # dpttrf takes no empty off-diagonal; the vector is 1 / sqrt(mass)
+        vec = smallest_generalized_eigen(np.array([3.0]), np.empty(0), np.array([0.7]))
+        assert vec.shape == (1,) and vec[0] > 0
+        assert float(0.7 * vec[0] ** 2) == pytest.approx(1.0, rel=1e-15)
+        for diag in (0.0, -1.0):
+            with pytest.raises(PreconditionError):
+                smallest_generalized_eigen(np.array([diag]), np.empty(0), np.array([0.7]))
 
     @pytest.mark.parametrize("negative_at", ["complement", "support", "full-mass"])
     def test_indefinite_form_raises_precondition_error(self, negative_at):

@@ -323,10 +323,10 @@ def test_newton_evaluates_each_point_once(monkeypatch):
 
 
 def test_newton_reads_energy_only_after_a_failed_residual_test(monkeypatch):
-    # a p = 4 ball-center solve whose last eps stage accepts steps on J; J
-    # is read only in that stage, at a trial only after its residual test
-    # failed and at the iterate at most once per step, from the same
-    # residual pass
+    # a p = 4 ball-center solve that accepts steps on J; J is read only in
+    # the p = 4 solve, not in its p = 2 start, at a trial only after its
+    # residual test failed and at the iterate at most once per step, from
+    # the same residual pass
     prob = RadialProblem(4.0, 3, (0.0, np.inf), PotentialSpec.bump(1.0, 0.5, 5.0))
     grid = build_grid(prob, (0.0, 4.0), 201)
     events, terms_at = [], {}
@@ -406,9 +406,10 @@ def test_forced_p15_solve_leaves_stalled_stages(newton_calls):
 
 
 def test_near_constant_solve_leaves_stalled_stages(newton_calls):
-    # boundary data 1e-9 apart at p = 3: an eps-continuation stage once
-    # spun to its cap at a residual within 5x of its start, 312 iterations
-    # in all; the solve is now its p = 2 start and one Newton call
+    # boundary data 1e-9 apart at p = 3: a stage of the eps-continuation
+    # that Newton no longer has once spun to its cap at a residual within
+    # 5x of its start, 312 iterations in all; the solve is now its p = 2
+    # start and one Newton call
     prob = RadialProblem(3.0, 3, (0.0, np.inf), PotentialSpec.zero())
     grid = build_grid(prob, (1.0, 2.0), 401)
     rep = solve_dirichlet(prob, grid, (1.0, 1.0 + 1e-9))
