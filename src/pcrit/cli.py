@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config, parse_potential
-from .criticality import criticality_verdict, ground_state, positivity_weight, q_capacity
+from .criticality import criticality_verdict, ground_state, q_capacity
 from .energy import (
     energy_Q,
     picone_density,
@@ -110,8 +110,8 @@ def _cmd_critical(cfg: RunConfig, sc: SolverConfig, out: Path):
         raise ConfigError("[command] critical needs an [exhaustion] block")
     resolution = cfg.integer("resolution", 801)
     frame = params.get("frame", "auto")
-    eps_crit = cfg.number("eps_crit", 1e-4)
-    plateau_rtol = cfg.number("plateau_rtol", 0.01)
+    eps_crit = cfg.positive("eps_crit", 1e-4)
+    plateau_rtol = cfg.positive("plateau_rtol", 0.01)
     weight = parse_potential(params["weight"]) if "weight" in params else None
     report = criticality_verdict(
         cfg.problem,
@@ -142,15 +142,11 @@ def _cmd_critical(cfg: RunConfig, sc: SolverConfig, out: Path):
     }
     if report.verdict == "critical":
         gs = ground_state(
-            cfg.problem, cfg.exhaustion, weight=weight, resolution=resolution,
-            config=sc, frame=frame, report=report,
+            cfg.problem, cfg.exhaustion, resolution=resolution, config=sc, report=report
         )
         files.append(_write_profile(out / "critical_ground_state.csv", gs))
     elif report.verdict == "subcritical":
-        cert = positivity_weight(
-            cfg.problem, cfg.exhaustion, weight=weight, resolution=resolution,
-            config=sc, frame=frame, report=report,
-        )
+        cert = report.certificate
         results["positivity_margin"] = cert.margin
         results["positivity_margins"] = list(cert.margins)
         results["positivity_uncertified"] = list(cert.uncertified)
@@ -182,7 +178,7 @@ def _cmd_mingrowth(cfg: RunConfig, sc: SolverConfig, out: Path):
     k_lo, k_hi = cfg.interval("set")
     trace = cfg.interval("trace") if "trace" in cfg.params else (1.0, 1.0)
     resolution = cfg.integer("resolution", 601)
-    cauchy_tol = cfg.number("cauchy_tol", 1e-5)
+    cauchy_tol = cfg.positive("cauchy_tol", 1e-5)
     run_res = uK_limit(
         cfg.problem,
         CompactSetSpec(k_lo, k_hi),

@@ -80,10 +80,14 @@ class RunConfig:
             raise ConfigError(f"[command] missing {key!r}")
         return _parse_interval(self.params[key], f"[command] {key}")
 
-    def number(self, key: str, default: float) -> float:
+    def positive(self, key: str, default: float) -> float:
+        """A threshold or tolerance: a number that is finite and > 0."""
         if key not in self.params:
             return default
-        return _parse_number(self.params[key], f"[command] {key}")
+        value = _parse_number(self.params[key], f"[command] {key}")
+        if not 0.0 < value < float("inf"):
+            raise ConfigError(f"[command] {key}: must be finite and > 0, got {value}")
+        return value
 
     def integer(self, key: str, default: int) -> int:
         if key not in self.params:

@@ -247,6 +247,8 @@ def _level(
 
 
 def _require_nonnegative_form(op: DiscreteOperator, config: SolverConfig) -> None:
+    # an eigensolve, not lambda_1_lower: at p > 2 a cold torsion solve can cost
+    # more, and the warm null sequences' banded-solve budget counts this one
     lam = op.eigenpair(config).lam
     if lam < -1e-9:
         raise PreconditionError(
@@ -408,7 +410,7 @@ def _collatz_lower(
     """
     load = t * op.grid.node_w * wvals * phi_p(v, op.p)
     r, scale, _ = op.residual_terms(v, load)
-    gate = tol * max(scale, 1e-300)
+    gate = tol * scale
     free = ~op.grid.dirichlet_mask
     weighted = free & (load > gate)
     if not weighted.any():
@@ -549,7 +551,6 @@ def q_capacity(
     for iterations in range(1, int(in_set.sum()) + 2):
         u = op.held_runs(active, 1.0, config)
         r, scale, _ = op.residual_terms(u, unforced)
-        scale = max(scale, 1e-300)
         new = (active & (r >= -1e-8 * scale)) | (in_set & (u < 1.0))
         if np.array_equal(new, active):
             converged = True

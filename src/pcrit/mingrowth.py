@@ -40,7 +40,6 @@ from .solver import (
     DEFAULT_CONFIG,
     DiscreteOperator,
     SolverConfig,
-    cell_tridiagonal,
     classify_sign,
     smallest_generalized_eigen,
     solve_dirichlet,
@@ -162,10 +161,9 @@ def uK_limit(
     Before any level is solved, the principal eigenvalue of each component
     of the largest level minus the set is certified positive, once for the
     run: every smaller level's components lie inside those, on the same
-    grid, so their discrete lambda_1 can only be larger.  A component's
-    lower bound is its torsion bound, or its eigenvalue where the torsion
-    bound is None; the smallest is reported as ``lambda_1_lower``, and a
-    bound <= 0 raises PreconditionError.
+    grid, so their discrete lambda_1 can only be larger.  The smallest of
+    the components' DiscreteOperator.lambda_1_lower is reported as
+    ``lambda_1_lower``, and a bound <= 0 raises PreconditionError.
     """
     exhaustion.validate(problem)
     compact.validate(problem)
@@ -195,9 +193,7 @@ def uK_limit(
     lam = math.inf
     for i, j in ((lo, s0), (s1, hi)):  # the components of the level minus the set
         if i < j:
-            part = op.restrict(i, j + 1)
-            mu = part.torsion_bound(config)
-            lam = min(lam, part.eigenpair(config).lam if mu is None else mu)
+            lam = min(lam, op.restrict(i, j + 1).lambda_1_lower(config))
     if not lam > 0:
         raise PreconditionError(
             f"principal eigenvalue on level ({a}, {b}) minus the set is {lam:.3e} <= 0"
@@ -446,7 +442,7 @@ def removability_test(
     flux = float(r_ext[j0])
     # floor at the rounding level of the flux terms so that fields with
     # vanishing residual scale (constants with V = 0) still get a sane gate
-    scale = max(scale, 1e-6 * op.flux_sensitivity(ext.values), 1e-300)
+    scale = max(scale, 1e-6 * op.flux_sensitivity(ext.values))
     gate = 10.0 * tol * scale
     verdict = "nonremovable-flux" if abs(flux) > gate else "removable"
     return RemovabilityReport(verdict, tuple(sups), flux, scale, gate)
@@ -510,7 +506,10 @@ def _irls_minimize(grid, p, us, um, mass_mask, mass_of, objective):
     w, best_w, best = None, None, math.inf
     for _ in range(41):
         wcell = om * grid.cell_w
-        diag, off = cell_tridiagonal(wcell * cm**2, wcell * cp**2, wcell * cm * cp, slice(0, n - 1))
+        diag = np.zeros(n)
+        diag[:-1] += wcell * cm**2
+        diag[1:] += wcell * cp**2
+        diag, off = diag[:-1], (wcell * cm * cp)[: n - 2]
         try:
             vec = smallest_generalized_eigen(diag, off, msur[:-1])
         except PreconditionError:
@@ -638,7 +637,8 @@ def minimal_growth_certificate(
     masses: list[float] = []
     mins: list[Field] = []
     for _, b in levels:
-        grid = _certificate_grid(problem, edge, b, window, resolution)
+        base = build_graded_grid(problem, (edge, b), (edge, b_hi), resolution).nodes
+        grid = Grid(np.union1d(base, np.asarray(window, dtype=float)), problem.weight_exponent)
         uvals = np.asarray(u.at(grid.nodes))
         mass_mask = ((grid.nodes >= b_lo) & (grid.nodes <= b_hi)).astype(float)
         mu, w, m = _certificate_level(problem, grid, uvals, mass_mask)
@@ -657,19 +657,6 @@ def minimal_growth_certificate(
         minimizers=tuple(mins),
         verdict=verdict,
     )
-
-
-def _certificate_grid(
-    problem: RadialProblem,
-    edge: float,
-    outer: float,
-    window: tuple[float, float],
-    resolution: int,
-) -> Grid:
-    focus = (edge, window[1])
-    base = build_graded_grid(problem, (edge, outer), focus, resolution)
-    nodes = np.union1d(base.nodes, np.asarray([window[0], window[1]], dtype=float))
-    return Grid(nodes, problem.weight_exponent)
 
 
 def comparison_check(

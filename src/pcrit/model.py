@@ -546,9 +546,7 @@ class Field:
 
 
 def make_field(grid: Grid, values) -> Field:
-    """Build a field from an array of nodal values or a callable of r."""
-    if callable(values):
-        values = values(grid.nodes)
+    """Build a field from nodal values, broadcast to the grid's nodes."""
     values = np.broadcast_to(np.asarray(values, dtype=float), grid.nodes.shape)
     return Field(grid, values)
 

@@ -69,8 +69,6 @@ __all__ = [
     "SignClassification",
     "WcpResult",
     "DiscreteOperator",
-    "weak_residual",
-    "residual_scale",
     "solve_dirichlet",
     "principal_eigenpair",
     "classify_sign",
@@ -163,19 +161,6 @@ class WcpResult:
 # the discrete operator
 # ---------------------------------------------------------------------------
 
-def cell_tridiagonal(
-    to_left: np.ndarray, to_right: np.ndarray, coupling: np.ndarray, free: slice
-) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric tridiagonal (diag, offdiag) assembled from cell blocks and
-    restricted to the ``free`` nodes: cell i adds to_left[i] to the diagonal
-    at node i, to_right[i] at node i + 1, and couples the two by
-    coupling[i]."""
-    diag = np.zeros(to_left.size + 1)
-    diag[:-1] += to_left
-    diag[1:] += to_right
-    return diag[free], coupling[free.start : free.stop - 1]
-
-
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
     """Q'(u) = -Delta_p u + V phi_p(u) in weak form on one grid.
@@ -228,11 +213,11 @@ class DiscreteOperator:
         self, u: np.ndarray, load: np.ndarray
     ) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray]]:
         """The residual at every node; the magnitude of its constituent
-        terms before cancellation, which tolerances are taken relative to;
-        and the cell fluxes and nodal potential terms it was assembled
-        from, which ``energy`` reads.  Values at Dirichlet nodes are
-        reported too, where they equal the boundary flux defect; callers
-        mask them."""
+        terms before cancellation, floored at 1e-300, which tolerances are
+        taken relative to; and the cell fluxes and nodal potential terms it
+        was assembled from, which ``energy`` reads.  Values at Dirichlet
+        nodes are reported too, where they equal the boundary flux defect;
+        callers mask them."""
         flux, pot = self._flux_and_potential(u)
         g_abs = np.abs(flux)
         flux_part = np.zeros_like(u)
@@ -244,7 +229,7 @@ class DiscreteOperator:
         r[-1] = flux[-1]
         r[1:-1] = flux[:-1] - flux[1:]
         r += pot - load
-        return r, float(terms.max()), (flux, pot)
+        return r, max(float(terms.max()), 1e-300), (flux, pot)
 
     def energy(self, u: np.ndarray, terms: tuple[np.ndarray, np.ndarray], load: np.ndarray) -> float:
         """J(u) = Q(u) - <load, u>, whose gradient on the free nodes is the
@@ -479,6 +464,13 @@ class DiscreteOperator:
         mu = float(np.min((1.0 + r[free]) / (g.node_w[free] * w[free] ** (p - 1.0))))
         return mu if mu > 0.0 else None
 
+    def lambda_1_lower(self, config: SolverConfig) -> float:
+        """A lower bound on the principal Dirichlet eigenvalue of Q on the
+        grid: the torsion bound, or the eigenvalue itself where that bound
+        is None."""
+        mu = self.torsion_bound(config)
+        return self.eigenpair(config).lam if mu is None else mu
+
     def held_runs(
         self, held: np.ndarray, values, config: SolverConfig, initial: np.ndarray | None = None
     ) -> np.ndarray:
@@ -502,24 +494,6 @@ class DiscreteOperator:
                 raise StateError(f"held-run solve failed to converge on nodes {lo}..{hi}")
             u[lo : hi + 1] = rep.solution.values
         return u
-
-
-def weak_residual(u: Field, problem: RadialProblem, f: Field | None = None) -> Field:
-    """Weak residual of Q'(u) = f at every non-Dirichlet node of u's grid.
-
-    Entries at Dirichlet nodes are set to zero; everything else is the hat
-    function pairing with midpoint fluxes and dual-cell mass weights.
-    """
-    op = DiscreteOperator.bind(problem, u.grid)
-    r = op.residual_terms(u.values, op.load(f))[0]
-    r[u.grid.dirichlet_mask] = 0.0
-    return Field(u.grid, r)
-
-
-def residual_scale(u: Field, problem: RadialProblem, f: Field | None = None) -> float:
-    """Size of the residual's terms; tolerances are taken relative to it."""
-    op = DiscreteOperator.bind(problem, u.grid)
-    return op.residual_terms(u.values, op.load(f))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +564,7 @@ def _newton_core(
         r_full, sc, terms = op.residual_terms(v, load)
         r = r_full[free]
         norm = float(np.abs(r).max()) if r.size else 0.0
-        return r, norm, max(sc, 1e-300), math.isfinite(norm) and math.isfinite(sc), terms
+        return r, norm, sc, math.isfinite(norm) and math.isfinite(sc), terms
 
     def rounding_floor(v, sc):
         # near-harmonic solutions have residual terms far below what a
@@ -793,7 +767,6 @@ def classify_sign(u: Field, problem: RadialProblem, tol: float) -> SignClassific
     op = DiscreteOperator.bind(problem, grid)
     r, scale, _ = op.residual_terms(u.values, op.load(None))
     rfree = r[~grid.dirichlet_mask]
-    scale = max(scale, 1e-300)
     rmin = float(rfree.min()) if rfree.size else 0.0
     rmax = float(rfree.max()) if rfree.size else 0.0
     gate = tol * scale
@@ -822,9 +795,8 @@ def wcp_check(
 
     Hypotheses: Q'(u1) <= Q'(u2) nodewise, Q'(u2) >= 0, u1 <= u2 on the
     Dirichlet boundary, u2 >= 0 there, and a positive principal eigenvalue
-    on the grid.  That eigenvalue is ``lambda_1`` when given; otherwise the
-    grid's torsion bound (DiscreteOperator.torsion_bound) stands in for it,
-    or the eigenvalue itself where that bound is None.  Any failure raises
+    on the grid.  That eigenvalue is ``lambda_1`` when given; otherwise
+    DiscreteOperator.lambda_1_lower stands in for it.  Any failure raises
     PreconditionError naming the culprit; the conclusion's violation is
     returned, not raised.
     """
@@ -834,7 +806,7 @@ def wcp_check(
     r1, scale1, _ = op.residual_terms(u1.values, op.load(None))
     r2, scale2, _ = op.residual_terms(u2.values, op.load(None))
     free = ~grid.dirichlet_mask
-    scale = max(scale1, scale2, 1e-300)
+    scale = max(scale1, scale2)
     gate = hypothesis_tol * scale
     failures = []
     if np.any(r1[free] > r2[free] + gate):
@@ -849,9 +821,7 @@ def wcp_check(
     if np.any(u2.values[bmask] < -bgate):
         failures.append("u2 >= 0 on the boundary")
     if lambda_1 is None:
-        lambda_1 = op.torsion_bound(config)
-        if lambda_1 is None:
-            lambda_1 = op.eigenpair(config).lam
+        lambda_1 = op.lambda_1_lower(config)
     if not lambda_1 > 0:
         failures.append("lambda_1 > 0 on the level")
     if failures:

@@ -331,6 +331,19 @@ for _value in ("nan", "-1", "0", "1", "inf"):
         "config error: [tolerances] residual_tol must lie in (0, 1)",
         False,
     )
+# a nan, negative or infinite threshold or tolerance gave an "undetermined"
+# verdict or an unconverged limit, with exit status 0
+for _key, _base, _command in (
+    ("eps_crit", CRIT_INI, "critical"),
+    ("plateau_rtol", CRIT_INI, "critical"),
+    ("cauchy_tol", MINGROWTH_BALL_INI, "mingrowth"),
+):
+    for _value in ("nan", "-1", "inf"):
+        REFUSED[f"{_key}-{_value}"] = (
+            _base.replace(f"name = {_command}", f"name = {_command}\n{_key} = {_value}"),
+            f"config error: [command] {_key}: must be finite and > 0",
+            False,
+        )
 for _value in ("1", "inf"):
     REFUSED[f"eigen-rtol-{_value}"] = (
         P3_EIG_INI + f"\n[tolerances]\neigen_rtol = {_value}\n",

@@ -265,6 +265,17 @@ class TestNullSequence:
         assert masses.min() > 0.0
         assert masses.max() / masses.min() < 10.0
 
+    def test_failed_first_level_leaves_no_entry_and_no_verdict(self):
+        # one outer iteration cannot meet eigen_rtol at p = 3, so the first
+        # level's eigensolve fails and the run is truncated before it
+        prob = ray_problem(4, 3.0)
+        ex = make_exhaustion(prob, 4, style="annuli")
+        config = solver.SolverConfig(eigen_max_iter=1)
+        run = null_sequence(prob, ex, resolution=201, config=config)
+        assert run.failures == (1,) and run.entries == ()
+        with pytest.raises(StateError, match="no level produced a threshold"):
+            criticality_verdict(prob, ex, resolution=201, config=config)
+
 
 D4_P3 = ray_problem(4, 3.0)
 D4_ANNULI = make_exhaustion(D4_P3, 6, base=1.0, growth=2.0, style="annuli")
@@ -329,6 +340,13 @@ class TestWarmStart:
         assert len(evaluations) <= 300
 
 
+# critical at d = p = 3: levels (-ln2 4^k, ln2 4^k) in log-radius coordinates
+D3_P3 = ray_problem(3, 3.0)
+D3_LOG_LEVELS = ExhaustionSchedule(
+    tuple((-math.log(2.0) * 4.0**k, math.log(2.0) * 4.0**k) for k in range(9)), 0.0
+)
+
+
 class TestGroundState:
     def test_whole_line_ground_state_is_flat(self):
         prob = line_problem()
@@ -342,6 +360,21 @@ class TestGroundState:
         assert dev <= 0.01
         cls = classify_sign(g, prob, tol=1e-2)
         assert cls.kind == "solution"
+
+    def test_without_a_report_matches_the_reported_run(self):
+        rep = criticality_verdict(D3_P3, D3_LOG_LEVELS, resolution=301, frame="log")
+        assert rep.verdict == "critical"
+        given = ground_state(D3_P3, D3_LOG_LEVELS, resolution=301, frame="log", report=rep)
+        own = ground_state(D3_P3, D3_LOG_LEVELS, resolution=301, frame="log")
+        assert np.array_equal(own.grid.nodes, given.grid.nodes)
+        assert np.array_equal(own.values, given.values)
+
+    def test_failed_refinement_returns_the_coarse_minimizer(self):
+        rep = criticality_verdict(D3_P3, D3_LOG_LEVELS, resolution=301, frame="log")
+        assert rep.verdict == "critical"
+        starved = solver.SolverConfig(max_iter_per_stage=1)
+        g = ground_state(D3_P3, D3_LOG_LEVELS, resolution=301, config=starved, report=rep)
+        assert g is rep.run.entries[-1].minimizer
 
     def test_undetermined_report_rejected(self):
         prob = line_problem()
@@ -422,6 +455,19 @@ class TestCapacity:
         assert np.max(np.abs(u.values[on_k] - 1.0)) <= 1e-9
         assert u.values[-1] == 0.0
         assert u.values.min() >= -1e-12 and u.values.max() <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_held_center_beside_a_free_node_stops_unconverged(self, p):
+        # a known limit: the first active-set step would hold the ball center
+        # while releasing node 1, which leaves no Dirichlet run to solve, so
+        # the iteration stops there and says so
+        spike = PotentialSpec.bump(0.0, 0.01, 1000.0)
+        V = PotentialSpec.combination(spike, PotentialSpec.constant(-0.3), 1.0)
+        prob = RadialProblem(p, 3, (0.0, np.inf), V)
+        rep = q_capacity(prob, CompactSetSpec(0.0, 1.0), (0.0, 4.0), resolution=201)
+        assert not rep.converged and rep.iterations == 1
+        if p == 2.0:
+            assert rep.value == pytest.approx(0.4303239, rel=1e-7)
 
     @pytest.mark.parametrize("case", sorted(NEGATIVE_POTENTIAL_CAPACITIES))
     def test_negative_potential_matches_bound_constrained_minimum(self, case):

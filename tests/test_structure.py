@@ -1,10 +1,10 @@
 """Structure of the package source: no module reaches into another
 module's private names, no import goes unused, package imports sit at
-module top level, every SolverConfig field is read somewhere, every
-solver and residual entry point samples the potential once per (problem,
-grid), no driver samples one (potential, grid) pair twice, a verdict's
-positivity certificate is computed once, and no module uses an extended
-precision dtype."""
+module top level, every SolverConfig field is read somewhere, only the
+solver reads the torsion bound, every solver entry point samples the
+potential once per (problem, grid), no driver samples one (potential,
+grid) pair twice, a verdict's positivity certificate is computed once,
+and no module uses an extended precision dtype."""
 
 from __future__ import annotations
 
@@ -35,12 +35,10 @@ from pcrit import (
     principal_eigenpair,
     q_capacity,
     removability_test,
-    residual_scale,
     solve_dirichlet,
     threshold_tN,
     uK_limit,
     wcp_check,
-    weak_residual,
 )
 from pcrit.model import ExhaustionSchedule
 from pcrit.solver import DiscreteOperator
@@ -130,6 +128,19 @@ def test_every_solver_config_field_is_read():
     assert unread == []
 
 
+def test_torsion_bound_is_called_only_in_the_solver():
+    # the rule "the torsion bound, else the eigenvalue" has one owner,
+    # DiscreteOperator.lambda_1_lower; every other module calls that
+    offenders = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "solver.py"
+        for line, text in enumerate(path.read_text().splitlines(), 1)
+        if "torsion_bound(" in text
+    ]
+    assert offenders == []
+
+
 @pytest.fixture
 def sample_counter(monkeypatch):
     """Records each sample as its (potential, node bytes) pair."""
@@ -153,14 +164,11 @@ def _setup():
 
 @pytest.mark.parametrize(
     "entry",
-    ["weak_residual", "residual_scale", "solve_dirichlet", "principal_eigenpair",
-     "classify_sign", "wcp_check"],
+    ["solve_dirichlet", "principal_eigenpair", "classify_sign", "wcp_check"],
 )
 def test_potential_sampled_once_per_entry_point(entry, sample_counter):
     prob, grid, u, v = _setup()
     calls = {
-        "weak_residual": lambda: weak_residual(u, prob, f=u),
-        "residual_scale": lambda: residual_scale(u, prob, f=u),
         "solve_dirichlet": lambda: solve_dirichlet(prob, grid, (0.0, 0.0), f=u),
         "principal_eigenpair": lambda: principal_eigenpair(prob, grid),
         "classify_sign": lambda: classify_sign(u, prob, 1e-8),
