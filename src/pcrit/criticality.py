@@ -247,8 +247,11 @@ def _level(
 
 
 def _require_nonnegative_form(op: DiscreteOperator, config: SolverConfig) -> None:
-    # an eigensolve, not lambda_1_lower: at p > 2 a cold torsion solve can cost
-    # more, and the warm null sequences' banded-solve budget counts this one
+    # threshold_tN and q_capacity run this up front; null_sequence runs it
+    # only as the fallback where its last level leaves Q >= 0 uncertified.
+    # An eigensolve, not lambda_1_lower: at p > 2 a cold torsion solve can
+    # cost more, and the warm null sequences' banded-solve budget counts
+    # threshold_tN's check
     lam = op.eigenpair(config).lam
     if lam < -1e-9:
         raise PreconditionError(
@@ -301,6 +304,11 @@ def null_sequence(
     and the sequence is truncated there.  At p != 2 each level's iteration
     starts from the previous level's minimizer, which the nested levels
     carry over by extension with zero.
+
+    A form that is not nonnegative on the largest level raises
+    PreconditionError.  The last level's certified Collatz-Wielandt bound
+    shows Q >= 0 there; an eigensolve checks it only when that bound is
+    uncertified or negative, or when a level fails.
     """
     wp, wlevels, wx0, ww, coords = _working_frame(
         problem, exhaustion.levels, exhaustion.x0, weight, frame
@@ -308,14 +316,20 @@ def null_sequence(
     exhaustion.validate(wp if frame == "log" else problem)
 
     levels = [_level(wp, lv, ww, resolution) for lv in wlevels]
-    # nonnegativity on the largest level covers every smaller one
-    _require_nonnegative_form(levels[-1][0], config)
+    # Q >= 0 is checked on the largest level only (each level builds its own
+    # graded grid, so a smaller level's space is not a subspace of it)
+    largest = levels[-1][0]
 
     entries: list[LevelThreshold] = []
     failures: list[int] = []
     for idx, (lv, (op, wvals)) in enumerate(zip(wlevels, levels), start=1):
         warm = embed(entries[-1].minimizer, op.grid) if entries else None
-        t, v, _, ok = op.principal(wvals, config, initial=warm)
+        try:
+            t, v, _, ok = op.principal(wvals, config, initial=warm)
+        except PreconditionError:
+            # a form that is not nonnegative fails as such, not as its pencil
+            _require_nonnegative_form(largest, config)
+            raise
         if not ok:
             failures.append(idx)
             logger.warning("level %d: threshold eigensolve failed, truncating", idx)
@@ -333,6 +347,12 @@ def null_sequence(
         entries.append(
             LevelThreshold(idx, lv, t, field, energy, mass, ok, lower, certified)
         )
+    # the last minimizer is a positive supersolution of V - lower W, so a
+    # certified lower bounds Q below by lower integral(W |u|^p) on the
+    # largest level (Allegretto-Piepenbrink); the eigensolve is the
+    # fallback where no certified lower >= -1e-9, its own tolerance, does
+    if failures or not entries or not entries[-1].certified or entries[-1].lower < -1e-9:
+        _require_nonnegative_form(largest, config)
     return NullSequenceRun(tuple(entries), wx0, coords, ww, tuple(failures), wp)
 
 

@@ -205,38 +205,42 @@ class DiscreteOperator:
         check_same_grid(self.grid, f.grid)
         return self.grid.node_w * f.values
 
-    def _flux_and_potential(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        flux = phi_p((u[1:] - u[:-1]) / self.grid.h, self.p) * self._flux_w
-        return flux, self._pot_w * phi_p(u, self.p)
-
     def residual_terms(
         self, u: np.ndarray, load: np.ndarray
-    ) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray]]:
+    ) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The residual at every node; the magnitude of its constituent
         terms before cancellation, floored at 1e-300, which tolerances are
-        taken relative to; and the cell fluxes and nodal potential terms it
-        was assembled from, which ``energy`` reads.  Values at Dirichlet
-        nodes are reported too, where they equal the boundary flux defect;
-        callers mask them."""
-        flux, pot = self._flux_and_potential(u)
+        taken relative to; and the cell fluxes, nodal potential terms and
+        cell differences of u it was assembled from, which ``energy``
+        reads.  Values at Dirichlet nodes are reported too, where they
+        equal the boundary flux defect; callers mask them."""
+        du = u[1:] - u[:-1]
+        flux = phi_p(du / self.grid.h, self.p) * self._flux_w
+        pot = self._pot_w * phi_p(u, self.p)
         g_abs = np.abs(flux)
-        flux_part = np.zeros_like(u)
-        flux_part[:-1] += g_abs
-        flux_part[1:] += g_abs
-        terms = flux_part + np.abs(pot) + np.abs(load)
+        # |G_{j-1}| + |G_j|, then |pot_j|, then |load_j|: the scale's bits
+        # depend on this order
+        terms = np.empty_like(pot)
+        terms[0] = g_abs[0]
+        terms[-1] = g_abs[-1]
+        np.add(g_abs[1:], g_abs[:-1], out=terms[1:-1])
+        terms += np.abs(pot)
+        terms += np.abs(load)
         r = np.empty_like(pot)
         r[0] = -flux[0]
         r[-1] = flux[-1]
-        r[1:-1] = flux[:-1] - flux[1:]
+        np.subtract(flux[:-1], flux[1:], out=r[1:-1])
         r += pot - load
-        return r, max(float(terms.max()), 1e-300), (flux, pot)
+        return r, max(float(terms.max()), 1e-300), (flux, pot, du)
 
-    def energy(self, u: np.ndarray, terms: tuple[np.ndarray, np.ndarray], load: np.ndarray) -> float:
+    def energy(
+        self, u: np.ndarray, terms: tuple[np.ndarray, np.ndarray, np.ndarray], load: np.ndarray
+    ) -> float:
         """J(u) = Q(u) - <load, u>, whose gradient on the free nodes is the
         residual, from residual_terms' terms at u without another power:
         |G_i| |u_{i+1} - u_i| = cell_w |s_i|^p and pot_j u_j = node_w V |u_j|^p."""
-        flux, pot = terms
-        q = float(np.dot(np.abs(flux), np.abs(np.diff(u)))) + float(np.dot(pot, u))
+        flux, pot, du = terms
+        q = float(np.dot(np.abs(flux), np.abs(du))) + float(np.dot(pot, u))
         return q / self.p - float(np.dot(load, u))
 
     def jacobian(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

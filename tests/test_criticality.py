@@ -154,6 +154,11 @@ class TestThreshold:
         ex = make_exhaustion(prob, 5, base=1.0, growth=2.0, style="annuli")
         with pytest.raises(PreconditionError, match="not nonnegative"):
             criticality_verdict(prob, ex, resolution=201)
+        # at p = 3 level 2's inverse power fails; the fallback eigensolve on
+        # the largest level then finds lambda about -2.19e4
+        prob = replace(prob, p=3.0)
+        with pytest.raises(PreconditionError, match="not nonnegative"):
+            criticality_verdict(prob, ex, resolution=201)
 
     def test_log_reduced_problem_shape(self):
         red = log_reduced_problem(ray_problem(2, 2.0))
@@ -264,6 +269,25 @@ class TestNullSequence:
         masses = np.array([e.weighted_mass for e in run.entries])
         assert masses.min() > 0.0
         assert masses.max() / masses.min() < 10.0
+
+    def test_uncertified_last_level_runs_one_eigensolve(self, monkeypatch):
+        # the critical d = 1 run's last level misses the residual gate
+        # (lower about -2.5e-4), so its pair does not show Q >= 0 and the
+        # nonnegativity eigensolve runs once, finding lambda about 2.3e-9
+        lams = []
+        eigenpair = solver.DiscreteOperator.eigenpair
+
+        def recorded(self, config):
+            result = eigenpair(self, config)
+            lams.append(result.lam)
+            return result
+
+        monkeypatch.setattr(solver.DiscreteOperator, "eigenpair", recorded)
+        prob = line_problem()
+        ex = make_exhaustion(prob, 15, base=1.0, growth=2.0, style="line", x0=0.0)
+        run = null_sequence(prob, ex, resolution=801)
+        assert run.failures == () and not run.entries[-1].certified
+        assert len(lams) == 1 and 0.0 <= lams[0] < 1e-8
 
     def test_failed_first_level_leaves_no_entry_and_no_verdict(self):
         # one outer iteration cannot meet eigen_rtol at p = 3, so the first

@@ -25,6 +25,7 @@ from pcrit import (
     wcp_check,
 )
 from pcrit import solver
+from pcrit.energy import phi_p
 from pcrit.errors import PreconditionError
 from pcrit.solver import DiscreteOperator, smallest_generalized_eigen
 
@@ -91,6 +92,44 @@ class TestWeakResidual:
             op.residual_terms(u.values, op.load(f))
         with pytest.raises(ValueError):
             solve_dirichlet(prob, g, (0.0, 0.0), f=f)
+
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("height", [2.0, -2.0], ids=["V>0", "V<0"])
+    @pytest.mark.parametrize("level", [(0.0, 4.0), (0.5, 4.0)], ids=["ball", "annulus"])
+    def test_assembly_matches_the_two_pass_reference_bit_for_bit(self, p, height, level):
+        # the residual, its scale and J as assembled before the one-pass
+        # terms array: fluxes through phi_p, flux magnitudes accumulated
+        # into zeros, and np.diff for the energy's cell differences.  A
+        # load spike as large as the unforced scale at node j makes the
+        # scale read node j's sum, so every node's sum is compared.
+        prob = RadialProblem(p, 3, (0.0, np.inf), PotentialSpec.bump(1.5, 0.8, height))
+        g = build_grid(prob, level, 201)
+        op = DiscreteOperator.bind(prob, g)
+        u = np.cos(3.0 * g.nodes) + 0.2  # negative on part of the level
+        u[60] = u[59]  # a zero-slope cell
+        unforced = op.load(None)
+        spike = op.residual_terms(u, unforced)[1]
+        loads = [unforced, g.node_w * np.exp(-g.nodes)]
+        loads += [np.where(np.arange(g.n) == j, spike, 0.0) for j in range(g.n)]
+        for load in loads:
+            flux = phi_p(np.diff(u) / g.h, p) * (g.cell_w / g.h)
+            pot = (g.node_w * op.vvals) * phi_p(u, p)
+            flux_part = np.zeros_like(u)
+            flux_part[:-1] += np.abs(flux)
+            flux_part[1:] += np.abs(flux)
+            scale = max(float((flux_part + np.abs(pot) + np.abs(load)).max()), 1e-300)
+            r = np.empty_like(pot)
+            r[0], r[-1] = -flux[0], flux[-1]
+            r[1:-1] = flux[:-1] - flux[1:]
+            r += pot - load
+            q = float(np.dot(np.abs(flux), np.abs(np.diff(u)))) + float(np.dot(pot, u))
+            energy = q / p - float(np.dot(load, u))
+
+            r_op, scale_op, terms = op.residual_terms(u, load)
+            assert r_op.tobytes() == r.tobytes()
+            assert scale_op == scale
+            assert op.energy(u, terms, load) == energy
 
 
 class TestSolveDirichlet:

@@ -4,7 +4,8 @@ module top level, every SolverConfig field is read somewhere, only the
 solver reads the torsion bound, every solver entry point samples the
 potential once per (problem, grid), no driver samples one (potential,
 grid) pair twice, a verdict's positivity certificate is computed once,
-and no module uses an extended precision dtype."""
+a null sequence ending on a certified level runs no nonnegativity
+eigensolve, and no module uses an extended precision dtype."""
 
 from __future__ import annotations
 
@@ -262,9 +263,23 @@ def test_positivity_weight_returns_the_verdicts_certificate(monkeypatch):
     assert solves == []
 
 
+def _eigenpair_calls(monkeypatch):
+    """The grid size of every eigenpair call, in order."""
+    calls = []
+    eigenpair = DiscreteOperator.eigenpair
+
+    def recorded(self, config):
+        calls.append(self.grid.n)
+        return eigenpair(self, config)
+
+    monkeypatch.setattr(DiscreteOperator, "eigenpair", recorded)
+    return calls
+
+
 def test_subcritical_verdict_solves_once_per_level(monkeypatch):
-    # one threshold solve per level plus the nonnegativity precheck; the
-    # positivity margins come from the thresholds' minimizers
+    # one threshold solve per level and no nonnegativity eigensolve: the
+    # last level's certified pair shows Q >= 0, and the positivity margins
+    # come from the thresholds' minimizers
     solves = []
     original = DiscreteOperator.principal
 
@@ -273,10 +288,12 @@ def test_subcritical_verdict_solves_once_per_level(monkeypatch):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(DiscreteOperator, "principal", counted)
+    eigensolves = _eigenpair_calls(monkeypatch)
     rep = criticality_verdict(SUBCRITICAL, _annuli(9), resolution=201)
     assert rep.verdict == "subcritical"
     assert len(rep.run.entries) == 9
-    assert len(solves) == 9 + 1
+    assert len(solves) == 9
+    assert eigensolves == []
 
 
 def test_newton_evaluates_each_point_once(monkeypatch):
@@ -453,6 +470,7 @@ def test_p2_solve_takes_no_eps_walk(monkeypatch, newton_calls):
 _D4 = RadialProblem(3.0, 4, (0.0, np.inf), PotentialSpec.zero())
 _D3 = RadialProblem(3.0, 3, (0.0, np.inf), PotentialSpec.zero())
 _LOG9 = ExhaustionSchedule(tuple((-(2.0**k), 2.0**k) for k in range(1, 10)), 0.0)
+_ANNULI15 = make_exhaustion(_D4, 15, base=1.0, growth=2.0, style="annuli")
 
 
 @pytest.mark.parametrize(
@@ -462,7 +480,7 @@ _LOG9 = ExhaustionSchedule(tuple((-(2.0**k), 2.0**k) for k in range(1, 10)), 0.0
         # (slopes far below 0.1 and 0.01) an eps-continuation from those
         # values once hit the cap in both stages of the cold nonnegativity
         # eigensolve, 447 Newton iterations for one outer iteration
-        (_D4, make_exhaustion(_D4, 15, base=1.0, growth=2.0, style="annuli"), "auto"),
+        (_D4, _ANNULI15, "auto"),
         (_D3, _LOG9, "log"),
     ],
     ids=["d4-annuli", "d3-log"],
@@ -478,7 +496,30 @@ def test_nonnegativity_eigensolve_leaves_stalled_stages(problem, exhaustion, fra
         return result
 
     monkeypatch.setattr(DiscreteOperator, "eigenpair", recorded)
-    null_sequence(problem, exhaustion, resolution=601, frame=frame)
+    run = null_sequence(problem, exhaustion, resolution=601, frame=frame)
+    # both runs end on a certified level, which shows Q >= 0 without it
+    assert checks == []
+    # threshold_tN keeps the eigensolve up front, on the same largest-level grid
+    threshold_tN(problem, exhaustion.levels[-1], run.weight, resolution=601, frame=frame)
     [(result, solves)] = checks
     assert result.converged
     assert sum(solves) <= 40
+
+
+def test_newton_p3_verdicts_skip_the_eigensolve(monkeypatch):
+    # a work count, the same on every machine: criterion 05's two p = 3
+    # verdicts end on certified levels, so neither runs the nonnegativity
+    # eigensolve, which cost 39 banded solves on their largest levels
+    eigensolves = _eigenpair_calls(monkeypatch)
+    banded = []
+    solve_banded = solver.solve_banded
+
+    def counted(*args, **kwargs):
+        banded.append(1)
+        return solve_banded(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_banded", counted)
+    assert criticality_verdict(_D4, _ANNULI15, resolution=601).verdict == "subcritical"
+    assert criticality_verdict(_D3, _LOG9, resolution=601, frame="log").verdict == "critical"
+    assert eigensolves == []
+    assert len(banded) <= 279
