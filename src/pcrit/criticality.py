@@ -69,7 +69,6 @@ __all__ = [
     "null_sequence",
     "criticality_verdict",
     "ground_state",
-    "positivity_weight",
     "q_capacity",
 ]
 
@@ -166,10 +165,6 @@ def default_probe(level: tuple[float, float]) -> PotentialSpec:
     return PotentialSpec.bump(center=a + 0.5 * span, radius=span / 6.0, height=1.0)
 
 
-def _should_reduce(problem: RadialProblem) -> bool:
-    return problem.d == problem.p and problem.domain[0] == 0.0
-
-
 def _working_frame(
     problem: RadialProblem,
     levels: tuple[tuple[float, float], ...],
@@ -185,38 +180,30 @@ def _working_frame(
     frame "radial": never map.  frame "log": the problem must be reducible
     and levels, x0 and the probe weight are ALREADY in log-radius
     coordinates; this is the only way to reach level sizes whose radial
-    endpoints would underflow.
+    endpoints would underflow.  Any other frame raises ValueError.
 
     Returns (problem, levels, x0, weight, coordinates); a None weight is
     replaced by the default probe on the first working-frame level.
     """
-    if frame == "log":
-        if not _should_reduce(problem):
-            raise ValueError("log frame requires d == p with the domain reaching 0")
-        wp = log_reduced_problem(problem)
-        if weight is None:
-            weight = default_probe(levels[0])
-        return wp, levels, x0, weight, "log"
-    if frame == "radial" or not (
-        _should_reduce(problem) and all(lv[0] > 0.0 for lv in levels)
-    ):
-        if frame not in ("radial", "auto"):
-            raise ValueError(f"unknown frame {frame!r}")
-        if weight is None:
-            weight = default_probe(levels[0])
-        return problem, levels, x0, weight, "radial"
-    wp = log_reduced_problem(problem)
-    wl = tuple(log_reduced_level(lv) for lv in levels)
-    wx0 = None
-    if x0 is not None:
-        if x0 <= 0:
-            raise ValueError("reference point must be positive for log reduction")
-        wx0 = math.log(x0)
+    if frame not in ("auto", "radial", "log"):
+        raise ValueError(f"unknown frame {frame!r}")
+    reducible = problem.d == problem.p and problem.domain[0] == 0.0
+    if frame == "log" and not reducible:
+        raise ValueError("log frame requires d == p with the domain reaching 0")
+    if frame == "auto":
+        frame = "log" if reducible and all(lv[0] > 0.0 for lv in levels) else "radial"
+        if frame == "log":
+            levels = tuple(log_reduced_level(lv) for lv in levels)
+            if x0 is not None:
+                if x0 <= 0:
+                    raise ValueError("reference point must be positive for log reduction")
+                x0 = math.log(x0)
+            if weight is not None:
+                weight = PotentialSpec.log_reduced(weight, problem.p)
+    wp = problem if frame == "radial" else log_reduced_problem(problem)
     if weight is None:
-        ww = default_probe(wl[0])
-    else:
-        ww = PotentialSpec.log_reduced(weight, problem.p)
-    return wp, wl, wx0, ww, "log"
+        weight = default_probe(levels[0])
+    return wp, levels, x0, weight, frame
 
 
 def _level(
@@ -495,35 +482,6 @@ def _normalized(grid: Grid, v: np.ndarray, x0: float) -> Field:
     if not ref > 0:
         raise StateError("minimizer vanishes at the reference point")
     return Field(grid, v / ref)
-
-
-def positivity_weight(
-    problem: RadialProblem,
-    exhaustion: ExhaustionSchedule,
-    weight: PotentialSpec | None = None,
-    resolution: int = 801,
-    config: SolverConfig = DEFAULT_CONFIG,
-    frame: str = "auto",
-    report: CriticalityReport | None = None,
-) -> PositivityCertificate:
-    """Certified strict-positivity weight in the subcritical case: half the
-    plateau threshold times the probe, with the weighted Picone margin of
-    the discounted form on every level (smallest margin reported first; see
-    PositivityCertificate).
-
-    Pass a precomputed ``report`` to skip rerunning the exhaustion; its
-    certificate, computed with the verdict, is returned as is.  A critical
-    or undetermined verdict raises StateError.
-    """
-    if report is None:
-        report = criticality_verdict(
-            problem, exhaustion, weight, resolution, config=config, frame=frame
-        )
-    if report.verdict != "subcritical":
-        raise StateError(
-            f"positivity weight requires a subcritical verdict, got {report.verdict!r}"
-        )
-    return report.certificate
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,8 @@ from .solver import (
 logger = logging.getLogger(__name__)
 
 CLASSIFY_TOL = 1e-6  # residual gate of the input sign checks below
+REMOVABILITY_TOL = 1e-8  # flux gate 10 * REMOVABILITY_TOL * scale
+COMPARISON_TOL = 1e-8  # slack of comparison_check's u_sub <= v_super
 
 __all__ = [
     "MinimalGrowthRun",
@@ -246,7 +248,6 @@ def point_singularity_solution(
     problem: RadialProblem,
     x0: float,
     exhaustion: ExhaustionSchedule,
-    x1: float | None = None,
     resolution: int = 801,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> PointSingularityRun:
@@ -257,10 +258,9 @@ def point_singularity_solution(
     singularity: the puncture radius is a_N - x0 (strictly decreasing), the
     forcing is a unit bump on the annulus between one and two puncture
     radii, boundary data is zero at both ends, and the solve is rescaled to
-    equal 1 at x1 (default: the exhaustion's x0) afterwards (exact by
-    degree-(p-1) homogeneity).  The
-    run's ``limit`` carries the singularity profile on windows between the
-    final puncture and x1.
+    equal 1 at x1, the exhaustion's x0, afterwards (exact by degree-(p-1)
+    homogeneity).  The run's ``limit`` carries the singularity profile on
+    windows between the final puncture and x1.
     """
     exhaustion.validate(problem)
     levels = exhaustion.levels
@@ -269,8 +269,7 @@ def point_singularity_solution(
         raise ValueError("level left endpoints must lie strictly right of x0")
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ValueError("puncture radii (a_N - x0) must be strictly decreasing")
-    if x1 is None:
-        x1 = exhaustion.x0
+    x1 = exhaustion.x0
     if not levels[0][0] < x1 < levels[0][1]:
         raise ValueError(f"normalization point {x1} must lie inside the first level")
 
@@ -304,7 +303,7 @@ def point_singularity_solution(
         raise StateError("no puncture level solved")
     return PointSingularityRun(
         x0=x0,
-        x1=float(x1),
+        x1=x1,
         levels=tuple(levels[: len(fields)]),
         fields=tuple(fields),
         limit=fields[-1],
@@ -365,7 +364,6 @@ def removability_test(
     problem: RadialProblem,
     u: Field,
     x0: float,
-    tol: float = 1e-8,
 ) -> RemovabilityReport:
     """Decide whether an isolated singular point of a positive solution is
     removable.
@@ -374,9 +372,9 @@ def removability_test(
     the right: sustained growth by more than a factor 5 overall is a blowup
     (nonremovable).  A bounded u is extended continuously across x0
     and the weak residual paired with the hat function at x0 is measured:
-    above 10 * tol * scale it is a concentrated flux (nonremovable), below
-    it the point is removable.  Solutions that neither settle nor grow are
-    reported undetermined.  classify_sign must pass away from x0 first.
+    above 10 * REMOVABILITY_TOL * scale it is a concentrated flux
+    (nonremovable), below it the point is removable.  Solutions that
+    neither settle nor grow are reported undetermined.  classify_sign must pass away from x0 first.
     """
     nodes = u.grid.nodes
     if x0 >= nodes[-1]:
@@ -443,7 +441,7 @@ def removability_test(
     # floor at the rounding level of the flux terms so that fields with
     # vanishing residual scale (constants with V = 0) still get a sane gate
     scale = max(scale, 1e-6 * op.flux_sensitivity(ext.values))
-    gate = 10.0 * tol * scale
+    gate = 10.0 * REMOVABILITY_TOL * scale
     verdict = "nonremovable-flux" if abs(flux) > gate else "removable"
     return RemovabilityReport(verdict, tuple(sups), flux, scale, gate)
 
@@ -665,12 +663,11 @@ def comparison_check(
     v_super: Field,
     omega2: CompactSetSpec,
     certificate: CertificateRun,
-    tol: float = 1e-8,
 ) -> ComparisonResult:
     """Comparison beyond omega2 for a certified-minimal subsolution: checks
-    u_sub <= v_super + tol nodewise outside the set, after verifying the
-    hypotheses (sign classifications, boundary ordering at the set's edge,
-    and a decaying certificate)."""
+    u_sub <= v_super + COMPARISON_TOL nodewise outside the set, after
+    verifying the hypotheses (sign classifications, boundary ordering at
+    the set's edge, and a decaying certificate)."""
     if certificate.verdict != "decaying-to-zero":
         raise PreconditionError(
             "comparison needs a decaying-to-zero certificate for the subsolution"
@@ -691,9 +688,9 @@ def comparison_check(
         raise PreconditionError(f"v_super classifies as {cls_v.kind!r} on the region")
     edge_u = float(u_r.values[0])
     edge_v = float(v_r.values[0])
-    if edge_u > edge_v + tol:
+    if edge_u > edge_v + COMPARISON_TOL:
         raise PreconditionError(
             f"u_sub exceeds v_super at the set's edge: {edge_u:.6g} > {edge_v:.6g}"
         )
     viol = float(np.max(u_r.values - v_r.values))
-    return ComparisonResult(viol <= tol, max(viol, 0.0))
+    return ComparisonResult(viol <= COMPARISON_TOL, max(viol, 0.0))

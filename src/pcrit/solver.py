@@ -84,6 +84,8 @@ EPS = 1e-8
 ARMIJO_C = 1e-4
 BACKTRACK_MAX = 40
 
+WCP_TOL = 1e-8  # slack of wcp_check's conclusion u1 <= u2 + WCP_TOL
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -148,7 +150,7 @@ class SignClassification:
 
 @dataclass(frozen=True)
 class WcpResult:
-    """The conclusion u1 <= u2 + tol, its worst violation, and lambda_1:
+    """The conclusion u1 <= u2 + WCP_TOL, its worst violation, and lambda_1:
     the principal eigenvalue that was given, or else a certified lower bound
     on it (see wcp_check)."""
 
@@ -789,13 +791,12 @@ def wcp_check(
     u1: Field,
     u2: Field,
     problem: RadialProblem,
-    tol: float = 1e-8,
     hypothesis_tol: float = 1e-9,
     lambda_1: float | None = None,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> WcpResult:
     """Weak comparison check: verify the ordering hypotheses, then test
-    u1 <= u2 + tol everywhere.
+    u1 <= u2 + WCP_TOL everywhere.
 
     Hypotheses: Q'(u1) <= Q'(u2) nodewise, Q'(u2) >= 0, u1 <= u2 on the
     Dirichlet boundary, u2 >= 0 there, and a positive principal eigenvalue
@@ -833,4 +834,4 @@ def wcp_check(
             "weak comparison hypotheses failed: " + "; ".join(failures)
         )
     viol = float(np.max(u1.values - u2.values))
-    return WcpResult(viol <= tol, max(viol, 0.0), lambda_1)
+    return WcpResult(viol <= WCP_TOL, max(viol, 0.0), lambda_1)

@@ -33,7 +33,6 @@ from pcrit import (
     picone_density,
     picone_gap,
     point_singularity_solution,
-    positivity_weight,
     principal_eigenpair,
     q_capacity,
     simplified_energy,
@@ -217,7 +216,7 @@ def test_criterion_05_criticality_dichotomy(criterion, critical_runs, subcritica
     }
     for name, (prob, ex, rep) in subcritical_runs.items():
         ok &= rep.verdict == "subcritical"
-        cert = positivity_weight(prob, ex, resolution=601, report=rep)
+        cert = rep.certificate
         ok &= min(cert.margins) >= -1e-8
         g = build_grid(prob, (0.5, 8.0), 1601, law="uniform")
         u = make_field(g, supersolutions[name](g.nodes))
@@ -283,7 +282,7 @@ def test_criterion_08_singularity_exponents(criterion):
     for d, p in ((3, 2.0), (4, 3.0), (5, 2.0)):
         prob = ray(d, p=p)
         ex = make_exhaustion(prob, 9, base=1.0, growth=2.0, style="annuli")
-        u = point_singularity_solution(prob, 0.0, ex, x1=1.0, resolution=801).limit
+        u = point_singularity_solution(prob, 0.0, ex, resolution=801).limit
         slope, _ = singularity_exponent(u, 0.0, (0.05, 0.5), mode="power")
         target = (p - d) / (p - 1.0)
         rel = abs(slope / target - 1.0)
@@ -294,7 +293,7 @@ def test_criterion_08_singularity_exponents(criterion):
     ex = ExhaustionSchedule(
         tuple((math.exp(-5.0 * k), 2.0 + 0.5 * k) for k in range(1, 11)), 1.0
     )
-    run = point_singularity_solution(prob, 0.0, ex, x1=1.0, resolution=801)
+    run = point_singularity_solution(prob, 0.0, ex, resolution=801)
     sll, _ = singularity_exponent(run.limit, 0.0, (1e-18, 1e-14), mode="loglog")
     spw, _ = singularity_exponent(run.limit, 0.0, (1e-18, 1e-14), mode="power")
     ok &= abs(sll - 1.0) <= 0.15 and abs(spw) <= 0.1

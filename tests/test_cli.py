@@ -322,6 +322,15 @@ REFUSED = {
         "config error: [exhaustion]: level endpoints overflow",
         False,
     ),
+    # at d = p with annuli levels "auto" reduces to log coordinates; a
+    # misspelled frame is refused there as on the radial branch
+    "frame-misspelled": (
+        SUBCRIT_INI.replace("p = 2.0", "p = 3.0").replace(
+            "name = critical", "name = critical\nframe = radail"
+        ),
+        "error: unknown frame",
+        False,
+    ),
 }
 # a tolerance outside (0, 1) is never met, or is met at the start, and the
 # solve used to report convergence either way

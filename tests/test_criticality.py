@@ -25,7 +25,6 @@ from pcrit import (
     log_reduced_problem,
     make_exhaustion,
     null_sequence,
-    positivity_weight,
     principal_eigenpair,
     q_capacity,
     threshold_tN,
@@ -564,7 +563,7 @@ class TestPositivityWeight:
     def test_subcritical_certificate(self):
         prob = ray_problem(3, 2.0)
         ex = make_exhaustion(prob, 9, base=1.0, growth=2.0, style="annuli")
-        cert = positivity_weight(prob, ex, resolution=601)
+        cert = criticality_verdict(prob, ex, resolution=601).certificate
         margins = np.asarray(cert.margins)
         assert margins.min() >= -1e-8
         assert cert.margin == pytest.approx(margins.min(), abs=1e-15)
@@ -572,11 +571,13 @@ class TestPositivityWeight:
         r = np.linspace(1.5, 3.0, 9)
         assert np.all(cert.weight.sample(r) >= 0.0)
 
-    def test_critical_case_raises(self):
+    def test_critical_case_has_no_certificate(self):
         prob = line_problem()
         ex = make_exhaustion(prob, 15, base=1.0, growth=2.0, style="line", x0=0.0)
-        with pytest.raises(StateError):
-            positivity_weight(prob, ex, weight=BUMP, resolution=801)
+        rep = criticality_verdict(prob, ex, weight=BUMP, resolution=801)
+        assert rep.verdict == "critical"
+        assert rep.certificate is None
+        assert rep.positivity_weight is None
 
 
     @pytest.mark.parametrize("case", sorted(ANNULI_RUNS))

@@ -186,7 +186,7 @@ class TestSingularityExponent:
 class TestPointSingularity:
     def test_d3_green_exponent(self):
         ex = make_exhaustion(PROB3, 9, base=1.0, growth=2.0, style="annuli")
-        run = point_singularity_solution(PROB3, 0.0, ex, x1=1.0, resolution=801)
+        run = point_singularity_solution(PROB3, 0.0, ex, resolution=801)
         assert abs(run.limit.at(1.0) - 1.0) <= 1e-12
         slope, rms = singularity_exponent(run.limit, 0.0, (0.05, 0.5), mode="power")
         assert slope == pytest.approx(-1.0, abs=0.01)
@@ -195,7 +195,7 @@ class TestPointSingularity:
     def test_d5_green_exponent(self):
         prob = ray_problem(5)
         ex = make_exhaustion(prob, 9, base=1.0, growth=2.0, style="annuli")
-        u = point_singularity_solution(prob, 0.0, ex, x1=1.0, resolution=801).limit
+        u = point_singularity_solution(prob, 0.0, ex, resolution=801).limit
         slope, _ = singularity_exponent(u, 0.0, (0.05, 0.5), mode="power")
         assert slope == pytest.approx(-3.0, abs=1e-6)
 
@@ -204,7 +204,7 @@ class TestPointSingularity:
         # the constant ground state
         prob = ray_problem(1)
         ex = ExhaustionSchedule(tuple((2.0**-k, 2.0**k) for k in range(1, 11)), 1.0)
-        run = point_singularity_solution(prob, 0.0, ex, x1=1.0, resolution=601)
+        run = point_singularity_solution(prob, 0.0, ex, resolution=601)
         xs = np.linspace(0.25, 2.0, 21)
         dev = max(abs(run.limit.at(float(x)) - 1.0) for x in xs)
         assert dev <= 0.02

@@ -5,7 +5,8 @@ solver reads the torsion bound, every solver entry point samples the
 potential once per (problem, grid), no driver samples one (potential,
 grid) pair twice, a verdict's positivity certificate is computed once,
 a null sequence ending on a certified level runs no nonnegativity
-eigensolve, and no module uses an extended precision dtype."""
+eigensolve, every string option refuses an unknown value, and no module
+uses an extended precision dtype."""
 
 from __future__ import annotations
 
@@ -32,10 +33,10 @@ from pcrit import (
     make_exhaustion,
     make_field,
     null_sequence,
-    positivity_weight,
     principal_eigenpair,
     q_capacity,
     removability_test,
+    singularity_exponent,
     solve_dirichlet,
     threshold_tN,
     uK_limit,
@@ -246,6 +247,35 @@ def test_uK_limit_samples_the_potential_once(compact, sample_counter):
     assert len(sample_counter) == 1
 
 
+# d = p with levels off 0, where "auto" maps to log coordinates: a
+# misspelled frame must be refused there too, not run as "auto"
+CONFORMAL3 = RadialProblem(3.0, 3, (0.0, np.inf), PotentialSpec.zero())
+_CONFORMAL_ANNULI = make_exhaustion(CONFORMAL3, 3, base=1.0, growth=2.0, style="annuli")
+
+STRING_OPTIONS = {
+    "threshold_tN-frame": lambda bad: threshold_tN(
+        CONFORMAL3, (0.5, 2.0), BUMP, resolution=201, frame=bad
+    ),
+    "null_sequence-frame": lambda bad: null_sequence(
+        CONFORMAL3, _CONFORMAL_ANNULI, resolution=201, frame=bad
+    ),
+    "criticality_verdict-frame": lambda bad: criticality_verdict(
+        CONFORMAL3, _CONFORMAL_ANNULI, resolution=201, frame=bad
+    ),
+    "build_grid-law": lambda bad: build_grid(RAY3, (0.0, 1.0), 41, law=bad),
+    "make_exhaustion-style": lambda bad: make_exhaustion(RAY3, 3, style=bad),
+    "singularity_exponent-mode": lambda bad: singularity_exponent(
+        RAMP, 0.0, (0.05, 0.5), mode=bad
+    ),
+}
+
+
+@pytest.mark.parametrize("option", list(STRING_OPTIONS))
+def test_string_options_refuse_unknown_values(option):
+    with pytest.raises(ValueError, match="unknown"):
+        STRING_OPTIONS[option]("radail")
+
+
 def test_positivity_weight_returns_the_verdicts_certificate(monkeypatch):
     rep = criticality_verdict(SUBCRITICAL, _annuli(9), resolution=201)
     assert rep.verdict == "subcritical"
@@ -257,8 +287,7 @@ def test_positivity_weight_returns_the_verdicts_certificate(monkeypatch):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(DiscreteOperator, "principal", counted)
-    cert = positivity_weight(SUBCRITICAL, _annuli(9), resolution=201, report=rep)
-    assert cert is rep.certificate
+    cert = rep.certificate
     assert rep.positivity_weight == (cert.weight, cert.margin)
     assert solves == []
 
