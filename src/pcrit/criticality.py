@@ -233,6 +233,23 @@ def _level(
     return DiscreteOperator.bind(problem, grid), wvals
 
 
+def _stretched(prev: Field, grid: Grid, log_r: bool) -> Field:
+    """The previous level's minimizer on a nested level's grid: its maximum
+    goes to the nearest new node, and each flank of the new level maps
+    linearly (in log r when ``log_r``) onto the old flank.  Extension by zero
+    would leave a flat annulus, where the p > 2 Jacobian is singular but
+    for its EPS regularization."""
+    x_old, x_new = prev.grid.nodes, grid.nodes
+    if log_r:
+        x_old, x_new = np.log(x_old), np.log(x_new)
+    peak = x_old[np.argmax(prev.values)]
+    near = x_new[np.argmin(np.abs(x_new - peak))]
+    src = np.interp(x_new, [x_new[0], near, x_new[-1]], [x_old[0], peak, x_old[-1]])
+    vals = np.interp(src, x_old, prev.values)
+    vals[grid.dirichlet_mask] = 0.0
+    return Field(grid, vals)
+
+
 def _require_nonnegative_form(op: DiscreteOperator, config: SolverConfig) -> None:
     # threshold_tN and q_capacity run this up front; null_sequence runs it
     # only as the fallback where its last level leaves Q >= 0 uncertified.
@@ -289,8 +306,8 @@ def null_sequence(
     t_N, so its energy satisfies Q(v_N) = (t_N / p) * integral(W |v_N|^p)
     identically.  Levels whose eigensolve fails are recorded in ``failures``
     and the sequence is truncated there.  At p != 2 each level's iteration
-    starts from the previous level's minimizer, which the nested levels
-    carry over by extension with zero.
+    starts from the previous level's minimizer, stretched onto the nested
+    level flank by flank around its maximum (see _stretched).
 
     A form that is not nonnegative on the largest level raises
     PreconditionError.  The last level's certified Collatz-Wielandt bound
@@ -310,7 +327,9 @@ def null_sequence(
     entries: list[LevelThreshold] = []
     failures: list[int] = []
     for idx, (lv, (op, wvals)) in enumerate(zip(wlevels, levels), start=1):
-        warm = embed(entries[-1].minimizer, op.grid) if entries else None
+        warm = None
+        if entries and wp.p != 2.0:  # p = 2 ignores a start
+            warm = _stretched(entries[-1].minimizer, op.grid, coords == "radial" and lv[0] > 0.0)
         try:
             t, v, _, ok = op.principal(wvals, config, initial=warm)
         except PreconditionError:

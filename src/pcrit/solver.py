@@ -30,7 +30,8 @@ p = 2 the discrete quotient is minimized by the smallest eigenvector of a
 tridiagonal pencil, found by rounds of inverse iteration, each on one LDL^T
 factorization shifted just below a bracket of its eigenvalue that bisection
 narrows between rounds; for p != 2 an inverse power iteration is used,
-u_{k+1} solving Q'(u_{k+1}) = W phi_p(u_k) weakly.  At every p the
+u_{k+1} solving Q'(u_{k+1}) = W phi_p(u_k) weakly: loosely while the
+quotient moves, to the full gate before it may stop.  At every p the
 eigenvalue is the quotient at the vector.  For the eigenpair the potential
 is shifted by a reported constant when it is negative somewhere, so the
 p = 2 pencil is positive definite and each p != 2 iterate solves a
@@ -83,6 +84,7 @@ __all__ = [
 EPS = 1e-8
 ARMIJO_C = 1e-4
 BACKTRACK_MAX = 40
+INNER_RTOL = 1e-3  # loosest inner gate of the p != 2 inverse iteration
 
 WCP_TOL = 1e-8  # slack of wcp_check's conclusion u1 <= u2 + WCP_TOL
 
@@ -101,7 +103,8 @@ class SolverConfig:
     relative stop of the p != 2 inverse power iteration on the quotient,
     and eigen_max_iter caps its outer iterations.
     Both tolerances lie in (0, 1): the residual never exceeds its scale, so
-    a tolerance of 1 or more would accept an iteration's start.
+    a tolerance of 1 or more would accept an iteration's start.  Both caps
+    are at least 0; a negative cap would never be reached.
     """
 
     residual_tol: float | None = None
@@ -113,6 +116,9 @@ class SolverConfig:
         for name, value in (("residual_tol", self.residual_tol), ("eigen_rtol", self.eigen_rtol)):
             if value is not None and not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {value}")
+        for name in ("max_iter_per_stage", "eigen_max_iter"):
+            if (cap := getattr(self, name)) < 0:
+                raise ValueError(f"{name} must be >= 0, got {cap}")
 
     def tol_for(self, p: float) -> float:
         if self.residual_tol is not None:
@@ -312,11 +318,15 @@ class DiscreteOperator:
         Martins 2009).  u_{k+1} solves Q'(u_{k+1}) + shift phi_p(u_{k+1}) =
         W phi_p(u_k) and is scaled to unit weighted mass; the iteration
         stops once the quotient moves by at most
-        eigen_rtol * max(stop_floor, |lam|).  The iteration starts from
-        ``initial`` when given (a tent otherwise); p = 2 ignores it.  An
-        iterate whose weighted mass, or quotient plus shift, is not positive
-        and finite ends the iteration unconverged, before any inner solve
-        when it is the start.
+        eigen_rtol * max(stop_floor, |lam|).  The inner solves are inexact
+        (Golub & Ye 2000): step k solves to max(tol, INNER_RTOL min(1,
+        delta)) with delta the quotient's relative change at step k - 1 (1
+        at k = 1); only a step solved to the config's tol may stop the
+        iteration, so the pair is as converged as under strict solves.  The
+        iteration starts from ``initial`` when given (a tent otherwise);
+        p = 2 ignores it.  An iterate whose weighted mass, or quotient plus
+        shift, is not positive and finite ends the iteration unconverged,
+        before any inner solve when it is the start.
         """
         g, p = self.grid, self.p
         inner = DiscreteOperator(p, g, self.vvals + shift)
@@ -349,12 +359,14 @@ class DiscreteOperator:
             return lam, u, 0, False
         u = u / mass ** (1.0 / p)
 
+        tol = config.tol_for(p)
+        gate = max(tol, INNER_RTOL)
         converged = False
         iters = 0
         for iters in range(1, config.eigen_max_iter + 1):
             load = g.node_w * weight * phi_p(u, p)
             w0 = u * (lam + shift) ** (-1.0 / (p - 1.0))
-            w, _, _, ok = _newton_core(inner, load, w0, config)
+            w, _, _, ok = _newton_core(inner, load, w0, config, gate)
             if not ok:
                 logger.debug("principal pair: inner solve failed at iteration %d", iters)
                 break
@@ -364,11 +376,14 @@ class DiscreteOperator:
                 logger.debug("principal pair: iterate lost its weighted mass at iteration %d", iters)
                 break
             u = w / mass ** (1.0 / p)
-            if abs(lam_new - lam) <= config.eigen_rtol * max(stop_floor, abs(lam_new)):
-                lam = lam_new
+            change, scale = abs(lam_new - lam), max(stop_floor, abs(lam_new))
+            lam = lam_new
+            stalled = change <= config.eigen_rtol * scale
+            if stalled and gate == tol:
                 converged = True
                 break
-            lam = lam_new
+            # a stall on a loose solve makes the next solve strict
+            gate = tol if stalled else max(tol, INNER_RTOL * change / max(scale, change))
         return lam, u, iters, converged
 
     def eigenpair(self, config: SolverConfig) -> EigenResult:
@@ -530,22 +545,24 @@ def _newton_core(
     load: np.ndarray,
     u0: np.ndarray,
     config: SolverConfig,
+    tol: float | None = None,
 ) -> tuple[np.ndarray, int, float, bool]:
     """Damped Newton on the modified Jacobian.  Returns (u, iterations,
     residual_norm, converged).  Dirichlet values of u0 are held fixed.  The
-    iteration ends at the residual gate (tol times the residual scale), at
-    max_iter_per_stage iterations, at a failed linear solve or at a step
-    without descent; ``converged`` is read on the gate or the rounding
-    floor.  Each step is one solve_banded call on the Jacobian's two
-    diagonals; the residual, its norm and its merit at each iterate are
-    those of the trial that produced it.
+    iteration ends at the residual gate (tol, by default the config's,
+    times the residual scale), at max_iter_per_stage iterations, at a
+    failed linear solve or at a step without descent; ``converged`` is read
+    on the gate or the rounding floor.  Each step is one solve_banded call
+    on the Jacobian's two diagonals; the residual, its norm and its merit
+    at each iterate are those of the trial that produced it.
 
     The line search halves alpha from alpha_0 = 1, or at p != 2, when
     max|d| > max|u| > 0, from the largest power of two with alpha_0 max|d|
-    <= max|u|: where a warm start was extended by zero the regularized flux
-    derivative is nearly singular, and a full step overshoots by orders of
-    magnitude.  The trials are a subset of the powers of two tried from 1,
-    so a step accepted at alpha <= alpha_0 is the same step.
+    <= max|u|: where a start is flat over cells, as one extended by zero
+    is, the regularized flux derivative is nearly singular, and a full step
+    overshoots by orders of magnitude.  The trials are a subset of the
+    powers of two tried from 1, so a step accepted at alpha <= alpha_0 is
+    the same step.
 
     A trial step is accepted when it passes Armijo on half the residual's
     squared norm.  At p > 2 it is also accepted when it passes Armijo on J,
@@ -561,7 +578,7 @@ def _newton_core(
     of 4)."""
     grid, p = op.grid, op.p
     free = grid.free
-    tol = config.tol_for(p)
+    tol = config.tol_for(p) if tol is None else tol
     u = u0.copy()
 
     def evaluate(v):

@@ -263,6 +263,17 @@ REFUSED = {
         "config error:",
         False,
     ),
+    # quickly converging p = 2 solves, so a cap that is not refused ends too
+    "iteration-cap-negative": (
+        STUCK_SOLVE_INI.replace("p = 3.0", "p = 2.0").replace("max_iter_per_stage = 2", "max_iter_per_stage = -1"),
+        "config error: [tolerances] max_iter_per_stage must be >= 0, got -1",
+        False,
+    ),
+    "eigen-cap-negative": (
+        STUCK_SOLVE_INI.replace("p = 3.0", "p = 2.0").replace("max_iter_per_stage = 2", "eigen_max_iter = -1"),
+        "config error: [tolerances] eigen_max_iter must be >= 0, got -1",
+        False,
+    ),
     "unknown-tolerance-key": (
         EIG_INI + "\n[tolerances]\nresdual_tol = 1e-3\n", "config error:", False
     ),

@@ -24,12 +24,14 @@ from pcrit import (
     log_reduced_level,
     log_reduced_problem,
     make_exhaustion,
+    make_field,
     null_sequence,
     principal_eigenpair,
     q_capacity,
     threshold_tN,
 )
 from pcrit import solver
+from pcrit.criticality import _stretched
 from pcrit.energy import q_parts
 from pcrit.errors import PreconditionError, StateError
 
@@ -346,9 +348,9 @@ class TestWarmStart:
         assert warm < 0.5 * len(calls)
 
     def test_warm_steps_start_inside_the_iterate_scale(self, monkeypatch):
-        # a work count: a warm start extended by zero leaves the Jacobian
+        # a work count: a warm start extended by zero left the Jacobian
         # nearly singular on the new cells, so a first trial of alpha = 1
-        # overshoots by about 2^20 and the line search halves its way back
+        # overshot by about 2^20 and the line search halved its way back
         # (347 residual evaluations in 159 Newton iterations without the cap)
         evaluations = []
         residual_terms = solver.DiscreteOperator.residual_terms
@@ -361,6 +363,28 @@ class TestWarmStart:
         run = null_sequence(D4_P3, D4_ANNULI, resolution=301)
         assert run.failures == ()
         assert len(evaluations) <= 300
+
+    @pytest.mark.parametrize(
+        "problem, small, large, log_r",
+        [
+            (D4_P3, (0.5, 2.0), (0.25, 4.0), True),
+            (log_reduced_problem(ray_problem(3, 3.0)), (-2.0, 2.0), (-4.0, 4.0), False),
+            (ray_problem(3, 3.0), (0.0, 1.0), (0.0, 3.0), False),
+            (line_problem(), (-1.0, 3.0), (-2.0, 6.0), False),
+        ],
+        ids=["annuli", "log-frame", "balls", "line"],
+    )
+    def test_stretched_start_is_positive_and_keeps_the_maximum(self, problem, small, large, log_r):
+        source_grid, target = build_grid(problem, small, 201), build_grid(problem, large, 333)
+        x, (a, b) = source_grid.nodes, small
+        # skewed and peaked inside the level, or at the center of a ball
+        values = b * b - x * x if source_grid.natural_left else (b - x) * (x - a) ** 2
+        source = make_field(source_grid, values)
+        warm = _stretched(source, target, log_r)
+        assert warm.grid is target
+        assert np.all(warm.values[~target.dirichlet_mask] > 0.0)
+        assert np.all(warm.values[target.dirichlet_mask] == 0.0)
+        assert warm.values.max() == source.values.max()
 
 
 # critical at d = p = 3: levels (-ln2 4^k, ln2 4^k) in log-radius coordinates
@@ -395,7 +419,8 @@ class TestGroundState:
     def test_failed_refinement_returns_the_coarse_minimizer(self):
         rep = criticality_verdict(D3_P3, D3_LOG_LEVELS, resolution=301, frame="log")
         assert rep.verdict == "critical"
-        starved = solver.SolverConfig(max_iter_per_stage=1)
+        # one outer step, whose inner solve is loose, cannot converge
+        starved = solver.SolverConfig(eigen_max_iter=1)
         g = ground_state(D3_P3, D3_LOG_LEVELS, resolution=301, config=starved, report=rep)
         assert g is rep.run.entries[-1].minimizer
 

@@ -55,6 +55,14 @@ def newton_work(monkeypatch):
     return work
 
 
+@pytest.mark.parametrize("name", ["max_iter_per_stage", "eigen_max_iter"])
+def test_negative_iteration_caps_are_refused(name):
+    # a cap of -1 is never reached: a p = 1.2 solve under it ran past 60 s
+    with pytest.raises(ValueError, match=f"{name} must be >= 0, got -1"):
+        SolverConfig(**{name: -1})
+    assert getattr(SolverConfig(**{name: 0}), name) == 0
+
+
 class TestWeakResidual:
     def test_linear_field_has_zero_interior_residual(self):
         prob = line_problem(p=2.0)
