@@ -39,14 +39,16 @@ coercive problem.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
+import scipy
 
 from .energy import phi_p, q_parts
 from .errors import PreconditionError, StateError
@@ -54,14 +56,40 @@ from .model import Field, Grid, RadialProblem, check_same_grid
 
 logger = logging.getLogger(__name__)
 
+
+def _load_flapack():
+    """scipy's f2py LAPACK extension, the module scipy.linalg.lapack
+    re-exports, loaded from its file so that importing pcrit does not
+    import the scipy.linalg package (most of pcrit's start-up time)."""
+    folder = Path(scipy.__file__).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if (path := folder / f"_flapack{suffix}").is_file():
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's LAPACK extension is missing: no {folder / '_flapack'}.* file")
+
+
+_flapack = _load_flapack()
+dgtsv, dpttrf, dpttrs = _flapack.dgtsv, _flapack.dpttrf, _flapack.dpttrs
+
 # benchmark/tracer.py counts the kernels bound in this module by name:
 # solve_banded below, pcrit's own call of LAPACK's gtsv, which every Newton
-# step makes once, and these three scipy functions, which no solve here
-# calls any more; they stay bound so that the tracer's kernel.eigh,
-# kernel.solveh_banded and kernel.eigh_tridiagonal counters read 0.
-eigh = scipy.linalg.eigh
-solveh_banded = scipy.linalg.solveh_banded
-eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+# step makes once, and three scipy.linalg functions that no solve here
+# calls.  Those three resolve lazily, for the tracer only, until its
+# kernel.eigh, kernel.solveh_banded and kernel.eigh_tridiagonal counters
+# are retired (ROADMAP item 19).
+_TRACER_KERNELS = ("eigh", "solveh_banded", "eigh_tridiagonal")
+
+
+def __getattr__(name):
+    if name not in _TRACER_KERNELS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import scipy.linalg
+
+    value = globals()[name] = getattr(scipy.linalg, name)
+    return value
 
 __all__ = [
     "SolverConfig",

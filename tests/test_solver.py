@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.linalg
-from scipy.linalg import eigh, solveh_banded
+from scipy.linalg import eigh, lapack, solveh_banded
 from scipy.linalg.lapack import dpttrf
 
 import oracles
@@ -451,6 +451,49 @@ class TestTridiagonalKernel:
     def test_singular_system_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
             solver.solve_banded(np.ones(2), np.ones(1), np.ones(2))
+
+    # solver binds dgtsv, dpttrf and dpttrs from scipy's LAPACK extension
+    # module, which scipy.linalg.lapack re-exports: every output array and
+    # info code must be scipy's to the bit
+    @staticmethod
+    def assert_same_outputs(name, *args):
+        ours = getattr(solver, name)(*(a.copy() for a in args))
+        ref = getattr(lapack, name)(*(a.copy() for a in args))
+        assert len(ours) == len(ref)
+        for x, y in zip(ours, ref):
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+        return ours
+
+    @pytest.mark.parametrize("m", [2, 3, 599, 4001])
+    def test_lapack_bindings_match_scipy_lapack(self, m):
+        rng = np.random.default_rng(m)
+        off = rng.normal(size=m - 1)
+        diag = rng.uniform(0.1, 1.0, m)
+        diag[:-1] += np.abs(off)
+        diag[1:] += np.abs(off)
+        rhs = rng.normal(size=m)
+        assert self.assert_same_outputs("dgtsv", off, diag, off, rhs)[-1] == 0
+        dl, el, info = self.assert_same_outputs("dpttrf", diag, off)
+        assert info == 0
+        assert self.assert_same_outputs("dpttrs", dl, el, rhs)[-1] == 0
+
+    def test_lapack_bindings_match_on_an_indefinite_pencil(self):
+        # shifted past the pencil's smallest eigenvalue, A - sigma M has a
+        # negative pivot: dpttrf reports its order in info > 0
+        n = 50
+        diag, off, mass = np.full(n, 2.0), np.full(n - 1, -1.0), np.ones(n)
+        assert self.assert_same_outputs("dpttrf", diag - 0.5 * mass, off)[-1] > 0
+
+    def test_lapack_bindings_match_on_a_singular_system(self):
+        info = self.assert_same_outputs("dgtsv", np.ones(1), np.ones(2), np.ones(1), np.ones(2))[-1]
+        assert info > 0
+
+    def test_tracer_kernel_names_resolve_to_scipy_linalg(self):
+        # three names no solve calls, read by the benchmark's tracer only
+        for name in ("eigh", "solveh_banded", "eigh_tridiagonal"):
+            assert getattr(solver, name) is getattr(scipy.linalg, name)
+        with pytest.raises(AttributeError):
+            getattr(solver, "no_such_name")
 
 
 # levels of a ball and an annulus, whose free blocks start at the center

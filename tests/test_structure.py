@@ -6,18 +6,24 @@ potential once per (problem, grid), no driver samples one (potential,
 grid) pair twice, a verdict's positivity certificate is computed once,
 a null sequence ending on a certified level runs no nonnegativity
 eigensolve, a converged p != 2 principal pair ends on an inner solve at
-the full gate, every string option refuses an unknown value, and no module
-uses an extended precision dtype."""
+the full gate, every string option refuses an unknown value, no module
+uses an extended precision dtype, importing pcrit imports neither
+scipy.linalg nor scipy.optimize, and a missing LAPACK extension file fails
+the import with its path."""
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import pcrit
 from pcrit import solver
@@ -64,6 +70,25 @@ def _exported(tree: ast.Module) -> set[str]:
 
 def test_sources_found():
     assert {"solver.py", "criticality.py", "mingrowth.py"} <= {p.name for p in SOURCES}
+
+
+def test_import_leaves_scipy_linalg_and_optimize_unloaded():
+    # scipy.linalg is most of a cold CLI run's start-up; pcrit binds its
+    # LAPACK routines from the extension module itself
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import pcrit; "
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))"
+    )
+    src = str(Path(pcrit.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_missing_lapack_extension_names_its_path(monkeypatch, tmp_path):
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "scipy" / "linalg" / "_flapack"))):
+        solver._load_flapack()
 
 
 def test_no_extended_precision_dtypes():
