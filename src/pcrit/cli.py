@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, parse_config, parse_potential
+from .config import ConfigError, RunConfig, parse_config
 from .criticality import criticality_verdict, ground_state, q_capacity
 from .energy import (
     energy_Q,
@@ -89,8 +89,7 @@ def _cmd_solve(cfg: RunConfig, sc: SolverConfig, out: Path):
     grid = build_grid(cfg.problem, level, resolution)
     f = None
     if "forcing" in cfg.params:
-        spec = parse_potential(cfg.params["forcing"])
-        f = make_field(grid, spec.sample(grid.nodes))
+        f = make_field(grid, cfg.potential("forcing").sample(grid.nodes))
     rep = solve_dirichlet(cfg.problem, grid, boundary, f=f, config=sc)
     files = [_write_profile(out / "solve_profile.csv", rep.solution)]
     results = {
@@ -112,7 +111,7 @@ def _cmd_critical(cfg: RunConfig, sc: SolverConfig, out: Path):
     frame = params.get("frame", "auto")
     eps_crit = cfg.positive("eps_crit", 1e-4)
     plateau_rtol = cfg.positive("plateau_rtol", 0.01)
-    weight = parse_potential(params["weight"]) if "weight" in params else None
+    weight = cfg.potential("weight") if "weight" in params else None
     report = criticality_verdict(
         cfg.problem,
         cfg.exhaustion,
@@ -209,16 +208,10 @@ def _cmd_certify(cfg: RunConfig, sc: SolverConfig, out: Path):
     o_lo, o_hi = cfg.interval("omega2")
     window = cfg.interval("window")
     resolution = cfg.integer("resolution", 601)
-    kind, coeffs = cfg.candidate()
     b_last = max(b for _, b in cfg.exhaustion.levels)
     lo = o_hi * 1e-3 if o_hi > 0 else 1e-3
     master = build_grid(cfg.problem, (max(lo, cfg.problem.domain[0]), b_last), 4001)
-    if kind == "power":
-        c, alpha = coeffs
-        uvals = c * master.nodes**alpha
-    else:
-        uvals = coeffs[0] * np.ones(master.n)
-    u = make_field(master, uvals)
+    u = make_field(master, cfg.potential("candidate").sample(master.nodes))
     cert = minimal_growth_certificate(
         cfg.problem,
         u,

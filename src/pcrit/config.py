@@ -29,7 +29,8 @@ command with its parameters, an output directory, and tolerance overrides:
 [tolerances] keys are SolverConfig field names; integer fields take
 integers, and residual_tol and eigen_rtol lie in (0, 1).
 
-Potentials are written as "zero", "constant <c>", "power <c> <s>" (c * |r|^s),
+Potentials, and the [command] profiles weight, forcing and candidate, are
+written as "zero", "constant <c>", "power <c> <s>" (c * |r|^s),
 "bump <center> <radius> <height>", or a sum of those joined with " + ".
 Intervals are two whitespace-separated numbers; "inf" and "-inf" are allowed
 where the model allows them.
@@ -104,17 +105,15 @@ class RunConfig:
         left = None if toks[0].lower() == "none" else _parse_number(toks[0], "[command] boundary")
         return left, _parse_number(toks[1], "[command] boundary")
 
-    def candidate(self) -> tuple[str, tuple[float, ...]]:
-        """The certify candidate, "power <c> <alpha>" (c * r^alpha) or
-        "constant <c>", as (kind, numbers)."""
-        text = self.params.get("candidate", "")
-        toks = text.split()
-        if not toks or {"power": 3, "constant": 2}.get(toks[0]) != len(toks):
-            raise ConfigError(
-                "[command] candidate: expected 'power <c> <alpha>' or 'constant <c>',"
-                f" got {text!r}"
-            )
-        return toks[0], tuple(_parse_number(t, "[command] candidate") for t in toks[1:])
+    def potential(self, key: str) -> PotentialSpec:
+        """A profile written in the potential grammar (forcing, weight,
+        candidate); errors carry the key."""
+        if key not in self.params:
+            raise ConfigError(f"[command] missing {key!r}")
+        try:
+            return parse_potential(self.params[key])
+        except ConfigError as e:
+            raise ConfigError(f"[command] {key}: {e}") from None
 
 
 def _parse_int(tok: str, where: str) -> int:

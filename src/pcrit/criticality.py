@@ -50,7 +50,6 @@ from .model import (
     RadialProblem,
     build_graded_grid,
     build_grid,
-    embed,
     log_reduced_level,
     log_reduced_problem,
 )
@@ -250,12 +249,18 @@ def _stretched(prev: Field, grid: Grid, log_r: bool) -> Field:
     return Field(grid, vals)
 
 
-def _require_nonnegative_form(op: DiscreteOperator, config: SolverConfig) -> None:
-    # threshold_tN and q_capacity run this up front; null_sequence runs it
-    # only as the fallback where its last level leaves Q >= 0 uncertified.
-    # An eigensolve, not lambda_1_lower: at p > 2 a cold torsion solve can
-    # cost more, and the warm null sequences' banded-solve budget counts
+def _require_nonnegative_form(
+    op: DiscreteOperator, config: SolverConfig, last: LevelThreshold | None = None
+) -> None:
+    # null_sequence passes its last level's pair: the minimizer is a positive
+    # supersolution of V - lower W, so a certified lower >= -1e-9 bounds Q
+    # below by lower integral(W |u|^p) on the largest level (Allegretto-
+    # Piepenbrink) and no eigensolve runs.  threshold_tN and q_capacity pass
+    # none.  An eigensolve, not lambda_1_lower: at p > 2 a cold torsion solve
+    # can cost more, and the warm null sequences' banded-solve budget counts
     # threshold_tN's check
+    if last is not None and last.certified and last.lower >= -1e-9:
+        return
     lam = op.eigenpair(config).lam
     if lam < -1e-9:
         raise PreconditionError(
@@ -353,12 +358,7 @@ def null_sequence(
         entries.append(
             LevelThreshold(idx, lv, t, field, energy, mass, ok, lower, certified)
         )
-    # the last minimizer is a positive supersolution of V - lower W, so a
-    # certified lower bounds Q below by lower integral(W |u|^p) on the
-    # largest level (Allegretto-Piepenbrink); the eigensolve is the
-    # fallback where no certified lower >= -1e-9, its own tolerance, does
-    if failures or not entries or not entries[-1].certified or entries[-1].lower < -1e-9:
-        _require_nonnegative_form(largest, config)
+    _require_nonnegative_form(largest, config, None if failures or not entries else entries[-1])
     return NullSequenceRun(tuple(entries), wx0, coords, ww, tuple(failures), wp)
 
 
@@ -489,7 +489,8 @@ def ground_state(
     run = report.run
     last = run.entries[-1]
     op2, wvals2 = _level(run.problem, last.level, run.weight, 2 * resolution)
-    _, v2, _, ok = op2.principal(wvals2, config, initial=embed(last.minimizer, op2.grid))
+    start = Field(op2.grid, last.minimizer.at(op2.grid.nodes))
+    _, v2, _, ok = op2.principal(wvals2, config, initial=start)
     if not ok:
         logger.warning("refinement solve failed; returning the coarse ground state")
         return last.minimizer

@@ -430,12 +430,9 @@ def removability_test(
         j0 = 0
     op = DiscreteOperator.bind(problem, ext.grid)
     r_ext, scale, _ = op.residual_terms(ext.values, op.load(None))
-    if j0 == 0:
-        # the extension is flat on its first cell, so the pairing that sees
-        # the incoming flux is the hat at the first real node
-        j0 = 1
     # hats at end nodes are boundary rows; the nearest interior hat is the
-    # one that can carry a concentrated residual
+    # one that can carry a concentrated residual (on the extension, flat on
+    # its first cell, the hat at the first real node sees the incoming flux)
     j0 = min(max(j0, 1), ext.grid.n - 2)
     flux = float(r_ext[j0])
     # floor at the rounding level of the flux terms so that fields with

@@ -38,7 +38,6 @@ __all__ = [
     "ExhaustionSchedule",
     "CompactSetSpec",
     "build_grid",
-    "embed",
     "make_field",
     "make_exhaustion",
     "log_reduced_problem",
@@ -549,26 +548,6 @@ def make_field(grid: Grid, values) -> Field:
     """Build a field from nodal values, broadcast to the grid's nodes."""
     values = np.broadcast_to(np.asarray(values, dtype=float), grid.nodes.shape)
     return Field(grid, values)
-
-
-def embed(field: Field, target: Grid) -> Field:
-    """Interpolate a field onto a target grid, extending by zero outside.
-
-    The target interval must contain the source interval.  On the overlap
-    the result is the piecewise linear interpolant of the source; target
-    nodes outside the source interval get 0, so a compactly supported field
-    stays compactly supported and the map is monotone.
-    """
-    sa, sb = field.grid.interval
-    ta, tb = target.interval
-    if not (ta <= sa and tb >= sb):
-        raise ValueError(
-            f"target interval ({ta}, {tb}) must contain source interval ({sa}, {sb})"
-        )
-    if field.grid.weight_exponent != target.weight_exponent:
-        raise ValueError("embed requires matching weight exponents")
-    vals = np.interp(target.nodes, field.grid.nodes, field.values, left=0.0, right=0.0)
-    return Field(target, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -421,7 +421,6 @@ class DiscreteOperator:
         shift = 0.0 if vmin >= 0 else (1.0 - vmin)
         ones = np.ones(self.grid.n)
         lam, u, iters, converged = self.principal(ones, config, shift, 1.0)
-        u[self.grid.dirichlet_mask] = 0.0
         mass = self.quotient(u, ones)[1]
         if mass > 0.0:
             u /= mass ** (1.0 / self.p)
@@ -516,9 +515,16 @@ class DiscreteOperator:
     def lambda_1_lower(self, config: SolverConfig) -> float:
         """A lower bound on the principal Dirichlet eigenvalue of Q on the
         grid: the torsion bound, or the eigenvalue itself where that bound
-        is None."""
+        is None.  An unconverged iterate's quotient bounds lambda_1 from
+        above only, so it is returned when it is <= 0 (then lambda_1 <= 0
+        too) and raises StateError when it is positive."""
         mu = self.torsion_bound(config)
-        return self.eigenpair(config).lam if mu is None else mu
+        if mu is not None:
+            return mu
+        eig = self.eigenpair(config)
+        if not eig.converged and eig.lam > 0.0:
+            raise StateError(f"lambda_1 eigensolve did not converge (quotient {eig.lam:.3e} > 0)")
+        return eig.lam
 
     def held_runs(
         self, held: np.ndarray, values, config: SolverConfig, initial: np.ndarray | None = None

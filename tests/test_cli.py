@@ -233,6 +233,14 @@ MINGROWTH_NON_COERCIVE_INI = dedent(
     """
 )
 
+# V = -0.01: lambda_1 = -2.658e-3 < 0 on the largest level minus the set,
+# but with no eigen iterations the torsion bound is None and the start's
+# quotient is positive
+MINGROWTH_UNCONVERGED_EIGEN_INI = (
+    MINGROWTH_NON_COERCIVE_INI.replace("constant -0.05", "constant -0.01")
+    + "\n[tolerances]\neigen_max_iter = 0\n"
+)
+
 CERTIFY_INI = dedent(
     """\
     [problem]
@@ -286,6 +294,17 @@ REFUSED = {
     "candidate-not-a-number": (
         CERTIFY_INI.replace("candidate = power 1 -1", "candidate = power 1 abc"),
         "config error: [command] candidate:",
+        False,
+    ),
+    # forcing and weight errors carry their key, as every [command] error does
+    "forcing-unknown-kind": (
+        STUCK_SOLVE_INI.replace("forcing = constant 5", "forcing = constnat 5"),
+        "config error: [command] forcing:",
+        False,
+    ),
+    "weight-not-a-number": (
+        SUBCRIT_INI.replace("name = critical", "name = critical\nweight = power abc -2"),
+        "config error: [command] weight:",
         False,
     ),
     "boundary-not-a-number": (
@@ -521,6 +540,27 @@ class TestMingrowthCommand:
             "error: principal eigenvalue on level (0.0, 16.0) minus the set is -4.266e-02 <= 0"
         ), proc.stderr
         assert report is None and not out.exists()
+
+    def test_unconverged_eigensolve_certifies_no_lambda_1(self, tmp_path):
+        # an unconverged iterate's quotient bounds lambda_1 only from above;
+        # it used to be reported as lambda_1_lower = 1.3e-3 > 0
+        proc, out, report = run_cli(tmp_path, MINGROWTH_UNCONVERGED_EIGEN_INI)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(
+            "solver failure: lambda_1 eigensolve did not converge (quotient 1.310e-03 > 0)"
+        ), proc.stderr
+        assert report is None and not out.exists()
+
+
+class TestCertifyCommand:
+    def test_candidate_takes_the_potential_grammar(self, tmp_path):
+        # 1 + 1/r stays above 1, so it is not of minimal growth
+        ini_text = CERTIFY_INI.replace(
+            "candidate = power 1 -1", "candidate = constant 1 + power 1 -1"
+        )
+        proc, _, report = run_cli(tmp_path, ini_text)
+        assert proc.returncode == 0, proc.stderr
+        assert report["results"]["verdict"] == "bounded-away"
 
 
 class TestLevelsFlag:

@@ -301,6 +301,12 @@ class TestNullSequence:
         with pytest.raises(StateError, match="no level produced a threshold"):
             criticality_verdict(prob, ex, resolution=201, config=config)
 
+    def test_minimizer_vanishing_at_x0_truncates_the_run(self):
+        # x0 = -2 is the first level's Dirichlet end, where its minimizer is 0
+        ex = ExhaustionSchedule(((-2.0, 2.0), (-4.0, 4.0)), -2.0)
+        run = null_sequence(line_problem(), ex, resolution=201)
+        assert run.failures == (1,) and run.entries == ()
+
 
 D4_P3 = ray_problem(4, 3.0)
 D4_ANNULI = make_exhaustion(D4_P3, 6, base=1.0, growth=2.0, style="annuli")

@@ -20,7 +20,7 @@ from pcrit import (
     singularity_exponent,
     uK_limit,
 )
-from pcrit.errors import PreconditionError
+from pcrit.errors import PreconditionError, StateError
 from pcrit.model import Field, Grid, build_grid
 from pcrit.solver import DiscreteOperator, SolverConfig
 
@@ -147,6 +147,30 @@ class TestUkLimit:
         ]
         assert all(lam >= lams[-1] for lam in lams[:-1])
         assert 0.0 < run.lambda_1_lower <= lams[-1]
+
+    @pytest.mark.parametrize("fail_at, kept", [(2, 1), (1, 0)])
+    def test_failed_level_ends_the_run(self, monkeypatch, fail_at, kept):
+        # a starved config stops at the lambda_1 check before any level, so
+        # the level solves fail by hand: a later failure keeps the levels
+        # before it, a first one leaves nothing to form the limit from
+        held_runs, calls = DiscreteOperator.held_runs, []
+
+        def failing(op, *args):
+            calls.append(op)
+            if len(calls) == fail_at:
+                raise StateError("held-run solve failed to converge on nodes 0..1")
+            return held_runs(op, *args)
+
+        monkeypatch.setattr(DiscreteOperator, "held_runs", failing)
+        ex = make_exhaustion(PROB3, 3, base=2.0, growth=2.0, style="balls")
+        args = (PROB3, CompactSetSpec(0.5, 1.0), (1.0, 1.0), ex)
+        if kept == 0:
+            with pytest.raises(StateError, match="no level solved"):
+                uK_limit(*args, resolution=201)
+        else:
+            run = uK_limit(*args, resolution=201)
+            assert len(run.fields) == kept and run.levels == ex.levels[:kept]
+        assert len(calls) == fail_at
 
 
 class TestSingularityExponent:

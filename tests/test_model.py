@@ -1,4 +1,4 @@
-"""Grids, fields, embeddings, exhaustion schedules, potentials."""
+"""Grids, fields, exhaustion schedules, potentials."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from pcrit import (
     RadialProblem,
     build_graded_grid,
     build_grid,
-    embed,
     make_exhaustion,
     make_field,
 )
@@ -112,50 +111,6 @@ class TestField:
         f = make_field(g, np.zeros(11))
         with pytest.raises(ValueError):
             f.at(1.5)
-
-
-class TestEmbed:
-    def test_constant_one_zero_extension(self):
-        prob = line_problem()
-        inner = build_grid(prob, (1.0, 2.0), 21, law="uniform")
-        outer = build_grid(prob, (0.5, 3.0), 501, law="uniform")
-        f = make_field(inner, np.ones(21))
-        g = embed(f, outer)
-        r = outer.nodes
-        on = (r >= 1.0 - 1e-12) & (r <= 2.0 + 1e-12)
-        assert np.allclose(g.values[on], 1.0, atol=1e-12)
-        # outside the transition cells the embedding vanishes
-        h = np.max(np.diff(outer.nodes))
-        off = (r < 1.0 - 1.5 * h) | (r > 2.0 + 1.5 * h)
-        assert np.allclose(g.values[off], 0.0, atol=1e-15)
-
-    def test_embed_then_restrict_is_identity(self):
-        prob = line_problem()
-        rng = np.random.default_rng(42)
-        inner = build_grid(prob, (1.0, 2.0), 17, law="uniform")
-        outer_nodes = np.union1d(
-            np.linspace(0.5, 3.0, 301), inner.nodes
-        )
-        from pcrit.model import Grid
-
-        outer = Grid(outer_nodes, inner.weight_exponent)
-        vals = rng.uniform(0.0, 2.0, 17)
-        vals[0] = vals[-1] = 0.0
-        f = make_field(inner, vals)
-        g = embed(f, outer)
-        assert np.allclose(np.asarray(g.at(inner.nodes)), vals, atol=1e-13)
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1))
-    def test_embed_preserves_nonnegativity(self, seed):
-        rng = np.random.default_rng(seed)
-        prob = line_problem()
-        inner = build_grid(prob, (1.0, 2.0), 9, law="uniform")
-        outer = build_grid(prob, (0.2, 4.0), int(rng.integers(10, 200)), law="uniform")
-        vals = rng.uniform(0.0, 5.0, 9)
-        vals[0] = vals[-1] = 0.0
-        g = embed(make_field(inner, vals), outer)
-        assert g.values.min() >= -1e-15
 
 
 class TestExhaustion:

@@ -26,7 +26,7 @@ from pcrit import (
 )
 from pcrit import solver
 from pcrit.energy import phi_p
-from pcrit.errors import PreconditionError
+from pcrit.errors import PreconditionError, StateError
 from pcrit.solver import DiscreteOperator, smallest_generalized_eigen
 
 
@@ -587,6 +587,34 @@ class TestTorsionBound:
         zero = make_field(g, np.zeros(g.n))
         with pytest.raises(PreconditionError, match=r"hypotheses failed: lambda_1 > 0 on the level$"):
             wcp_check(zero, zero, prob)
+
+    # p = 3 on (0, 1): lambda_1 = (p - 1) pi_p^p - 30 = -1.71 < 0 at V = -30,
+    # so there is no torsion bound, while the tent start's quotient is 2.0
+    def test_unconverged_positive_quotient_is_no_lower_bound(self):
+        prob = line_problem(p=3.0, V=PotentialSpec.constant(-30.0))
+        op = DiscreteOperator.bind(prob, build_grid(prob, (0.0, 1.0), 401, law="uniform"))
+        assert op.lambda_1_lower(SolverConfig()) == pytest.approx(-1.71, abs=0.01)
+        with pytest.raises(StateError, match=r"did not converge \(quotient 1\.999e\+00 > 0\)"):
+            op.lambda_1_lower(SolverConfig(eigen_max_iter=0))
+
+    def test_unconverged_nonpositive_quotient_is_returned(self):
+        # a quotient <= 0 at any vector shows lambda_1 <= 0, converged or not
+        prob = line_problem(p=3.0, V=PotentialSpec.constant(-60.0))
+        op = DiscreteOperator.bind(prob, build_grid(prob, (0.0, 1.0), 401, law="uniform"))
+        assert op.lambda_1_lower(SolverConfig(eigen_max_iter=0)) == pytest.approx(-28.0, abs=0.01)
+
+
+class TestHeldRuns:
+    def test_failed_run_names_its_nodes(self):
+        # V = 1 makes the straight start miss the gate, and no Newton step
+        # is allowed
+        prob = line_problem(p=3.0, V=PotentialSpec.constant(1.0))
+        op = DiscreteOperator.bind(prob, build_grid(prob, (0.0, 1.0), 21, law="uniform"))
+        held = np.arange(21) == 10
+        u = op.held_runs(held, np.ones(21), SolverConfig())
+        assert u[10] == 1.0 and u[0] == u[-1] == 0.0
+        with pytest.raises(StateError, match=r"^held-run solve failed to converge on nodes 0\.\.10$"):
+            op.held_runs(held, np.ones(21), SolverConfig(max_iter_per_stage=0))
 
 
 def dense_partial_mass_eigen(diag, off, mass):

@@ -8,8 +8,8 @@ a null sequence ending on a certified level runs no nonnegativity
 eigensolve, a converged p != 2 principal pair ends on an inner solve at
 the full gate, every string option refuses an unknown value, no module
 uses an extended precision dtype, importing pcrit imports neither
-scipy.linalg nor scipy.optimize, and a missing LAPACK extension file fails
-the import with its path."""
+scipy.linalg nor scipy.optimize, a missing LAPACK extension file fails
+the import with its path, and the CLI parses no [command] profile itself."""
 
 from __future__ import annotations
 
@@ -165,6 +165,18 @@ def test_torsion_bound_is_called_only_in_the_solver():
         if path.name != "solver.py"
         for line, text in enumerate(path.read_text().splitlines(), 1)
         if "torsion_bound(" in text
+    ]
+    assert offenders == []
+
+
+def test_command_profiles_are_parsed_in_config_only():
+    # forcing, weight and candidate are read through RunConfig.potential,
+    # which gives every profile error its [command] key
+    cli = next(path for path in SOURCES if path.name == "cli.py")
+    offenders = [
+        f"cli.py:{line}"
+        for line, text in enumerate(cli.read_text().splitlines(), 1)
+        if "parse_potential" in text
     ]
     assert offenders == []
 
