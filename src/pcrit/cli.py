@@ -49,16 +49,16 @@ __all__ = ["main", "run", "VALIDATION_SUITES"]
 
 
 def _write_csv(path: Path, header: str, rows) -> str:
-    fmt = ",".join(["%.17g"] * (header.count(",") + 1))
-    lines = [header]
-    lines.extend(fmt % tuple(row) for row in rows)
+    rows = list(rows)
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    body = line * len(rows) % tuple(x for row in rows for x in row)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(header + "\n" + body)
     return path.name
 
 
 def _write_profile(path: Path, field: Field) -> str:
-    return _write_csv(path, "node,value", zip(field.grid.nodes, field.values))
+    return _write_csv(path, "node,value", zip(field.grid.nodes.tolist(), field.values.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -256,10 +256,14 @@ def _require_nonnegative_form(
     # supersolution of V - lower W, so a certified lower >= -1e-9 bounds Q
     # below by lower integral(W |u|^p) on the largest level (Allegretto-
     # Piepenbrink) and no eigensolve runs.  threshold_tN and q_capacity pass
-    # none.  An eigensolve, not lambda_1_lower: at p > 2 a cold torsion solve
-    # can cost more, and the warm null sequences' banded-solve budget counts
+    # none.  At p = 2 one factorization of the form plus 1e-9 node_w shows
+    # lambda_1 > -1e-9; when it fails, the eigensolve names lambda_1.  At
+    # p != 2 an eigensolve, not lambda_1_lower: a cold torsion solve can cost
+    # more, and the warm null sequences' banded-solve budget counts
     # threshold_tN's check
     if last is not None and last.certified and last.lower >= -1e-9:
+        return
+    if op.p == 2.0 and op.lambda_1_exceeds(-1e-9):
         return
     lam = op.eigenpair(config).lam
     if lam < -1e-9:

@@ -56,7 +56,7 @@ class PotentialSpec:
     Kinds:
         zero                 V = 0
         constant(c)          V = c
-        power(c, s)          V = c * r**s
+        power(c, s)          V = c * |r|**s
         bump(center, radius, height)
                              smooth compactly supported bump, equal to
                              height * exp(1 - 1/(1 - y**2)) for
@@ -123,7 +123,7 @@ class PotentialSpec:
         if self.kind == "power":
             c, s = self.coeffs
             with np.errstate(divide="ignore", invalid="ignore"):
-                return c * np.power(r, s)
+                return c * np.power(np.abs(r), s)
         if self.kind == "bump":
             center, radius, height = self.coeffs
             y = (r - center) / radius

@@ -27,9 +27,10 @@ slices read the bound samples, and capacities and exhaustion limits share
 its held-run solve.  Its weighted principal pair serves both the principal
 eigenpair (weight 1) and the probe thresholds of pcrit.criticality: for
 p = 2 the discrete quotient is minimized by the smallest eigenvector of a
-tridiagonal pencil, found by rounds of inverse iteration, each on one LDL^T
-factorization shifted just below a bracket of its eigenvalue that bisection
-narrows between rounds; for p != 2 an inverse power iteration is used,
+tridiagonal pencil, found by rounds of inverse iteration, each on the LDL^T
+factors of the pencil shifted to the lower end of a bracket of its
+eigenvalue, which the first inverse step sets and bisection narrows between
+rounds; for p != 2 an inverse power iteration is used,
 u_{k+1} solving Q'(u_{k+1}) = W phi_p(u_k) weakly: loosely while the
 quotient moves, to the full gate before it may stop.  At every p the
 eigenvalue is the quotient at the vector.  For the eigenpair the potential
@@ -526,6 +527,20 @@ class DiscreteOperator:
             raise StateError(f"lambda_1 eigensolve did not converge (quotient {eig.lam:.3e} > 0)")
         return eig.lam
 
+    def lambda_1_exceeds(self, sigma: float) -> bool:
+        """Whether the principal Dirichlet eigenvalue of Q on the grid
+        exceeds sigma, at p = 2: exactly when the form's matrix minus sigma
+        node_w on the free nodes is positive definite (Sylvester's law of
+        inertia), which one LDL^T factorization decides."""
+        if self.p != 2.0:
+            raise ValueError(f"an inertia test needs p = 2, got p={self.p}")
+        g = self.grid
+        diag, off = self.jacobian(np.zeros(g.n))
+        diag -= sigma * g.node_w[g.free]
+        if diag.size == 1:  # dpttrf takes no empty off-diagonal
+            return bool(diag[0] > 0.0)
+        return dpttrf(diag, off)[2] == 0
+
     def held_runs(
         self, held: np.ndarray, values, config: SolverConfig, initial: np.ndarray | None = None
     ) -> np.ndarray:
@@ -724,14 +739,18 @@ def smallest_generalized_eigen(diag: np.ndarray, off: np.ndarray, mass: np.ndarr
     A - sigma M is positive definite exactly when sigma lies below the
     smallest eigenvalue (Sylvester's law of inertia; rows without mass carry
     no sigma term), so dpttrf's LDL^T factorization of A - sigma M brackets
-    the eigenvalue, to a factor 2 by geometric bisection.  Each round then
-    factors once, sigma just below the bracket, and takes up to 8 inverse
-    iteration steps, which converge at the rate (lambda_1 - sigma) /
-    (lambda_2 - sigma); unless two successive vectors agree to 1e-13, it
-    bisects the bracket 4 more times and hands its vector to the next
-    round.  Every number stays in range when the mass is graded over
-    hundreds of decades or vanishes outside a window, and the work is O(m)
-    per factorization.
+    the eigenvalue.  The factors of A, which show it positive definite, take
+    one inverse iteration step from the ones vector, and the quotient rho
+    at that step bounds the eigenvalue from above; when A - (rho / 2) M
+    factors too, that is the bracket, and otherwise its lower end descends
+    by 2^-16 and geometric bisection narrows it to a factor 2.  Each round
+    then takes up to 8 inverse iteration steps, from that step's vector
+    first, on the factors of A - lo M that the bracket's last successful
+    test left; they converge at the rate (lambda_1 - lo) / (lambda_2 - lo).
+    Unless two successive vectors agree to 1e-13, the round bisects the
+    bracket 4 more times and hands its vector to the next round.  Every
+    number stays in range when the mass is graded over hundreds of decades
+    or vanishes outside a window, and the work is O(m) per factorization.
 
     Raises ValueError for a negative or identically vanishing mass, and
     PreconditionError when A is not positive definite or the vector solve
@@ -748,7 +767,12 @@ def smallest_generalized_eigen(diag: np.ndarray, off: np.ndarray, mass: np.ndarr
         return 1.0 / np.sqrt(mass)
 
     def below(sigma: float) -> bool:
-        return dpttrf(diag - sigma * mass, off)[2] == 0
+        # keeps the factors when they exist: they are those of A - lo M
+        nonlocal factors
+        d, e, info = dpttrf(diag - sigma * mass, off)
+        if info == 0:
+            factors = d, e
+        return info == 0
 
     def bisect(mid: float) -> bool:
         # False once a subnormal bracket has no digits left to split
@@ -758,25 +782,29 @@ def smallest_generalized_eigen(diag: np.ndarray, off: np.ndarray, mass: np.ndarr
         lo, hi = (mid, hi) if below(mid) else (lo, mid)
         return True
 
+    factors = None
     if not below(0.0):
         raise PreconditionError("quadratic form is not positive definite on the level")
-    # bracket from the quotient at a unit vector
-    hi = float(np.min(diag[on] / mass[on]))
-    lo = hi
+    y = dpttrs(*factors, mass)[0]  # A^-1 M 1, whose quotient is y^T M 1 / y^T M y
+    with np.errstate(all="ignore"):  # a quotient out of range falls back below
+        scale = np.max(np.abs(y))
+        x = y / scale
+        hi = float(np.sum(mass * x) / np.sum(mass * x * x) / scale)
+    if not 0.0 < hi < math.inf:  # the quotient at a unit vector instead
+        hi, x = float(np.min(diag[on] / mass[on])), np.ones(diag.size)
+    lo = 0.5 * hi
     while not below(lo):
         hi, lo = lo, lo * 2.0**-16
     while hi > 2.0 * lo and bisect(math.sqrt(lo) * math.sqrt(hi)):
         pass
 
-    x = np.ones(diag.size)
+    info = 0
     while True:
-        # the offset keeps the shift off an eigenvalue the bisection hit exactly
-        dl, el, info = dpttrf(diag - lo * (1.0 - 1e-10) * mass, off)
         change = np.inf
         for _ in range(8):
             if info != 0 or not change > 1e-13:
                 break
-            y, info = dpttrs(dl, el, mass * x)
+            y, info = dpttrs(*factors, mass * x)
             y /= np.max(np.abs(y))
             change, x = np.max(np.abs(y - x)), y
         # a non-finite vector stops the rounds too; the checks below refuse it

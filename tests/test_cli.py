@@ -443,6 +443,16 @@ class TestEigCommand:
         assert report["results"]["lambda"] == 8.0
         assert report["results"]["converged"] is True
 
+    def test_power_potential_on_the_whole_line(self, tmp_path):
+        # V = |r|^(1/2) is finite at every node of (-1, 1); with r^(1/2) the
+        # negative nodes sampled NaN and the command exited 1
+        ini = EIG_INI.replace("domain = 0 1", "domain = -inf inf")
+        ini = ini.replace("potential = zero", "potential = power 1 0.5")
+        ini = ini.replace("level = 0 1", "level = -1 1")
+        proc, _, report = run_cli(tmp_path, ini)
+        assert proc.returncode == 0, proc.stderr
+        assert report["results"]["converged"] and report["results"]["lambda"] > 0.0
+
     def test_report_embeds_config_hash_and_tolerances(self, tmp_path):
         proc, _, report = run_cli(tmp_path, EIG_INI)
         assert proc.returncode == 0

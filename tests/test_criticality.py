@@ -161,6 +161,39 @@ class TestThreshold:
         with pytest.raises(PreconditionError, match="not nonnegative"):
             criticality_verdict(prob, ex, resolution=201)
 
+    @pytest.mark.parametrize("resolution", [801, 3])
+    @pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3])
+    def test_p2_nonnegativity_factorization_agrees_with_the_eigensolve(
+        self, monkeypatch, resolution, factor
+    ):
+        # V = -factor lambda_1(V = 0) moves lambda_1 to (1 - factor)
+        # lambda_1(V = 0), just above or below 0; resolution 3 leaves one
+        # free node, where dpttrf refuses the empty off-diagonal
+        checked = []
+        exceeds = solver.DiscreteOperator.lambda_1_exceeds
+
+        def recorded(op, sigma):
+            checked.append((op, sigma, exceeds(op, sigma)))
+            return checked[-1][2]
+
+        monkeypatch.setattr(solver.DiscreteOperator, "lambda_1_exceeds", recorded)
+        level = (-1.0, 1.0)
+        threshold_tN(line_problem(), level, BUMP, resolution=resolution)
+        ((op0, _, _),) = checked
+        lam0 = op0.eigenpair(solver.DEFAULT_CONFIG).lam
+        checked.clear()
+        prob = replace(line_problem(), potential=PotentialSpec.constant(-factor * lam0))
+        if factor > 1.0:
+            with pytest.raises(PreconditionError, match="not nonnegative"):
+                threshold_tN(prob, level, BUMP, resolution=resolution)
+        else:
+            assert threshold_tN(prob, level, BUMP, resolution=resolution) > 0.0
+        ((op, sigma, factored),) = checked
+        assert np.array_equal(op.grid.nodes, op0.grid.nodes) and sigma == -1e-9
+        lam = op.eigenpair(solver.DEFAULT_CONFIG).lam
+        assert lam == pytest.approx((1.0 - factor) * lam0, rel=1e-6)
+        assert factored == (lam >= -1e-9) == (factor < 1.0)
+
     def test_log_reduced_problem_shape(self):
         red = log_reduced_problem(ray_problem(2, 2.0))
         assert red.d == 1
@@ -211,7 +244,10 @@ class TestVerdicts:
     def test_p2_eigensolve_factors_a_bracket_not_adjacent_floats(self, monkeypatch):
         # criterion 05's d = 1 line verdict; bisecting the eigenvalue down
         # to adjacent floats took 60 factorizations in one solve, and down
-        # to relative width 1e-6 took 29
+        # to relative width 1e-6 took 29.  A bracket from min(diag / mass)
+        # narrowed to a factor 2 took 9 in most solves (148 in all); the
+        # first inverse step's quotient and half of it take 2 (31 in all,
+        # counting the nonnegativity check's factorization with the last)
         counts = []
         eigen, factor = solver.smallest_generalized_eigen, solver.dpttrf
 
@@ -228,7 +264,7 @@ class TestVerdicts:
         prob = line_problem()
         ex = make_exhaustion(prob, 15, base=1.0, growth=2.0, style="line")
         assert criticality_verdict(prob, ex, resolution=801).verdict == "critical"
-        assert counts and max(counts) <= 16 and sum(counts) <= 200
+        assert counts and max(counts) <= 4 and sum(counts) <= 40
 
 
 class TestNullSequence:
@@ -271,24 +307,38 @@ class TestNullSequence:
         assert masses.min() > 0.0
         assert masses.max() / masses.min() < 10.0
 
-    def test_uncertified_last_level_runs_one_eigensolve(self, monkeypatch):
+    def test_uncertified_last_level_is_checked_by_one_factorization(self, monkeypatch):
         # the critical d = 1 run's last level misses the residual gate
-        # (lower about -2.5e-4), so its pair does not show Q >= 0 and the
-        # nonnegativity eigensolve runs once, finding lambda about 2.3e-9
-        lams = []
-        eigenpair = solver.DiscreteOperator.eigenpair
+        # (lower about -2.5e-4), so its pair does not show Q >= 0; at p = 2
+        # one factorization of the form plus 1e-9 node_w shows it, and no
+        # eigensolve runs.  lambda_1 there is about 2.3e-9
+        eigenpairs, factors, inside = [], [], []
+        eigen, factor = solver.smallest_generalized_eigen, solver.dpttrf
 
-        def recorded(self, config):
-            result = eigenpair(self, config)
-            lams.append(result.lam)
-            return result
+        def counted_eigen(*args):
+            inside.append(True)
+            try:
+                return eigen(*args)
+            finally:
+                inside.pop()
 
-        monkeypatch.setattr(solver.DiscreteOperator, "eigenpair", recorded)
+        def counted_factor(*args):
+            if not inside:
+                factors.append(args)
+            return factor(*args)
+
+        monkeypatch.setattr(solver.DiscreteOperator, "eigenpair", lambda *a: eigenpairs.append(a))
+        monkeypatch.setattr(solver, "smallest_generalized_eigen", counted_eigen)
+        monkeypatch.setattr(solver, "dpttrf", counted_factor)
         prob = line_problem()
         ex = make_exhaustion(prob, 15, base=1.0, growth=2.0, style="line", x0=0.0)
         run = null_sequence(prob, ex, resolution=801)
         assert run.failures == () and not run.entries[-1].certified
-        assert len(lams) == 1 and 0.0 <= lams[0] < 1e-8
+        assert eigenpairs == [] and len(factors) == 1
+        monkeypatch.undo()
+        op = solver.DiscreteOperator.bind(run.problem, run.entries[-1].minimizer.grid)
+        lam = op.eigenpair(solver.DEFAULT_CONFIG).lam
+        assert 0.0 <= lam < 1e-8 and op.lambda_1_exceeds(-1e-9)
 
     def test_failed_first_level_leaves_no_entry_and_no_verdict(self):
         # one outer iteration cannot meet eigen_rtol at p = 3, so the first

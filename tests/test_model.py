@@ -212,6 +212,14 @@ class TestPotentials:
         assert np.allclose(PotentialSpec.constant(3.5).sample(r), 3.5)
         assert np.allclose(PotentialSpec.power(2.0, -2.0).sample(r), 2.0 / r**2)
 
+    def test_power_reads_the_absolute_value_of_r(self):
+        # c |r|^s as documented: on the whole line a negative r gave NaN for
+        # a non-integer s and -|r|^s for an odd one
+        assert PotentialSpec.power(1.0, 0.5)(np.array([-4.0]))[0] == 2.0
+        r = np.array([-2.0, -0.5, 0.5, 2.0])
+        assert np.array_equal(PotentialSpec.power(3.0, 3.0)(r), 3.0 * np.abs(r) ** 3)
+        assert np.array_equal(PotentialSpec.power(1.0, -1.0)(r), 1.0 / np.abs(r))
+
     def test_bump_support_and_height(self):
         spec = PotentialSpec.bump(0.0, 1.0, 2.0)
         r = np.array([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0])
