@@ -111,9 +111,10 @@ def energy_Q(u: Field, problem: RadialProblem, free_boundary: bool = False) -> E
 def q_parts(grid: Grid, p: float, vvals: np.ndarray, u: np.ndarray) -> EnergyBreakdown:
     """Q of the nodal values u on the grid, with V given by its nodal
     samples vvals: exact slopes per cell, nodal values against the dual-cell
-    weights.  Every evaluation of Q in the package goes through here."""
+    weights.  Every evaluation of Q in the package goes through here.  A V
+    that vanishes at every node adds no power pass."""
     grad = float((np.abs(np.diff(u) / grid.h) ** p * grid.cell_w).sum())
-    pot = float((vvals * np.abs(u) ** p * grid.node_w).sum())
+    pot = float((vvals * np.abs(u) ** p * grid.node_w).sum()) if vvals.any() else 0.0
     return EnergyBreakdown(grad, pot, (grad + pot) / p)
 
 

@@ -32,11 +32,12 @@ factors of the pencil shifted to the lower end of a bracket of its
 eigenvalue, which the first inverse step sets and bisection narrows between
 rounds; for p != 2 an inverse power iteration is used,
 u_{k+1} solving Q'(u_{k+1}) = W phi_p(u_k) weakly: loosely while the
-quotient moves, to the full gate before it may stop.  At every p the
-eigenvalue is the quotient at the vector.  For the eigenpair the potential
-is shifted by a reported constant when it is negative somewhere, so the
-p = 2 pencil is positive definite and each p != 2 iterate solves a
-coercive problem.
+quotient moves, to the full gate before it may stop.  A cold iteration
+starts from the p = 2 pencil's vector of the same weight, as a cold
+Dirichlet solve starts from its p = 2 solution.  At every p the eigenvalue
+is the quotient at the vector.  For the eigenpair the potential is shifted
+by a reported constant when it is negative somewhere, so the p = 2 pencil
+is positive definite and each p != 2 iterate solves a coercive problem.
 """
 from __future__ import annotations
 
@@ -205,9 +206,10 @@ class DiscreteOperator:
     ``bind`` samples V at the nodes once; residuals, Jacobians, quotients,
     principal pairs, eigenpairs, Dirichlet and held-run solves on that
     (problem, grid) and its slices read the bound samples.  The flux
-    weights cell_w / h and the potential weights node_w V are computed once
-    per operator, on first use.  Nodal arrays passed in and out cover every
-    node of the grid.
+    weights cell_w / h, the potential weights node_w V and the Jacobian's,
+    and whether V vanishes at every node, which spares each residual and
+    Jacobian its potential pass, are computed once per operator, on first
+    use.  Nodal arrays passed in and out cover every node of the grid.
     """
 
     p: float
@@ -229,8 +231,20 @@ class DiscreteOperator:
         return w
 
     @cached_property
+    def _v_vanishes(self) -> bool:
+        return not np.any(self.vvals)
+
+    @cached_property
     def _pot_w(self) -> np.ndarray:
         w = self.grid.node_w * self.vvals
+        w.setflags(write=False)
+        return w
+
+    @cached_property
+    def _jac_pot_w(self) -> np.ndarray:
+        # the Jacobian's potential weights on the free nodes
+        w = self._pot_w[self.grid.free]
+        w = (np.maximum(w, 0.0) if self.p > 2.0 else w) * (self.p - 1.0)
         w.setflags(write=False)
         return w
 
@@ -253,21 +267,25 @@ class DiscreteOperator:
         equal the boundary flux defect; callers mask them."""
         du = u[1:] - u[:-1]
         flux = phi_p(du / self.grid.h, self.p) * self._flux_w
-        pot = self._pot_w * phi_p(u, self.p)
         g_abs = np.abs(flux)
         # |G_{j-1}| + |G_j|, then |pot_j|, then |load_j|: the scale's bits
         # depend on this order
-        terms = np.empty_like(pot)
+        terms = np.empty(self.grid.n)
         terms[0] = g_abs[0]
         terms[-1] = g_abs[-1]
         np.add(g_abs[1:], g_abs[:-1], out=terms[1:-1])
-        terms += np.abs(pot)
-        terms += np.abs(load)
-        r = np.empty_like(pot)
+        r = np.empty(self.grid.n)
         r[0] = -flux[0]
         r[-1] = flux[-1]
         np.subtract(flux[:-1], flux[1:], out=r[1:-1])
-        r += pot - load
+        if self._v_vanishes:  # no potential terms: the same bits, one pass fewer
+            pot = None
+            r -= load
+        else:
+            pot = self._pot_w * phi_p(u, self.p)
+            terms += np.abs(pot)
+            r += pot - load
+        terms += np.abs(load)
         return r, max(float(terms.max()), 1e-300), (flux, pot, du)
 
     def energy(
@@ -277,15 +295,17 @@ class DiscreteOperator:
         residual, from residual_terms' terms at u without another power:
         |G_i| |u_{i+1} - u_i| = cell_w |s_i|^p and pot_j u_j = node_w V |u_j|^p."""
         flux, pot, du = terms
-        q = float(np.dot(np.abs(flux), np.abs(du))) + float(np.dot(pot, u))
+        q = float(np.dot(np.abs(flux), np.abs(du)))
+        if pot is not None:
+            q += float(np.dot(pot, u))
         return q / self.p - float(np.dot(load, u))
 
     def jacobian(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Tridiagonal Jacobian of the residual on the free nodes, as its
         (diagonal, off-diagonal).  Flux and potential derivatives use the
-        EPS-regularized powers, which are exact at p = 2.  At p > 2 the
-        potential weights node_w V are clipped at 0, so the matrix is
-        positive definite and its step descends J where V < 0."""
+        EPS-regularized powers, which are exact at p = 2 (see _p2_form).
+        At p > 2 the potential weights node_w V are clipped at 0, so the
+        matrix is positive definite and its step descends J where V < 0."""
         g, p = self.grid, self.p
         lo, hi = g.free.start, g.free.stop
         s = (u[1:] - u[:-1]) / g.h
@@ -293,24 +313,39 @@ class DiscreteOperator:
         reg = s2_reg ** (0.5 * (p - 2.0))
         gp = reg * (1.0 + (p - 2.0) * s * s / s2_reg) * self._flux_w
         kcell = gp / g.h  # coupling strength of each cell
-        pot_w = np.maximum(self._pot_w[lo:hi], 0.0) if p > 2.0 else self._pot_w[lo:hi]
-        uf = u[lo:hi]
-        pot = pot_w * (p - 1.0) * (uf * uf + EPS * EPS) ** (0.5 * (p - 2.0))
         # free node j couples through cell j to its right and, unless it is
         # the ball center (lo = 0), through cell j - 1 to its left
         diag = kcell[lo:hi].copy()
         diag[1 - lo :] += kcell[: hi - 1]
-        diag += pot
+        if not self._v_vanishes:
+            uf = u[lo:hi]
+            diag += self._jac_pot_w * (uf * uf + EPS * EPS) ** (0.5 * (p - 2.0))
         return diag, -kcell[lo : hi - 1]
+
+    def _p2_form(self, vvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The free block (diagonal, off-diagonal) of the p = 2 form's
+        matrix with nodal potential vvals: the cell stiffness cell_w / h^2
+        plus node_w vvals.  At p = 2 and vvals = V it is the Jacobian at
+        every u, bit for bit."""
+        g = self.grid
+        lo, hi = g.free.start, g.free.stop
+        k = self._flux_w / g.h
+        diag = k[lo:hi].copy()
+        diag[1 - lo :] += k[: hi - 1]
+        diag += g.node_w[lo:hi] * vvals[lo:hi]
+        return diag, -k[lo : hi - 1]
 
     def quotient(self, u: np.ndarray, weight: np.ndarray) -> tuple[float, float]:
         """(p Q(u) / integral(W |u|^p), integral(W |u|^p)) for the nodal
         weight W; the quotient is nan when the mass is not positive."""
         q = q_parts(self.grid, self.p, self.vvals, u)
-        mass = float(np.sum(weight * np.abs(u) ** self.p * self.grid.node_w))
+        mass = self._mass(u, weight)
         if not mass > 0.0:  # |u|^p underflows, or u vanishes on the weight
             return math.nan, mass
         return (q.gradient_term + q.potential_term) / mass, mass
+
+    def _mass(self, u: np.ndarray, weight: np.ndarray) -> float:
+        return float(np.sum(weight * np.abs(u) ** self.p * self.grid.node_w))
 
     def flux_sensitivity(self, u: np.ndarray) -> float:
         """max over cells of (cell_w / h) phi_p'(|s| + t), times max|u|: how
@@ -352,28 +387,28 @@ class DiscreteOperator:
         delta)) with delta the quotient's relative change at step k - 1 (1
         at k = 1); only a step solved to the config's tol may stop the
         iteration, so the pair is as converged as under strict solves.  The
-        iteration starts from ``initial`` when given (a tent otherwise);
-        p = 2 ignores it.  An iterate whose weighted mass, or quotient plus
-        shift, is not positive and finite ends the iteration unconverged,
-        before any inner solve when it is the start.
+        iteration starts from ``initial`` when given; otherwise from the
+        p = 2 pencil's vector of the same weight with V + shift clipped at
+        0, whose form is positive definite, scaled to max 1.  p = 2 ignores
+        ``initial``.  An iterate whose weighted mass, or quotient plus
+        shift, is not positive and finite (an overflow included) ends the
+        iteration unconverged, before any inner solve when it is the start.
         """
         g, p = self.grid, self.p
-        inner = DiscreteOperator(p, g, self.vvals + shift)
+        wmass = (g.node_w * weight)[g.free]
         if p == 2.0:
-            # at p = 2 the Jacobian is the form's matrix, whatever u
-            diag, off = inner.jacobian(np.zeros(g.n))
             u = np.zeros(g.n)
-            u[g.free] = smallest_generalized_eigen(diag, off, (g.node_w * weight)[g.free])
+            u[g.free] = smallest_generalized_eigen(*self._p2_form(self.vvals + shift), wmass)
             return self.quotient(u, weight)[0], u, 1, True
 
-        a, b = g.interval
         if initial is not None:
             u = initial.values.copy()
-        elif g.natural_left:  # tent seeds, zero at the Dirichlet ends
-            u = (b - g.nodes) / (b - a)
-        else:
-            u = np.minimum(g.nodes - a, b - g.nodes) / (b - a)
-        u[g.dirichlet_mask] = 0.0
+            u[g.dirichlet_mask] = 0.0
+        else:  # V + shift clipped at 0 keeps the p = 2 form positive definite
+            form = self._p2_form(np.maximum(self.vvals + shift, 0.0))
+            u = np.zeros(g.n)
+            u[g.free] = smallest_generalized_eigen(*form, wmass)
+            u /= u.max()  # its largest entry is positive
         u = np.maximum(u, 0.0)
         if not np.any(u > 0):
             raise ValueError("initial eigenfunction guess vanishes")
@@ -382,12 +417,14 @@ class DiscreteOperator:
             """Whether the next inner solve has a load and a scaled start."""
             return 0.0 < mass < math.inf and 0.0 < lam + shift < math.inf
 
-        lam, mass = self.quotient(u, weight)
+        with np.errstate(over="ignore"):  # a quotient that overflows is no start
+            lam, mass = self.quotient(u, weight)
         if not usable(lam, mass):
             logger.debug("principal pair: initial guess has quotient %g at mass %g", lam, mass)
             return lam, u, 0, False
         u = u / mass ** (1.0 / p)
 
+        inner = self if shift == 0.0 else DiscreteOperator(p, g, self.vvals + shift)
         tol = config.tol_for(p)
         gate = max(tol, INNER_RTOL)
         converged = False
@@ -422,7 +459,7 @@ class DiscreteOperator:
         shift = 0.0 if vmin >= 0 else (1.0 - vmin)
         ones = np.ones(self.grid.n)
         lam, u, iters, converged = self.principal(ones, config, shift, 1.0)
-        mass = self.quotient(u, ones)[1]
+        mass = self._mass(u, ones)
         if mass > 0.0:
             u /= mass ** (1.0 / self.p)
         return EigenResult(lam, Field(self.grid, u), iters, converged, shift)
@@ -535,7 +572,7 @@ class DiscreteOperator:
         if self.p != 2.0:
             raise ValueError(f"an inertia test needs p = 2, got p={self.p}")
         g = self.grid
-        diag, off = self.jacobian(np.zeros(g.n))
+        diag, off = self._p2_form(self.vvals)
         diag -= sigma * g.node_w[g.free]
         if diag.size == 1:  # dpttrf takes no empty off-diagonal
             return bool(diag[0] > 0.0)

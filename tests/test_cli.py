@@ -233,11 +233,11 @@ MINGROWTH_NON_COERCIVE_INI = dedent(
     """
 )
 
-# V = -0.01: lambda_1 = -2.658e-3 < 0 on the largest level minus the set,
-# but with no eigen iterations the torsion bound is None and the start's
-# quotient is positive
+# V = -0.0082: lambda_1 = -8.581e-4 < 0 on the largest level minus the set,
+# but with no eigen iterations the torsion bound is None and the quotient
+# at the start, the p = 2 vector, is positive
 MINGROWTH_UNCONVERGED_EIGEN_INI = (
-    MINGROWTH_NON_COERCIVE_INI.replace("constant -0.05", "constant -0.01")
+    MINGROWTH_NON_COERCIVE_INI.replace("constant -0.05", "constant -0.0082")
     + "\n[tolerances]\neigen_max_iter = 0\n"
 )
 
@@ -553,11 +553,11 @@ class TestMingrowthCommand:
 
     def test_unconverged_eigensolve_certifies_no_lambda_1(self, tmp_path):
         # an unconverged iterate's quotient bounds lambda_1 only from above;
-        # it used to be reported as lambda_1_lower = 1.3e-3 > 0
+        # it used to be reported as a positive lambda_1_lower
         proc, out, report = run_cli(tmp_path, MINGROWTH_UNCONVERGED_EIGEN_INI)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith(
-            "solver failure: lambda_1 eigensolve did not converge (quotient 1.310e-03 > 0)"
+            "solver failure: lambda_1 eigensolve did not converge (quotient 9.141e-04 > 0)"
         ), proc.stderr
         assert report is None and not out.exists()
 

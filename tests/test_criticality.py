@@ -128,10 +128,13 @@ class TestThreshold:
         prob = ray_problem(3, 1.5)
         threshold_tN(prob, (0.5, 8.0), PotentialSpec.bump(2.0, 1.0, 1e-2))
 
-    def test_log_frame_agrees_with_radial(self):
+    @pytest.mark.parametrize("d, p", [(2, 2.0), (3, 3.0)])
+    def test_log_frame_agrees_with_radial(self, d, p):
         # frame "auto" maps radial inputs through the log reduction when
         # d == p; "radial" forbids the mapping. Same quotient, two frames.
-        prob = ray_problem(2, 2.0)
+        # At d = p = 3 both run the cold inverse power iteration; they
+        # agree to 2.6e-5
+        prob = ray_problem(d, p)
         W = PotentialSpec.bump(1.0, 0.5, 1.0)
         t_log = threshold_tN(prob, (0.25, 4.0), W, resolution=801, frame="auto")
         t_rad = threshold_tN(prob, (0.25, 4.0), W, resolution=801, frame="radial")

@@ -590,8 +590,8 @@ def test_newton_p3_verdicts_skip_the_eigensolve(monkeypatch):
     assert criticality_verdict(_D3, _LOG9, resolution=601, frame="log").verdict == "critical"
     assert eigensolves == []
     # 279 with strict inner solves at every outer step and warm starts
-    # extended by zero
-    assert len(banded) <= 200
+    # extended by zero, 193 with cold iterations started from a tent
+    assert len(banded) <= 180
 
 
 @pytest.mark.parametrize(
