@@ -33,13 +33,14 @@ thresholds and eigenvalues are invariant under this substitution.
 """
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import phi_p, q_parts
+from .energy import q_parts
 from .errors import PreconditionError, StateError
 from .model import (
     CompactSetSpec,
@@ -249,29 +250,6 @@ def _stretched(prev: Field, grid: Grid, log_r: bool) -> Field:
     return Field(grid, vals)
 
 
-def _require_nonnegative_form(
-    op: DiscreteOperator, config: SolverConfig, last: LevelThreshold | None = None
-) -> None:
-    # null_sequence passes its last level's pair: the minimizer is a positive
-    # supersolution of V - lower W, so a certified lower >= -1e-9 bounds Q
-    # below by lower integral(W |u|^p) on the largest level (Allegretto-
-    # Piepenbrink) and no eigensolve runs.  threshold_tN and q_capacity pass
-    # none.  At p = 2 one factorization of the form plus 1e-9 node_w shows
-    # lambda_1 > -1e-9; when it fails, the eigensolve names lambda_1.  At
-    # p != 2 an eigensolve, not lambda_1_lower: a cold torsion solve can cost
-    # more, and the warm null sequences' banded-solve budget counts
-    # threshold_tN's check
-    if last is not None and last.certified and last.lower >= -1e-9:
-        return
-    if op.p == 2.0 and op.lambda_1_exceeds(-1e-9):
-        return
-    lam = op.eigenpair(config).lam
-    if lam < -1e-9:
-        raise PreconditionError(
-            f"functional is not nonnegative on the level: principal eigenvalue {lam:.3e} < 0"
-        )
-
-
 # ---------------------------------------------------------------------------
 # thresholds
 # ---------------------------------------------------------------------------
@@ -289,7 +267,7 @@ def threshold_tN(
     tridiagonal pencil at p = 2, inverse iteration otherwise)."""
     wp, (wl,), _, ww, _ = _working_frame(problem, (tuple(level),), None, weight, frame)
     op, wvals = _level(wp, wl, ww, resolution)
-    _require_nonnegative_form(op, config)
+    op.require_nonnegative(config)
     t, _, _, ok = op.principal(wvals, config)
     if not ok:
         raise StateError("threshold iteration did not converge on the level")
@@ -320,8 +298,9 @@ def null_sequence(
 
     A form that is not nonnegative on the largest level raises
     PreconditionError.  The last level's certified Collatz-Wielandt bound
-    shows Q >= 0 there; an eigensolve checks it only when that bound is
-    uncertified or negative, or when a level fails.
+    shows Q >= 0 there; the check solves only when that bound is uncertified
+    or negative, or when a level fails, and then an unconverged check keeps
+    the truncated run.
     """
     wp, wlevels, wx0, ww, coords = _working_frame(
         problem, exhaustion.levels, exhaustion.x0, weight, frame
@@ -342,8 +321,9 @@ def null_sequence(
         try:
             t, v, _, ok = op.principal(wvals, config, initial=warm)
         except PreconditionError:
-            # a form that is not nonnegative fails as such, not as its pencil
-            _require_nonnegative_form(largest, config)
+            # a form shown not nonnegative fails as such, else as its pencil
+            with contextlib.suppress(StateError):
+                largest.require_nonnegative(config)
             raise
         if not ok:
             failures.append(idx)
@@ -358,11 +338,16 @@ def null_sequence(
         v = field.values
         energy = q_parts(op.grid, wp.p, op.vvals, v).total
         mass = float(np.sum(wvals * np.abs(v) ** wp.p * op.grid.node_w))
-        lower, certified = _collatz_lower(op, wvals, t, v, config.tol_for(wp.p))
+        lower, certified = op.collatz_lower(wvals, t, v, config)
         entries.append(
             LevelThreshold(idx, lv, t, field, energy, mass, ok, lower, certified)
         )
-    _require_nonnegative_form(largest, config, None if failures or not entries else entries[-1])
+    if failures:  # only a form shown not nonnegative refuses the truncated run
+        with contextlib.suppress(StateError):
+            largest.require_nonnegative(config)
+    else:  # the last level's certified pair shows Q >= 0 on the largest level
+        last = entries[-1]
+        largest.require_nonnegative(config, last.lower if last.certified else None)
     return NullSequenceRun(tuple(entries), wx0, coords, ww, tuple(failures), wp)
 
 
@@ -424,30 +409,6 @@ def criticality_verdict(
         x0=run.x0,
         run=run,
     )
-
-
-def _collatz_lower(
-    op: DiscreteOperator, wvals: np.ndarray, t: float, v: np.ndarray, tol: float
-) -> tuple[float, bool]:
-    """Collatz-Wielandt lower bound on the level's threshold from its
-    minimizer v >= 0, and whether the bound is certified.
-
-    With the eigen-residual r = R(v) - t tau W phi_p(v), the bound is
-    t + min r_j / (tau_j W_j phi_p(v_j)) over the weighted free nodes,
-    those where t tau_j W_j phi_p(v_j) exceeds tol times the residual
-    scale.  It is certified when R_j(v) >= -tol * scale at every other free
-    node, where the Picone inequality needs R(v) >= 0.
-    """
-    load = t * op.grid.node_w * wvals * phi_p(v, op.p)
-    r, scale, _ = op.residual_terms(v, load)
-    gate = tol * scale
-    free = ~op.grid.dirichlet_mask
-    weighted = free & (load > gate)
-    if not weighted.any():
-        return -math.inf, False
-    lower = t * (1.0 + float(np.min(r[weighted] / load[weighted])))
-    others = free & ~weighted
-    return lower, bool(np.all(r[others] + load[others] >= -gate))
 
 
 def _positivity_margins(run: NullSequenceRun, t_star: float) -> PositivityCertificate:
@@ -542,7 +503,7 @@ def q_capacity(
     grid = _capacity_grid(problem, (a, b), compact, resolution)
     op = DiscreteOperator.bind(problem, grid)
     unforced = op.load(None)
-    _require_nonnegative_form(op, config)
+    op.require_nonnegative(config)
 
     nodes = grid.nodes
     in_set = (nodes >= k_lo - 1e-14 * max(1.0, abs(k_lo))) & (

@@ -674,20 +674,20 @@ def comparison_check(
     start = int(np.searchsorted(grid.nodes, omega2.k_hi))
     if start == grid.n:
         raise ValueError("grid does not reach beyond omega2")
-    sub_grid = grid.restrict(start)
-    u_r = Field(sub_grid, u_sub.values[start:])
-    v_r = Field(sub_grid, v_super.values[start:])
-    cls_u = classify_sign(u_r, problem, CLASSIFY_TOL)
+    # both fields are classified on one operator, which samples V once
+    op = DiscreteOperator.bind(problem, grid.restrict(start))
+    u_r, v_r = u_sub.values[start:], v_super.values[start:]
+    cls_u = op.classify(u_r, CLASSIFY_TOL)
     if cls_u.kind not in ("subsolution", "solution"):
         raise PreconditionError(f"u_sub classifies as {cls_u.kind!r} on the region")
-    cls_v = classify_sign(v_r, problem, CLASSIFY_TOL)
+    cls_v = op.classify(v_r, CLASSIFY_TOL)
     if cls_v.kind not in ("supersolution", "solution"):
         raise PreconditionError(f"v_super classifies as {cls_v.kind!r} on the region")
-    edge_u = float(u_r.values[0])
-    edge_v = float(v_r.values[0])
+    edge_u = float(u_r[0])
+    edge_v = float(v_r[0])
     if edge_u > edge_v + COMPARISON_TOL:
         raise PreconditionError(
             f"u_sub exceeds v_super at the set's edge: {edge_u:.6g} > {edge_v:.6g}"
         )
-    viol = float(np.max(u_r.values - v_r.values))
+    viol = float(np.max(u_r - v_r))
     return ComparisonResult(viol <= COMPARISON_TOL, max(viol, 0.0))

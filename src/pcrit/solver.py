@@ -38,6 +38,9 @@ Dirichlet solve starts from its p = 2 solution.  At every p the eigenvalue
 is the quotient at the vector.  For the eigenpair the potential is shifted
 by a reported constant when it is negative somewhere, so the p = 2 pencil
 is positive definite and each p != 2 iterate solves a coercive problem.
+The operator owns the lambda_1 hypotheses, Q >= 0 and lambda_1 > 0; both
+rules fall back on one eigensolve, which refuses an unconverged quotient
+above the rule's threshold, since it bounds lambda_1 from above only.
 """
 from __future__ import annotations
 
@@ -534,7 +537,7 @@ class DiscreteOperator:
         v^p / w^(p-1) for any v vanishing at the Dirichlet nodes, the cellwise
         discrete Picone inequality gives Q(v) >= mu sum node_w |v|^p: a
         positive supersolution bounds lambda_1 from below (Allegretto-
-        Piepenbrink; the Collatz-Wielandt bound of pcrit.criticality).  The
+        Piepenbrink; collatz_lower reads a weighted bound the same way).  The
         bound is read off w's own residual, so it holds whether or not the
         solve met its gate.  None when w is not positive at every free node
         or mu <= 0.  The load is one per node, not node_w: the solve's gate
@@ -550,33 +553,84 @@ class DiscreteOperator:
         mu = float(np.min((1.0 + r[free]) / (g.node_w[free] * w[free] ** (p - 1.0))))
         return mu if mu > 0.0 else None
 
-    def lambda_1_lower(self, config: SolverConfig) -> float:
-        """A lower bound on the principal Dirichlet eigenvalue of Q on the
-        grid: the torsion bound, or the eigenvalue itself where that bound
-        is None.  An unconverged iterate's quotient bounds lambda_1 from
-        above only, so it is returned when it is <= 0 (then lambda_1 <= 0
-        too) and raises StateError when it is positive."""
-        mu = self.torsion_bound(config)
-        if mu is not None:
-            return mu
+    def collatz_lower(
+        self, weight: np.ndarray, t: float, v: np.ndarray, config: SolverConfig
+    ) -> tuple[float, bool]:
+        """Collatz-Wielandt lower bound on the weighted principal eigenvalue
+        t from its eigenfunction v >= 0, and whether the bound is certified.
+
+        With the eigen-residual r = R(v) - t tau W phi_p(v), the bound is
+        t + min r_j / (tau_j W_j phi_p(v_j)) over the weighted free nodes,
+        those where t tau_j W_j phi_p(v_j) exceeds tol times the residual
+        scale.  It is certified when R_j(v) >= -tol * scale at every other
+        free node, where the Picone inequality needs R(v) >= 0."""
+        load = t * self.grid.node_w * weight * phi_p(v, self.p)
+        r, scale, _ = self.residual_terms(v, load)
+        gate = config.tol_for(self.p) * scale
+        free = ~self.grid.dirichlet_mask
+        weighted = free & (load > gate)
+        if not weighted.any():
+            return -math.inf, False
+        lower = t * (1.0 + float(np.min(r[weighted] / load[weighted])))
+        others = free & ~weighted
+        return lower, bool(np.all(r[others] + load[others] >= -gate))
+
+    def _lambda_1(self, config: SolverConfig, floor: float) -> float:
+        """The principal Dirichlet eigenvalue of Q on the grid, by the
+        eigensolve.  An unconverged iterate's quotient bounds lambda_1 from
+        above only, so it is returned when it is <= floor (then lambda_1 <=
+        floor too) and raises StateError when it is above."""
         eig = self.eigenpair(config)
-        if not eig.converged and eig.lam > 0.0:
-            raise StateError(f"lambda_1 eigensolve did not converge (quotient {eig.lam:.3e} > 0)")
+        if not eig.converged and eig.lam > floor:
+            raise StateError(f"lambda_1 eigensolve did not converge (quotient {eig.lam:.3e} > {floor:g})")
         return eig.lam
 
-    def lambda_1_exceeds(self, sigma: float) -> bool:
-        """Whether the principal Dirichlet eigenvalue of Q on the grid
-        exceeds sigma, at p = 2: exactly when the form's matrix minus sigma
-        node_w on the free nodes is positive definite (Sylvester's law of
-        inertia), which one LDL^T factorization decides."""
-        if self.p != 2.0:
-            raise ValueError(f"an inertia test needs p = 2, got p={self.p}")
-        g = self.grid
-        diag, off = self._p2_form(self.vvals)
-        diag -= sigma * g.node_w[g.free]
-        if diag.size == 1:  # dpttrf takes no empty off-diagonal
-            return bool(diag[0] > 0.0)
-        return dpttrf(diag, off)[2] == 0
+    def lambda_1_lower(self, config: SolverConfig) -> float:
+        """A lower bound on the principal Dirichlet eigenvalue of Q on the
+        grid: the torsion bound, or else the eigensolve's (see _lambda_1)."""
+        mu = self.torsion_bound(config)
+        return self._lambda_1(config, 0.0) if mu is None else mu
+
+    def require_nonnegative(self, config: SolverConfig, lower: float | None = None) -> None:
+        """Raise PreconditionError unless lambda_1 >= -1e-9 on the grid.
+
+        A certified ``lower`` >= -1e-9 from collatz_lower shows it with no
+        solve: its v is a positive supersolution of V - lower W (Allegretto-
+        Piepenbrink).  Else at p = 2 one LDL^T factorization of the form plus
+        1e-9 node_w on the free nodes does (Sylvester's law of inertia).
+        When it fails, or at p != 2, the eigensolve names lambda_1, and an
+        unconverged one above -1e-9 raises StateError (see _lambda_1).  At
+        p != 2 an eigensolve, not lambda_1_lower: a cold torsion solve can
+        cost more, and the warm null sequences' banded-solve budget counts
+        threshold_tN's check."""
+        floor = -1e-9
+        if lower is not None and lower >= floor:
+            return
+        if self.p == 2.0:
+            g = self.grid
+            diag, off = self._p2_form(self.vvals)
+            diag -= floor * g.node_w[g.free]
+            # dpttrf takes no empty off-diagonal
+            if (diag[0] > 0.0) if diag.size == 1 else (dpttrf(diag, off)[2] == 0):
+                return
+        lam = self._lambda_1(config, floor)
+        if lam < floor:
+            raise PreconditionError(
+                f"functional is not nonnegative on the level: principal eigenvalue {lam:.3e} < 0"
+            )
+
+    def classify(self, u: np.ndarray, tol: float) -> SignClassification:
+        """The sign classification of the nonnegative nodal field u (see
+        classify_sign)."""
+        if np.any(u < 0):
+            raise PreconditionError("classify_sign expects a nonnegative field")
+        r, scale, _ = self.residual_terms(u, self.load(None))
+        rfree = r[~self.grid.dirichlet_mask]
+        rmin = float(rfree.min()) if rfree.size else 0.0
+        rmax = float(rfree.max()) if rfree.size else 0.0
+        gate = tol * scale
+        kinds = (("neither", "subsolution"), ("supersolution", "solution"))
+        return SignClassification(kinds[rmin >= -gate][rmax <= gate], rmin, rmax, scale)
 
     def held_runs(
         self, held: np.ndarray, values, config: SolverConfig, initial: np.ndarray | None = None
@@ -883,24 +937,7 @@ def classify_sign(u: Field, problem: RadialProblem, tol: float) -> SignClassific
     "solution"; everywhere above -tol*scale is "supersolution"; everywhere
     below +tol*scale is "subsolution"; otherwise "neither".
     """
-    if np.any(u.values < 0):
-        raise PreconditionError("classify_sign expects a nonnegative field")
-    grid = u.grid
-    op = DiscreteOperator.bind(problem, grid)
-    r, scale, _ = op.residual_terms(u.values, op.load(None))
-    rfree = r[~grid.dirichlet_mask]
-    rmin = float(rfree.min()) if rfree.size else 0.0
-    rmax = float(rfree.max()) if rfree.size else 0.0
-    gate = tol * scale
-    if rmin >= -gate and rmax <= gate:
-        kind = "solution"
-    elif rmin >= -gate:
-        kind = "supersolution"
-    elif rmax <= gate:
-        kind = "subsolution"
-    else:
-        kind = "neither"
-    return SignClassification(kind, rmin, rmax, scale)
+    return DiscreteOperator.bind(problem, u.grid).classify(u.values, tol)
 
 
 def wcp_check(

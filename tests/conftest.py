@@ -1,12 +1,12 @@
-"""Shared fixtures: random smooth compactly supported fields and the
-acceptance-criterion reporter."""
+"""Shared fixtures: random smooth compactly supported fields, the work of
+the Q >= 0 rule, and the acceptance-criterion reporter."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from pcrit import Field, make_field
+from pcrit import Field, make_field, solver
 
 ACCEPTANCE_LINES: list[tuple[int, str]] = []
 
@@ -47,6 +47,38 @@ def random_compact_field(
     t = (grid.nodes - a) / (b - a)
     vals = np.where((t > 0.0) & (t < 1.0), random_compact_values(np.clip(t, 0.0, 1.0), rng, modes, nonneg), 0.0)
     return make_field(grid, amplitude * vals)
+
+
+@pytest.fixture
+def nonnegativity_work(monkeypatch):
+    """(factorizations, eigensolves), filled as the program runs: whether
+    each dpttrf call made outside smallest_generalized_eigen factored, and
+    the operator of each DiscreteOperator.eigenpair call."""
+    factors, eigensolves, inside = [], [], []
+    eigen, factor = solver.smallest_generalized_eigen, solver.dpttrf
+    eigenpair = solver.DiscreteOperator.eigenpair
+
+    def counted_eigen(*args):
+        inside.append(True)
+        try:
+            return eigen(*args)
+        finally:
+            inside.pop()
+
+    def counted_factor(*args):
+        out = factor(*args)
+        if not inside:
+            factors.append(out[2] == 0)
+        return out
+
+    def recorded_eigenpair(op, config):
+        eigensolves.append(op)
+        return eigenpair(op, config)
+
+    monkeypatch.setattr(solver, "smallest_generalized_eigen", counted_eigen)
+    monkeypatch.setattr(solver, "dpttrf", counted_factor)
+    monkeypatch.setattr(solver.DiscreteOperator, "eigenpair", recorded_eigenpair)
+    return factors, eigensolves
 
 
 @pytest.fixture(scope="session")

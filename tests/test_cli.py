@@ -241,6 +241,25 @@ MINGROWTH_UNCONVERGED_EIGEN_INI = (
     + "\n[tolerances]\neigen_max_iter = 0\n"
 )
 
+CAPACITY_BELOW_CRITICAL_INI = dedent(
+    """\
+    [problem]
+    p = 3.0
+    d = 3
+    domain = 0 inf
+    potential = constant -0.3030160555893753
+
+    [command]
+    name = capacity
+    set = 0 1
+    level = 0 4
+    resolution = 1201
+
+    [tolerances]
+    eigen_max_iter = 1
+    """
+)
+
 CERTIFY_INI = dedent(
     """\
     [problem]
@@ -559,6 +578,18 @@ class TestMingrowthCommand:
         assert proc.stderr.startswith(
             "solver failure: lambda_1 eigensolve did not converge (quotient 9.141e-04 > 0)"
         ), proc.stderr
+        assert report is None and not out.exists()
+
+
+class TestCapacityCommand:
+    def test_unconverged_nonnegativity_check_writes_nothing(self, tmp_path):
+        # V = -1.01 lambda_1(V = 0) at p = 3, lambda_1(V = 0) = 0.300016 on
+        # the level: one outer iteration leaves the Q >= 0 check with a
+        # positive quotient, which shows nothing; a report with a negative
+        # capacity was once written
+        proc, out, report = run_cli(tmp_path, CAPACITY_BELOW_CRITICAL_INI)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("solver failure: lambda_1 eigensolve did not converge"), proc.stderr
         assert report is None and not out.exists()
 
 

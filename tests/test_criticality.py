@@ -167,32 +167,38 @@ class TestThreshold:
     @pytest.mark.parametrize("resolution", [801, 3])
     @pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3])
     def test_p2_nonnegativity_factorization_agrees_with_the_eigensolve(
-        self, monkeypatch, resolution, factor
+        self, monkeypatch, nonnegativity_work, resolution, factor
     ):
         # V = -factor lambda_1(V = 0) moves lambda_1 to (1 - factor)
         # lambda_1(V = 0), just above or below 0; resolution 3 leaves one
-        # free node, where dpttrf refuses the empty off-diagonal
-        checked = []
-        exceeds = solver.DiscreteOperator.lambda_1_exceeds
+        # free node, where dpttrf refuses the empty off-diagonal and the
+        # 1x1 block is decided by its sign
+        checks = []
+        require = solver.DiscreteOperator.require_nonnegative
 
-        def recorded(op, sigma):
-            checked.append((op, sigma, exceeds(op, sigma)))
-            return checked[-1][2]
+        def recorded(op, config, lower=None):
+            checks.append(op)
+            return require(op, config, lower)
 
-        monkeypatch.setattr(solver.DiscreteOperator, "lambda_1_exceeds", recorded)
+        monkeypatch.setattr(solver.DiscreteOperator, "require_nonnegative", recorded)
         level = (-1.0, 1.0)
         threshold_tN(line_problem(), level, BUMP, resolution=resolution)
-        ((op0, _, _),) = checked
+        (op0,) = checks
         lam0 = op0.eigenpair(solver.DEFAULT_CONFIG).lam
-        checked.clear()
+        factors, eigensolves = nonnegativity_work
+        for work in (checks, factors, eigensolves):
+            work.clear()
         prob = replace(line_problem(), potential=PotentialSpec.constant(-factor * lam0))
         if factor > 1.0:
             with pytest.raises(PreconditionError, match="not nonnegative"):
                 threshold_tN(prob, level, BUMP, resolution=resolution)
         else:
             assert threshold_tN(prob, level, BUMP, resolution=resolution) > 0.0
-        ((op, sigma, factored),) = checked
-        assert np.array_equal(op.grid.nodes, op0.grid.nodes) and sigma == -1e-9
+        (op,) = checks
+        assert np.array_equal(op.grid.nodes, op0.grid.nodes)
+        # one factorization decides, and the eigensolve runs only when it fails
+        factored = eigensolves == []
+        assert factors == ([factored] if resolution > 3 else [])
         lam = op.eigenpair(solver.DEFAULT_CONFIG).lam
         assert lam == pytest.approx((1.0 - factor) * lam0, rel=1e-6)
         assert factored == (lam >= -1e-9) == (factor < 1.0)
@@ -310,38 +316,24 @@ class TestNullSequence:
         assert masses.min() > 0.0
         assert masses.max() / masses.min() < 10.0
 
-    def test_uncertified_last_level_is_checked_by_one_factorization(self, monkeypatch):
+    def test_uncertified_last_level_is_checked_by_one_factorization(self, nonnegativity_work):
         # the critical d = 1 run's last level misses the residual gate
         # (lower about -2.5e-4), so its pair does not show Q >= 0; at p = 2
         # one factorization of the form plus 1e-9 node_w shows it, and no
         # eigensolve runs.  lambda_1 there is about 2.3e-9
-        eigenpairs, factors, inside = [], [], []
-        eigen, factor = solver.smallest_generalized_eigen, solver.dpttrf
-
-        def counted_eigen(*args):
-            inside.append(True)
-            try:
-                return eigen(*args)
-            finally:
-                inside.pop()
-
-        def counted_factor(*args):
-            if not inside:
-                factors.append(args)
-            return factor(*args)
-
-        monkeypatch.setattr(solver.DiscreteOperator, "eigenpair", lambda *a: eigenpairs.append(a))
-        monkeypatch.setattr(solver, "smallest_generalized_eigen", counted_eigen)
-        monkeypatch.setattr(solver, "dpttrf", counted_factor)
+        factors, eigensolves = nonnegativity_work
         prob = line_problem()
         ex = make_exhaustion(prob, 15, base=1.0, growth=2.0, style="line", x0=0.0)
         run = null_sequence(prob, ex, resolution=801)
         assert run.failures == () and not run.entries[-1].certified
-        assert eigenpairs == [] and len(factors) == 1
-        monkeypatch.undo()
+        assert eigensolves == [] and factors == [True]
+        # the rule on the last level's operator alone decides the same way
         op = solver.DiscreteOperator.bind(run.problem, run.entries[-1].minimizer.grid)
+        factors.clear()
+        op.require_nonnegative(solver.DEFAULT_CONFIG)
+        assert eigensolves == [] and factors == [True]
         lam = op.eigenpair(solver.DEFAULT_CONFIG).lam
-        assert 0.0 <= lam < 1e-8 and op.lambda_1_exceeds(-1e-9)
+        assert 0.0 <= lam < 1e-8
 
     def test_failed_first_level_leaves_no_entry_and_no_verdict(self):
         # one outer iteration cannot meet eigen_rtol at p = 3, so the first
@@ -521,7 +513,31 @@ NEGATIVE_POTENTIAL_CAPACITIES = {
 }
 
 
+def below_critical_well(p):
+    """d = 3 with V = -1.01 lambda_1(V = 0) on build_grid((0, 4), 1201), so
+    lambda_1 = -0.01 lambda_1(V = 0) < 0 on the level (lambda_1(V = 0) =
+    0.300016 at p = 3)."""
+    zero = ray_problem(3, p)
+    lam = principal_eigenpair(zero, build_grid(zero, (0.0, 4.0), 1201)).lam
+    return replace(zero, potential=PotentialSpec.constant(-1.01 * lam))
+
+
 class TestCapacity:
+    @pytest.mark.parametrize("p", [3.0, 1.5])
+    def test_unconverged_nonnegativity_check_is_refused(self, p):
+        # one outer iteration leaves the eigensolve unconverged with a
+        # positive quotient, which bounds lambda_1 only from above; the
+        # capacity was once computed anyway (-2.037e-3 at p = 3)
+        prob = below_critical_well(p)
+        config = solver.SolverConfig(eigen_max_iter=1)
+        with pytest.raises(StateError, match=r"^lambda_1 eigensolve did not converge \(quotient"):
+            q_capacity(prob, CompactSetSpec(0.0, 1.0), (0.0, 4.0), resolution=1201, config=config)
+
+    def test_converged_nonnegativity_check_names_lambda_1(self):
+        prob = below_critical_well(3.0)
+        with pytest.raises(PreconditionError, match=r"principal eigenvalue -3\.000e-03 < 0"):
+            q_capacity(prob, CompactSetSpec(0.0, 1.0), (0.0, 4.0), resolution=1201)
+
     def test_unit_ball_in_d3(self):
         prob = ray_problem(3, 2.0)
         rep = q_capacity(prob, CompactSetSpec(0.0, 1.0), (0.0, 4.0), resolution=1201)

@@ -337,10 +337,27 @@ class TestCertificateAwayFromP2:
         assert max(abs(m - 1.0) for m in cert.masses) <= 1e-12
         assert cert.mus[-1] / cert.mus[0] < 0.01
 
-    def test_non_minimal_solution_stays_away(self):
-        cert = certificate_at(2, 1.5, lambda r: 1.0 + 1.0 / r)
+    @pytest.mark.parametrize(
+        "d, p, profile, kept",
+        [
+            (2, 1.5, lambda r: 1.0 + 1.0 / r, 0.7),
+            # the reweighted rounds stop above the infimum here: mu_N falls
+            # from 0.02332 to 0.007695 over five levels, then reads 0.03382
+            # from level (0, 512) on.  A weighted principal eigensolve per
+            # level gave 0.02330 ... 0.006355, nonincreasing (ROADMAP item 21)
+            pytest.param(
+                4, 3.0, lambda r: 1.0 + r**-0.5, 0.2,
+                marks=pytest.mark.xfail(
+                    raises=AssertionError, strict=True, reason="mu_N rises at p != 2 (ROADMAP item 21)"
+                ),
+            ),
+        ],
+        ids=["d2-p1.5", "d4-p3"],
+    )
+    def test_non_minimal_solution_stays_away(self, d, p, profile, kept):
+        cert = certificate_at(d, p, profile)
         assert np.all(np.diff(cert.mus) < 0)
-        assert cert.mus[-1] > 0.7 * cert.mus[0]
+        assert cert.mus[-1] > kept * cert.mus[0]
 
     def test_minimal_p_harmonic_decays_at_d4_p3(self):
         cert = certificate_at(4, 3.0, lambda r: r**-0.5)

@@ -653,14 +653,27 @@ class TestTorsionBound:
         assert op.lambda_1_lower(SolverConfig(eigen_max_iter=0)) == pytest.approx(-28.99, abs=0.01)
 
 
-class TestLambda1Exceeds:
-    def test_inertia_test_needs_p_2(self):
+class TestRequireNonnegative:
+    def test_inertia_test_needs_p_2(self, nonnegativity_work):
         # at p != 2 the Jacobian at 0 is not the form, and no factorization
-        # decides the sign of lambda_1
+        # decides the sign of lambda_1: the rule runs the eigensolve, whose
+        # only factorizations are the p = 2 start's
         prob = line_problem(p=3.0)
         op = DiscreteOperator.bind(prob, build_grid(prob, (0.0, 1.0), 21, law="uniform"))
-        with pytest.raises(ValueError, match="needs p = 2"):
-            op.lambda_1_exceeds(0.0)
+        factors, eigensolves = nonnegativity_work
+        op.require_nonnegative(SolverConfig())
+        assert eigensolves == [op] and factors == []
+
+    # p = 3 on (0, 1): lambda_1 = (p - 1) pi_p^p - 30 = -1.71 at V = -30,
+    # while the quotient at the p = 2 start is 1.006 (see
+    # test_unconverged_positive_quotient_is_no_lower_bound)
+    def test_unconverged_quotient_above_the_floor_shows_nothing(self):
+        prob = line_problem(p=3.0, V=PotentialSpec.constant(-30.0))
+        op = DiscreteOperator.bind(prob, build_grid(prob, (0.0, 1.0), 401, law="uniform"))
+        with pytest.raises(PreconditionError, match=r"principal eigenvalue -1\.71"):
+            op.require_nonnegative(SolverConfig())
+        with pytest.raises(StateError, match=r"did not converge \(quotient 1\.006e\+00 > -1e-09\)"):
+            op.require_nonnegative(SolverConfig(eigen_max_iter=0))
 
 
 class TestHeldRuns:

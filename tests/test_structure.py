@@ -1,15 +1,16 @@
 """Structure of the package source: no module reaches into another
 module's private names, no import goes unused, package imports sit at
 module top level, every SolverConfig field is read somewhere, only the
-solver reads the torsion bound, every solver entry point samples the
-potential once per (problem, grid), no driver samples one (potential,
-grid) pair twice, a verdict's positivity certificate is computed once,
-a null sequence ending on a certified level runs no nonnegativity
-eigensolve, a converged p != 2 principal pair ends on an inner solve at
-the full gate, every string option refuses an unknown value, no module
-uses an extended precision dtype, importing pcrit imports neither
-scipy.linalg nor scipy.optimize, a missing LAPACK extension file fails
-the import with its path, and the CLI parses no [command] profile itself."""
+solver reads the torsion bound or decides Q >= 0, every solver entry
+point samples the potential once per (problem, grid), no driver samples
+one (potential, grid) pair twice, a verdict's positivity certificate is
+computed once, a null sequence ending on a certified level runs no
+nonnegativity eigensolve, a converged p != 2 principal pair ends on an
+inner solve at the full gate, every string option refuses an unknown
+value, no module uses an extended precision dtype, importing pcrit
+imports neither scipy.linalg nor scipy.optimize, a missing LAPACK
+extension file fails the import with its path, and the CLI parses no
+[command] profile itself."""
 
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ import scipy
 import pcrit
 from pcrit import solver
 from pcrit import (
+    CertificateRun,
     CompactSetSpec,
     Field,
     Grid,
@@ -36,6 +38,7 @@ from pcrit import (
     SolverConfig,
     build_grid,
     classify_sign,
+    comparison_check,
     criticality_verdict,
     make_exhaustion,
     make_field,
@@ -169,6 +172,20 @@ def test_torsion_bound_is_called_only_in_the_solver():
     assert offenders == []
 
 
+def test_nonnegativity_is_decided_only_in_the_solver():
+    # the Q >= 0 rule and its eigensolve fallback have one owner,
+    # DiscreteOperator.require_nonnegative (with lambda_1_lower); no other
+    # module factors the form or runs the eigensolve itself
+    offenders = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "solver.py"
+        for line, text in enumerate(path.read_text().splitlines(), 1)
+        if ".eigenpair(" in text or "dpttrf" in text
+    ]
+    assert offenders == []
+
+
 def test_command_profiles_are_parsed_in_config_only():
     # forcing, weight and candidate are read through RunConfig.potential,
     # which gives every profile error its [command] key
@@ -231,6 +248,15 @@ _RAMP_NODES = np.linspace(0.01, 4.0, 401)
 RAMP = Field(Grid(_RAMP_NODES, 0), 1.0 + _RAMP_NODES)
 
 
+# 1/r and sqrt(5)/2 (1 + r^2)^(-1/2), scaled up by 1.001: a harmonic
+# function below a supersolution beyond the set (0, 2) of SUBCRITICAL;
+# comparison_check reads only its certificate's verdict
+_CMP_GRID = Grid(np.geomspace(0.5, 64.0, 201), 2)
+CMP_SUB = Field(_CMP_GRID, 1.0 / _CMP_GRID.nodes)
+CMP_SUPER = Field(_CMP_GRID, 0.5 * np.sqrt(5.0) * 1.001 * (1.0 + _CMP_GRID.nodes**2) ** -0.5)
+DECAYING = CertificateRun(CompactSetSpec(0.0, 2.0), (3.0, 4.0), (), (), (), (), "decaying-to-zero")
+
+
 def _annuli(count):
     return make_exhaustion(SUBCRITICAL, count, base=1.0, growth=2.0, style="annuli")
 
@@ -260,6 +286,10 @@ DRIVERS = {
     ),
     # bounded, so the flux pairing on the extended grid runs
     "removability_test": lambda: removability_test(HALF_LINE, RAMP, 0.0),
+    # both fields are classified on the grid beyond the set
+    "comparison_check": lambda: comparison_check(
+        SUBCRITICAL, CMP_SUB, CMP_SUPER, CompactSetSpec(0.0, 2.0), DECAYING
+    ),
 }
 
 
