@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import phi_p, picone_cells
+from .energy import picone_cells
 from .errors import DomainError, PreconditionError, StateError
 from .model import (
     CompactSetSpec,
@@ -171,8 +171,8 @@ def uK_limit(
     compact.validate(problem)
     k_lo, k_hi = compact.k_lo, compact.k_hi
     t_lo, t_hi = float(trace[0]), float(trace[1])
-    if t_lo <= 0 or t_hi <= 0:
-        raise ValueError("trace values must be positive")
+    if not (0 < t_lo < math.inf and 0 < t_hi < math.inf):
+        raise ValueError(f"trace values must be finite and positive, got ({t_lo}, {t_hi})")
     levels = exhaustion.levels
     for level in levels:
         compact.require_inside(level, problem)
@@ -448,15 +448,27 @@ def removability_test(
 # ---------------------------------------------------------------------------
 
 def _certificate_level(
-    problem: RadialProblem,
     grid: Grid,
+    p: float,
     uvals: np.ndarray,
     mass_mask: np.ndarray,
 ) -> tuple[float, np.ndarray, float]:
-    """One level of the certificate: minimize the Picone density of u over
-    nonnegative w vanishing at the outer edge with unit p-mass on the
-    window.  Returns (mu, w, recorded mass)."""
-    p = problem.p
+    """One level of the certificate: the least Picone objective of u seen
+    over nonnegative w vanishing at the outer edge with unit p-mass on the
+    window.  Returns (mu, w, recorded mass).
+
+    Each round freezes the degree-(p-2) factors of the density at the
+    current profile, leaving a tridiagonal quadratic form whose smallest
+    generalized eigenvector (against the similarly frozen window mass) is
+    the next profile.  Round 0 freezes them at 1: its form is the discrete
+    p = 2 Picone objective, so at p = 2 it is the exact minimizer and the
+    only round.  Otherwise 40 rounds follow, each from the last profile, as
+    at p > 2 their objectives alternate instead of descending.  Every
+    profile is feasible, so the least objective seen is a valid upper
+    bound.  Round 0 raises PreconditionError when its form is not positive
+    definite, and StateError when its profile has no window mass; a later
+    round that fails either way ends the level.
+    """
     if np.any(uvals <= 0):
         raise PreconditionError("candidate solution must be positive on the region")
     us = np.diff(uvals) / grid.h
@@ -466,137 +478,46 @@ def _certificate_level(
             "candidate solution has a critical point on the region; the"
             " certificate needs a nonvanishing slope for p != 2"
         )
-
-    def mass_of(wv: np.ndarray) -> float:
-        return float(np.sum(grid.node_w * mass_mask * wv**p))
-
-    def objective(wv: np.ndarray) -> float:
-        return _picone_total(grid, p, wv, us, um)
-
-    w, mu = _irls_minimize(grid, p, us, um, mass_mask, mass_of, objective)
-    if p != 2.0:
-        w, mu = _polish_descent(grid, p, w, us, um, mass_of, objective)
-    return mu, w, mass_of(w)
-
-
-def _irls_minimize(grid, p, us, um, mass_mask, mass_of, objective):
-    """Reweighted quadratic relaxations of the Picone objective.
-
-    Each round freezes the degree-(p-2) factors of the density at the
-    current iterate, leaving a tridiagonal quadratic form whose smallest
-    generalized eigenvector (against the similarly frozen window mass) is
-    the next profile.  Round 0 freezes them at 1: its form is the discrete
-    p = 2 Picone objective, so at p = 2 it is the exact minimizer and the
-    loop stops there; otherwise up to 40 rounds follow.  Iterates stay
-    feasible, so the best objective seen is always a valid upper bound.
-    Round 0 raises PreconditionError when its form is not positive
-    definite, and StateError when its profile has no window mass.
-    """
     n = grid.n
     q = us / um
     cp = 1.0 / grid.h - 0.5 * q
     cm = -(1.0 / grid.h + 0.5 * q)
-    om = np.ones(n - 1)
-    msur = grid.node_w * mass_mask
-    w, best_w, best = None, None, math.inf
-    for _ in range(41):
+    window_w = grid.node_w * mass_mask
+    om, msur = np.ones(n - 1), window_w
+    best, best_w = math.inf, None
+    for k in range(1 if p == 2.0 else 41):
+        if k:
+            z = wm / um * us
+            # floor built from w-scale quantities keeps the whole iteration
+            # exactly invariant under rescaling the candidate u
+            slope_floor = 1e-10 * float(np.max(np.abs(ws)) + np.max(np.abs(z)))
+            om = (np.abs(ws) + np.abs(z) + slope_floor) ** (p - 2.0)
+            wfloor = np.maximum(w, 1e-14 * float(np.max(w)))
+            msur = window_w * wfloor ** (p - 2.0)
         wcell = om * grid.cell_w
         diag = np.zeros(n)
         diag[:-1] += wcell * cm**2
         diag[1:] += wcell * cp**2
-        diag, off = diag[:-1], (wcell * cm * cp)[: n - 2]
         try:
-            vec = smallest_generalized_eigen(diag, off, msur[:-1])
+            vec = smallest_generalized_eigen(diag[:-1], (wcell * cm * cp)[: n - 2], msur[:-1])
         except PreconditionError:
-            if w is None:
+            if k == 0:
                 raise
             break
-        wn = np.zeros(n)
-        wn[:-1] = vec
-        wn = np.maximum(wn, 0.0)
-        wn[-1] = 0.0
-        m = mass_of(wn)
+        w = np.zeros(n)
+        w[:-1] = np.maximum(vec, 0.0)
+        m = float(np.sum(window_w * w**p))
         if m <= 0:
-            if w is None:
+            if k == 0:
                 raise StateError("certificate seed lost its window mass")
             break
-        wn = wn / m ** (1.0 / p)
-        fn = objective(wn)
-        if fn < best:
-            best, best_w = fn, wn.copy()
-        elif fn > best * (1.0 + 1e-10):
-            # relaxation stopped improving; damp once then give up next time
-            wn = 0.5 * (w + wn)
-            m = mass_of(wn)
-            if m <= 0:
-                break
-            wn = wn / m ** (1.0 / p)
-            if objective(wn) >= best * (1.0 + 1e-10):
-                break
-        w = wn
-        if p == 2.0:
-            break
+        w = w / m ** (1.0 / p)
         ws = np.diff(w) / grid.h
         wm = 0.5 * (w[:-1] + w[1:])
-        z = wm / um * us
-        # floor built from w-scale quantities keeps the whole iteration
-        # exactly invariant under rescaling the candidate u
-        slope_floor = 1e-10 * float(np.max(np.abs(ws)) + np.max(np.abs(z)))
-        om = (np.abs(ws) + np.abs(z) + slope_floor) ** (p - 2.0)
-        wfloor = np.maximum(w, 1e-14 * float(np.max(w)))
-        msur = grid.node_w * mass_mask * wfloor ** (p - 2.0)
-    return best_w, best
-
-
-def _polish_descent(grid, p, w, us, um, mass_of, objective):
-    """Short projected-descent polish (at most 200 steps) after the
-    reweighted rounds."""
-    mu = objective(w)
-    step = 1.0
-    for _ in range(200):
-        g = _picone_grad(grid, p, w, us, um)
-        g[-1] = 0.0
-        gnorm = float(np.max(np.abs(g)))
-        if gnorm == 0.0:
-            break
-        improved = False
-        while step > 1e-16:
-            w_try = np.maximum(w - step * g / gnorm, 0.0)
-            w_try[-1] = 0.0
-            m_try = mass_of(w_try)
-            if m_try > 0:
-                w_try = w_try / m_try ** (1.0 / p)
-                mu_try = objective(w_try)
-                if mu_try < mu - 1e-16 * max(1.0, abs(mu)):
-                    w, mu = w_try, mu_try
-                    improved = True
-                    step *= 1.5
-                    break
-            step *= 0.5
-        if not improved:
-            break
-    return w, mu
-
-
-def _picone_total(grid, p, w, us, um) -> float:
-    cells = picone_cells(p, np.diff(w) / grid.h, 0.5 * (w[:-1] + w[1:]), us, um)
-    return float(np.sum(cells * grid.cell_w))
-
-
-def _picone_grad(grid, p, w, us, um) -> np.ndarray:
-    ws = np.diff(w) / grid.h
-    wm = 0.5 * (w[:-1] + w[1:])
-    ratio = wm / um
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rpm2 = np.where(ratio > 0, ratio ** (p - 2.0), 0.0)
-    d_ws = phi_p(ws, p) - ratio ** (p - 1.0) * phi_p(us, p)
-    d_wm = (p - 1.0) * rpm2 / um * (ratio * np.abs(us) ** p - ws * phi_p(us, p))
-    g = np.zeros_like(w)
-    contrib_slope = d_ws * grid.cell_w / grid.h
-    contrib_mid = 0.5 * d_wm * grid.cell_w
-    g[:-1] += -contrib_slope + contrib_mid
-    g[1:] += contrib_slope + contrib_mid
-    return g
+        mu = float(np.sum(picone_cells(p, ws, wm, us, um) * grid.cell_w))
+        if mu < best:
+            best, best_w = mu, w
+    return best, best_w, float(np.sum(window_w * best_w**p))
 
 
 def minimal_growth_certificate(
@@ -613,10 +534,10 @@ def minimal_growth_certificate(
     mu_N = inf { integral of L(w, u) over (level minus omega2) : w >= 0,
     w = 0 at the level edge, integral of w^p over the window = 1 }.  At
     p = 2 this is a generalized eigenvalue (solved directly); otherwise
-    reweighted rounds from the p = 2 minimizer and a projected-descent
-    polish, which still yield sound upper bounds, so a decaying trend is
-    conclusive while "bounded-away" is empirical.  u enters only through
-    ratios, so rescaling u leaves every mu_N unchanged.
+    the least objective of 40 reweighted rounds from the p = 2 minimizer,
+    which is still a sound upper bound, so a decaying trend is conclusive
+    while "bounded-away" is empirical.  u enters only through ratios, so
+    rescaling u leaves every mu_N unchanged.
     """
     exhaustion.validate(problem)
     omega2.validate(problem)
@@ -636,7 +557,7 @@ def minimal_growth_certificate(
         grid = Grid(np.union1d(base, np.asarray(window, dtype=float)), problem.weight_exponent)
         uvals = np.asarray(u.at(grid.nodes))
         mass_mask = ((grid.nodes >= b_lo) & (grid.nodes <= b_hi)).astype(float)
-        mu, w, m = _certificate_level(problem, grid, uvals, mass_mask)
+        mu, w, m = _certificate_level(grid, problem.p, uvals, mass_mask)
         mus.append(mu)
         masses.append(m)
         mins.append(Field(grid, w))

@@ -488,10 +488,10 @@ class DiscreteOperator:
         else:
             if bl is None:
                 raise ValueError("left boundary value required for this grid")
-            if bl < 0:
-                raise ValueError(f"boundary data must be nonnegative, got left={bl}")
-        if br is None or br < 0:
-            raise ValueError(f"boundary data must be nonnegative, got right={br}")
+            if not 0 <= bl < math.inf:
+                raise ValueError(f"boundary data must be finite and nonnegative, got left={bl}")
+        if br is None or not 0 <= br < math.inf:
+            raise ValueError(f"boundary data must be finite and nonnegative, got right={br}")
 
         load = self.load(f)
         if f is not None and np.any(f.values < 0):

@@ -343,6 +343,17 @@ REFUSED = {
         "config error: [tolerances] backtrack_max: unknown key",
         False,
     ),
+    # non-finite data is refused before the solve, by value
+    "boundary-nan": (
+        STUCK_SOLVE_INI.replace("boundary = 0.0 1.0", "boundary = nan 0"),
+        "error: boundary data must be finite and nonnegative, got left=nan",
+        False,
+    ),
+    "trace-inf": (
+        MINGROWTH_BALL_INI.replace("set = 0.5 1", "set = 0.5 1\ntrace = inf 1"),
+        "error: trace values must be finite and positive, got (inf, 1.0)",
+        False,
+    ),
     "out-is-a-file": (EIG_INI, "error:", True),
     # one past each ceiling, refused before anything is allocated
     "resolution-above-ceiling": (

@@ -20,6 +20,7 @@ from pcrit import (
     singularity_exponent,
     uK_limit,
 )
+from pcrit import mingrowth
 from pcrit.errors import PreconditionError, StateError
 from pcrit.model import Field, Grid, build_grid
 from pcrit.solver import DiscreteOperator, SolverConfig
@@ -147,6 +148,12 @@ class TestUkLimit:
         ]
         assert all(lam >= lams[-1] for lam in lams[:-1])
         assert 0.0 < run.lambda_1_lower <= lams[-1]
+
+    @pytest.mark.parametrize("trace", [(np.inf, 1.0), (1.0, np.nan), (0.0, 1.0)])
+    def test_trace_must_be_finite_and_positive(self, trace):
+        ex = make_exhaustion(PROB3, 3, base=2.0, growth=2.0, style="balls")
+        with pytest.raises(ValueError, match=r"trace values must be finite and positive, got \("):
+            uK_limit(PROB3, CompactSetSpec(0.5, 1.0), trace, ex, resolution=201)
 
     @pytest.mark.parametrize("fail_at, kept", [(2, 1), (1, 0)])
     def test_failed_level_ends_the_run(self, monkeypatch, fail_at, kept):
@@ -319,7 +326,7 @@ CERT_LEVELS = ExhaustionSchedule(tuple((0.0, float(2**k)) for k in range(4, 12))
 
 
 def certificate_at(d, p, profile):
-    # at p != 2 each level runs the reweighted rounds and the descent polish
+    # at p != 2 each level runs all 40 reweighted rounds after the p = 2 one
     prob = ray_problem(d, p)
     grid = build_grid(prob, (1e-3, 2.0**11), 4001)
     return minimal_growth_certificate(
@@ -341,18 +348,14 @@ class TestCertificateAwayFromP2:
         "d, p, profile, kept",
         [
             (2, 1.5, lambda r: 1.0 + 1.0 / r, 0.7),
-            # the reweighted rounds stop above the infimum here: mu_N falls
-            # from 0.02332 to 0.007695 over five levels, then reads 0.03382
-            # from level (0, 512) on.  A weighted principal eigensolve per
-            # level gave 0.02330 ... 0.006355, nonincreasing (ROADMAP item 21)
-            pytest.param(
-                4, 3.0, lambda r: 1.0 + r**-0.5, 0.2,
-                marks=pytest.mark.xfail(
-                    raises=AssertionError, strict=True, reason="mu_N rises at p != 2 (ROADMAP item 21)"
-                ),
-            ),
+            # u = 1 + r^gamma, gamma = (p - d)/(p - 1): rounds that stopped at
+            # their first rise let mu_N climb from level (0, 512) on, to
+            # 0.03382, 0.0846 and 0.159 on the last level
+            (4, 3.0, lambda r: 1.0 + r**-0.5, 0.2),
+            (5, 3.0, lambda r: 1.0 + 1.0 / r, 0.5),
+            (6, 3.0, lambda r: 1.0 + r**-1.5, 0.7),
         ],
-        ids=["d2-p1.5", "d4-p3"],
+        ids=["d2-p1.5", "d4-p3", "d5-p3", "d6-p3"],
     )
     def test_non_minimal_solution_stays_away(self, d, p, profile, kept):
         cert = certificate_at(d, p, profile)
@@ -364,11 +367,37 @@ class TestCertificateAwayFromP2:
         assert np.all(np.diff(cert.mus) < 0)
         assert cert.mus[-1] < 0.1 * cert.mus[0]
 
-    def test_descent_polish_lowers_the_last_mu_at_d4_p3(self):
-        # the reweighted rounds alone stop at 5.844e-4 on the last level;
-        # the projected-descent polish after them reaches 5.830e-4
+    def test_rounds_run_to_the_cap_lower_the_last_mu_at_d4_p3(self):
+        # all 40 reweighted rounds reach 5.729e-4 on the last level; rounds
+        # that stopped at their first rise read 5.844e-4, and a
+        # projected-descent polish after them reached only 5.830e-4
         cert = certificate_at(4, 3.0, lambda r: r**-0.5)
-        assert cert.mus[-1] < 5.831e-4
+        assert cert.mus[-1] < 5.75e-4
+
+    def test_scaling_invariance(self):
+        profile = lambda r: 1.0 + r**-0.5
+        cert = certificate_at(4, 3.0, profile)
+        cert3 = certificate_at(4, 3.0, lambda r: 3.0 * profile(r))
+        for a, b in zip(cert.mus, cert3.mus):
+            assert b == pytest.approx(a, rel=1e-12)
+
+    @pytest.mark.parametrize("p, most", [(2.0, 1), (3.0, 41)])
+    def test_eigensolves_per_level(self, monkeypatch, p, most):
+        # p = 2 (the path of the CLI's certify) solves the exact pencil once
+        # per level; otherwise round 0 and at most 40 reweighted rounds
+        counts = []
+        level, eigen = mingrowth._certificate_level, mingrowth.smallest_generalized_eigen
+
+        def counted(*args):
+            counts[-1] += 1
+            return eigen(*args)
+
+        monkeypatch.setattr(mingrowth, "_certificate_level", lambda *a: counts.append(0) or level(*a))
+        monkeypatch.setattr(mingrowth, "smallest_generalized_eigen", counted)
+        certificate_at(3, p, lambda r: 1.0 / r)
+        assert len(counts) == len(CERT_LEVELS.levels)
+        assert all(1 <= c <= most for c in counts)
+        assert max(counts) == most
 
     def test_steep_minimal_p_harmonic_decays_at_d3_p15(self):
         # u = r^-3 is the minimal p-harmonic function at d = 3, p = 1.5; on

@@ -313,6 +313,17 @@ class TestSolveDirichlet:
         with pytest.raises(ValueError):
             solve_dirichlet(prob, g, (1.0, -0.5))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_non_finite_boundary_rejected(self, value, side):
+        # nan passes a bare `< 0` test and inf overflows the solve, so both
+        # are refused before it, by value
+        prob = line_problem(p=3.0)
+        g = build_grid(prob, (0.0, 1.0), 32, law="uniform")
+        boundary = (value, 0.0) if side == "left" else (0.0, value)
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {side}={value}"):
+            solve_dirichlet(prob, g, boundary)
+
 
 # eight cold Dirichlet shapes: (d, level, nodes, V, boundary); shapes 1-5
 # have V >= 0, shapes 6-8 have V < 0 somewhere and a positive form
