@@ -49,16 +49,22 @@ __all__ = ["main", "run", "VALIDATION_SUITES"]
 
 
 def _write_csv(path: Path, header: str, rows) -> str:
-    rows = list(rows)
-    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
-    body = line * len(rows) % tuple(x for row in rows for x in row)
+    return _write_values(path, header, [x for row in rows for x in row])
+
+
+def _write_values(path: Path, header: str, values: list) -> str:
+    """Write the row-major values under the header, one %.17g field each."""
+    cols = header.count(",") + 1
+    body = (",".join(["%.17g"] * cols) + "\n") * (len(values) // cols) % tuple(values)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(header + "\n" + body)
     return path.name
 
 
 def _write_profile(path: Path, field: Field) -> str:
-    return _write_csv(path, "node,value", zip(field.grid.nodes.tolist(), field.values.tolist()))
+    # one flat list of Python floats, without a tuple per row
+    values = np.column_stack((field.grid.nodes, field.values)).ravel().tolist()
+    return _write_values(path, "node,value", values)
 
 
 # ---------------------------------------------------------------------------

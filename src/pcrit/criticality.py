@@ -14,8 +14,8 @@ are the null-sequence elements: normalizing them at the reference point
 turns a decaying t_N into a locally uniform limit, the ground state.
 
 As the levels exhaust the domain, t_N decreases.  Two regimes are told
-apart: t_N sinking below an absolute cut (critical: the functional admits
-a null sequence and a ground state) and t_N stalling on a plateau
+apart: t_N sinking below a cut relative to t_1 (critical: the functional
+admits a null sequence and a ground state) and t_N stalling on a plateau
 (subcritical: a strict-positivity weight exists, and t*/2 times the probe
 certifies it).  Slow undecided decay is reported as undetermined rather
 than forced.
@@ -49,7 +49,7 @@ from .model import (
     Grid,
     PotentialSpec,
     RadialProblem,
-    build_graded_grid,
+    build_graded_grids,
     build_grid,
     log_reduced_level,
     log_reduced_problem,
@@ -206,31 +206,35 @@ def _working_frame(
     return wp, levels, x0, weight, frame
 
 
-def _level(
+def _levels(
     problem: RadialProblem,
-    level: tuple[float, float],
+    levels: tuple[tuple[float, float], ...],
     weight: PotentialSpec,
     resolution: int,
-) -> tuple[DiscreteOperator, np.ndarray]:
-    """The operator on one level's grid, which is fine around the probe
-    support and coarse outward, and the probe weight's nodal values."""
-    a, b = level
-    hint = weight.support_hint()
-    grid = None
-    if hint is not None:
+) -> list[tuple[DiscreteOperator, np.ndarray]]:
+    """The operator on each level's grid and the probe weight's nodal
+    values.  Levels whose part of the window around the probe support is
+    under 0.6 of them are graded there, by one build_graded_grids call."""
+    grids: dict[int, Grid] = {}
+    if (hint := weight.support_hint()) is not None:
         width = hint[1] - hint[0]
-        fa = max(a, hint[0] - 0.5 * width)
-        fb = min(b, hint[1] + 0.5 * width)
-        if fa < fb and (fb - fa) < 0.6 * (b - a):
-            grid = build_graded_grid(problem, level, (fa, fb), resolution)
-    if grid is None:
-        grid = build_grid(problem, level, resolution)
-    wvals = weight.sample(grid.nodes)
-    if np.any(wvals < 0):
-        raise PreconditionError("probe weight must be nonnegative")
-    if not np.any(wvals[grid.free] > 0):
-        raise PreconditionError("probe weight vanishes at every interior node")
-    return DiscreteOperator.bind(problem, grid), wvals
+        focus = (hint[0] - 0.5 * width, hint[1] + 0.5 * width)
+        graded = [
+            i for i, (a, b) in enumerate(levels)
+            if 0.0 < min(b, focus[1]) - max(a, focus[0]) < 0.6 * (b - a)
+        ]
+        built = build_graded_grids(problem, [levels[i] for i in graded], focus, resolution)
+        grids.update(zip(graded, built))
+    out = []
+    for i, level in enumerate(levels):
+        grid = grids[i] if i in grids else build_grid(problem, level, resolution)
+        wvals = weight.sample(grid.nodes)
+        if (wvals < 0).any():
+            raise PreconditionError("probe weight must be nonnegative")
+        if not (wvals[grid.free] > 0).any():
+            raise PreconditionError("probe weight vanishes at every interior node")
+        out.append((DiscreteOperator.bind(problem, grid), wvals))
+    return out
 
 
 def _stretched(prev: Field, grid: Grid, log_r: bool) -> Field:
@@ -266,7 +270,7 @@ def threshold_tN(
     on the level, computed as the weighted principal eigenvalue (a
     tridiagonal pencil at p = 2, inverse iteration otherwise)."""
     wp, (wl,), _, ww, _ = _working_frame(problem, (tuple(level),), None, weight, frame)
-    op, wvals = _level(wp, wl, ww, resolution)
+    ((op, wvals),) = _levels(wp, (wl,), ww, resolution)
     op.require_nonnegative(config)
     t, _, _, ok = op.principal(wvals, config)
     if not ok:
@@ -307,9 +311,9 @@ def null_sequence(
     )
     exhaustion.validate(wp if frame == "log" else problem)
 
-    levels = [_level(wp, lv, ww, resolution) for lv in wlevels]
-    # Q >= 0 is checked on the largest level only (each level builds its own
-    # graded grid, so a smaller level's space is not a subspace of it)
+    levels = _levels(wp, wlevels, ww, resolution)
+    # Q >= 0 is checked on the largest level only: graded levels share their
+    # interior nodes, but level ends and a uniform first level are not nested
     largest = levels[-1][0]
 
     entries: list[LevelThreshold] = []
@@ -337,7 +341,7 @@ def null_sequence(
             break
         v = field.values
         energy = q_parts(op.grid, wp.p, op.vvals, v).total
-        mass = float(np.sum(wvals * np.abs(v) ** wp.p * op.grid.node_w))
+        mass = float((wvals * np.abs(v) ** wp.p * op.grid.node_w).sum())
         lower, certified = op.collatz_lower(wvals, t, v, config)
         entries.append(
             LevelThreshold(idx, lv, t, field, energy, mass, ok, lower, certified)
@@ -364,12 +368,14 @@ def criticality_verdict(
     """Classify the functional on the exhausted domain by the trend of the
     probe thresholds.
 
-    critical: t_N fell below ``eps_crit`` while still decreasing; the last
-    normalized minimizer is reported as the ground state.  subcritical: the
-    last three thresholds agree to ``plateau_rtol`` relative and sit above
-    10 * eps_crit; half the plateau value times the probe is reported as a
-    strict-positivity weight with its weighted Picone margins.  Anything
-    else is undetermined.
+    critical: t_N fell below ``eps_crit`` * t_1 while still decreasing; the
+    last normalized minimizer is reported as the ground state.
+    subcritical: the last three thresholds agree to ``plateau_rtol``
+    relative and sit above 10 * eps_crit * t_1; half the plateau value
+    times the probe is reported as a strict-positivity weight with its
+    weighted Picone margins.  Anything else is undetermined.  Relative
+    cuts keep the verdict under r -> c r and W -> c W, which scale every
+    t_N by c^-p (when V = 0) and by 1/c.
     """
     run = null_sequence(problem, exhaustion, weight, resolution, config, frame)
     if not run.entries:
@@ -387,9 +393,9 @@ def criticality_verdict(
     )
 
     verdict = "undetermined"
-    if t_last <= eps_crit and decreasing:
+    if t_last <= eps_crit * ts[0] and decreasing:
         verdict = "critical"
-    elif plateau and t_last > 10.0 * eps_crit:
+    elif plateau and t_last > 10.0 * eps_crit * ts[0]:
         verdict = "subcritical"
 
     gs = run.entries[-1].minimizer if verdict == "critical" else None
@@ -453,7 +459,7 @@ def ground_state(
         )
     run = report.run
     last = run.entries[-1]
-    op2, wvals2 = _level(run.problem, last.level, run.weight, 2 * resolution)
+    ((op2, wvals2),) = _levels(run.problem, (last.level,), run.weight, 2 * resolution)
     start = Field(op2.grid, last.minimizer.at(op2.grid.nodes))
     _, v2, _, ok = op2.principal(wvals2, config, initial=start)
     if not ok:
@@ -529,7 +535,7 @@ def q_capacity(
         minimizer=Field(grid, u),
         active_set=np.flatnonzero(active),
         min_multiplier=float(r[active].min()) if active.any() else 0.0,
-        max_off_residual=float(np.max(np.abs(r[free_mask]))) if free_mask.any() else 0.0,
+        max_off_residual=float(np.abs(r[free_mask]).max()) if free_mask.any() else 0.0,
         residual_scale=scale,
         converged=converged,
         iterations=iterations,

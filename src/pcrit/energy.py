@@ -68,7 +68,7 @@ def phi_p(x, p: float):
 
 
 def _slopes(field: Field) -> np.ndarray:
-    return np.diff(field.values) / field.grid.h
+    return (field.values[1:] - field.values[:-1]) / field.grid.h
 
 
 def _midvals(field: Field) -> np.ndarray:
@@ -113,7 +113,7 @@ def q_parts(grid: Grid, p: float, vvals: np.ndarray, u: np.ndarray) -> EnergyBre
     samples vvals: exact slopes per cell, nodal values against the dual-cell
     weights.  Every evaluation of Q in the package goes through here.  A V
     that vanishes at every node adds no power pass."""
-    grad = float((np.abs(np.diff(u) / grid.h) ** p * grid.cell_w).sum())
+    grad = float((np.abs((u[1:] - u[:-1]) / grid.h) ** p * grid.cell_w).sum())
     pot = float((vvals * np.abs(u) ** p * grid.node_w).sum()) if vvals.any() else 0.0
     return EnergyBreakdown(grad, pot, (grad + pot) / p)
 

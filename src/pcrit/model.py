@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 import numpy as np
 
@@ -263,6 +262,21 @@ class RadialProblem:
 # grids
 # ---------------------------------------------------------------------------
 
+class cached_property:
+    """functools.cached_property without the lock that Python 3.11 takes on
+    every first access: the value goes into the instance __dict__, where it
+    shadows this descriptor from then on."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.func.__name__] = self.func(obj)
+        return value
+
+
 def _weight_antiderivative(r: np.ndarray, exponent: float) -> np.ndarray:
     # antiderivative of |r|**exponent, valid for all real r when exponent >= 0
     if exponent == 0.0:
@@ -294,9 +308,9 @@ class Grid:
         object.__setattr__(self, "weight_exponent", float(self.weight_exponent))
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError(f"grid needs at least 2 nodes, got shape {nodes.shape}")
-        if not np.all(np.isfinite(nodes)):
+        if not np.isfinite(nodes).all():
             raise ValueError("grid nodes must be finite")
-        if not np.all(np.diff(nodes) > 0):
+        if not (nodes[1:] > nodes[:-1]).all():
             raise ValueError("grid nodes must be strictly increasing")
         if self.weight_exponent < 0:
             raise ValueError(f"weight exponent must be >= 0, got {self.weight_exponent}")
@@ -315,7 +329,7 @@ class Grid:
 
     @cached_property
     def h(self) -> np.ndarray:
-        h = np.diff(self.nodes)
+        h = self.nodes[1:] - self.nodes[:-1]
         h.setflags(write=False)
         return h
 
@@ -337,7 +351,7 @@ class Grid:
         """Dual-cell mass weights: exact integral of |r|**(d-1) per dual cell."""
         edges = np.concatenate(([self.nodes[0]], self.mid, [self.nodes[-1]]))
         anti = _weight_antiderivative(edges, self.weight_exponent)
-        w = np.diff(anti)
+        w = anti[1:] - anti[:-1]
         w.setflags(write=False)
         return w
 
@@ -438,6 +452,81 @@ def build_grid(
     return Grid(nodes, problem.weight_exponent)
 
 
+def _march(start: float, target: float, sign: float, h0: float) -> np.ndarray:
+    """start, then the graded law's nodes through the first one within 1.5
+    steps of target, one array per regime.  A run's length comes from its
+    distance to the target or the regime's edge, capped at 20000 steps so
+    that 1.02**k stays below 1e173; a run toward a nearer target reaches
+    that target's stop, so it makes the same nodes up to there."""
+    runs = [[start]]
+    r = start
+    while True:
+        geometric = 0.02 * abs(r) > h0
+        if geometric:
+            c = 0.02 if sign * r > 0 else -0.02
+            g = 1.0 + c
+            # |r| moves to a target on this side of 0, or to 50 h0
+            edge = max(50.0 * h0, abs(target) if (target > 0) == (r > 0) else 0.0)
+            n = int(abs(math.log(edge) - math.log(abs(r))) / abs(math.log(g))) + 1
+            k = np.arange(max(2, min(n, 20000)))
+            # g = fl(1 + c) misses a step's factor 1 + c by the exactly
+            # representable (1 - g) + c, put back to first order in k
+            nodes = r * g**k * (1.0 + k * (((1.0 - g) + c) / g))
+        else:  # one step past |r| = 50 h0, where the law turns geometric
+            span = min((target - r) * sign, 51.0 * h0 - sign * r)
+            nodes = r + sign * h0 * np.arange(max(2, int(span / h0) + 1))
+        law = 0.02 * np.abs(nodes)
+        stop = (target - nodes) * sign <= 1.5 * np.maximum(h0, law)
+        hit = np.flatnonzero(stop | ((law > h0) != geometric))
+        j = hit[0] if hit.size else nodes.size - 1
+        runs.append(nodes[1 : j + 1])
+        if stop[j]:
+            return np.concatenate(runs)
+        r = nodes[j]
+
+
+def build_graded_grids(
+    problem: RadialProblem,
+    levels,
+    focus: tuple[float, float],
+    resolution: int,
+) -> list[Grid]:
+    """build_graded_grid on each of the levels, from one march per side of
+    each focus window (the focus clipped to a level) to the farthest level
+    end beyond it.  A level reads its side off that march by the march's
+    own stop rule: the nodes through the first one within 1.5 steps of its
+    end, then the end itself.  The nodes are those of one-level builds, bit
+    for bit, so on nested levels that share a window every interior node
+    of a level is a node of the next."""
+    bounds = [problem.require_level(level) for level in levels]
+    resolution = int(resolution)
+    if resolution < 3:
+        raise ValueError(f"resolution must be >= 3 nodes, got {resolution}")
+    windows = [(max(float(focus[0]), a), min(float(focus[1]), b)) for a, b in bounds]
+    for (a, b), (fa, fb) in zip(bounds, windows):
+        if not fa < fb:
+            raise ValueError(f"focus window {focus} does not meet the level ({a}, {b})")
+    marches: dict[tuple[float, float, float], np.ndarray] = {}
+    grids = []
+    for (a, b), (fa, fb) in zip(bounds, windows):
+        h0 = (fb - fa) / (resolution - 1)
+        sides = []
+        for start, end, sign in ((fa, a, -1.0), (fb, b, 1.0)):
+            if start == end:
+                sides.append(())
+                continue
+            if (key := (fa, fb, sign)) not in marches:
+                ends = [lv[sign > 0] for lv, w in zip(bounds, windows) if w == (fa, fb)]
+                marches[key] = _march(start, min(ends) if sign < 0 else max(ends), sign, h0)
+            march = marches[key]
+            stop = (end - march) * sign <= 1.5 * np.maximum(h0, 0.02 * np.abs(march))
+            sides.append(np.append(march[1 : np.argmax(stop) + 1], end))
+        core = np.linspace(fa, fb, resolution)
+        nodes = np.concatenate((sides[0][::-1], core, sides[1]))
+        grids.append(Grid(nodes, problem.weight_exponent))
+    return grids
+
+
 def build_graded_grid(
     problem: RadialProblem,
     level: tuple[float, float],
@@ -452,54 +541,10 @@ def build_graded_grid(
     within 1.5 steps, and is built one regime of that law at a time.  On
     levels spanning many decades this keeps the node count logarithmic in
     the span while fully resolving the window where the interesting
-    structure (a probe weight, a forcing bump) lives.
+    structure (a probe weight, a forcing bump) lives.  The one-level call
+    of build_graded_grids.
     """
-    a, b = problem.require_level(level)
-    resolution = int(resolution)
-    if resolution < 3:
-        raise ValueError(f"resolution must be >= 3 nodes, got {resolution}")
-    fa = max(float(focus[0]), a)
-    fb = min(float(focus[1]), b)
-    if not fa < fb:
-        raise ValueError(f"focus window {focus} does not meet the level ({a}, {b})")
-    h0 = (fb - fa) / (resolution - 1)
-
-    def march(start: float, target: float, sign: float) -> np.ndarray:
-        # the nodes after start through target, one array per regime; a
-        # run's length comes from its distance to the target or the regime's
-        # edge, capped at 20000 steps so that 1.02**k stays below 1e173
-        runs = []
-        r = start
-        while True:
-            geometric = 0.02 * abs(r) > h0
-            if geometric:
-                c = 0.02 if sign * r > 0 else -0.02
-                g = 1.0 + c
-                # |r| moves to a target on this side of 0, or to 50 h0
-                edge = max(50.0 * h0, abs(target) if (target > 0) == (r > 0) else 0.0)
-                n = int(abs(math.log(edge) - math.log(abs(r))) / abs(math.log(g))) + 1
-                k = np.arange(max(2, min(n, 20000)))
-                # g = fl(1 + c) misses a step's factor 1 + c by the exactly
-                # representable (1 - g) + c, put back to first order in k
-                nodes = r * g**k * (1.0 + k * (((1.0 - g) + c) / g))
-            else:  # one step past |r| = 50 h0, where the law turns geometric
-                span = min((target - r) * sign, 51.0 * h0 - sign * r)
-                nodes = r + sign * h0 * np.arange(max(2, int(span / h0) + 1))
-            law = 0.02 * np.abs(nodes)
-            stop = (target - nodes) * sign <= 1.5 * np.maximum(h0, law)
-            hit = np.flatnonzero(stop | ((law > h0) != geometric))
-            j = hit[0] if hit.size else nodes.size - 1
-            runs.append(nodes[1 : j + 1])
-            if stop[j]:
-                runs.append([target])
-                return np.concatenate(runs)
-            r = nodes[j]
-
-    core = np.linspace(fa, fb, resolution)
-    left = march(fa, a, -1.0)[::-1] if fa > a else ()
-    right = march(fb, b, +1.0) if fb < b else ()
-    nodes = np.concatenate((left, core, right))
-    return Grid(nodes, problem.weight_exponent)
+    return build_graded_grids(problem, (level,), focus, resolution)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -521,24 +566,24 @@ class Field:
             raise ValueError(
                 f"values shape {vals.shape} does not match grid with {self.grid.n} nodes"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise EvaluationError("field values must be finite")
 
     def at(self, x) -> np.ndarray | float:
         """Piecewise linear evaluation inside the grid interval."""
         x_arr = np.asarray(x, dtype=float)
         a, b = self.grid.interval
-        if np.any(x_arr < a) or np.any(x_arr > b):
+        if (x_arr < a).any() or (x_arr > b).any():
             raise ValueError(f"evaluation point outside grid interval ({a}, {b})")
         out = np.interp(x_arr, self.grid.nodes, self.values)
         return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
     def is_compactly_supported(self) -> bool:
         """Vanishes, to 1e-12 relative, at every Dirichlet end of its grid."""
-        scale = float(np.max(np.abs(self.values), initial=0.0))
+        scale = float(np.abs(self.values).max(initial=0.0))
         tol = 1e-12 * max(scale, 1.0)
         ends = self.values[self.grid.dirichlet_mask]
-        return bool(np.all(np.abs(ends) <= tol))
+        return bool((np.abs(ends) <= tol).all())
 
     def scaled(self, c: float) -> "Field":
         return Field(self.grid, c * self.values)

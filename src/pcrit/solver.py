@@ -49,7 +49,6 @@ import importlib.util
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +56,7 @@ import scipy
 
 from .energy import phi_p, q_parts
 from .errors import PreconditionError, StateError
-from .model import Field, Grid, RadialProblem, check_same_grid
+from .model import Field, Grid, RadialProblem, cached_property, check_same_grid
 
 logger = logging.getLogger(__name__)
 
@@ -235,7 +234,7 @@ class DiscreteOperator:
 
     @cached_property
     def _v_vanishes(self) -> bool:
-        return not np.any(self.vvals)
+        return not self.vvals.any()
 
     @cached_property
     def _pot_w(self) -> np.ndarray:
@@ -348,7 +347,7 @@ class DiscreteOperator:
         return (q.gradient_term + q.potential_term) / mass, mass
 
     def _mass(self, u: np.ndarray, weight: np.ndarray) -> float:
-        return float(np.sum(weight * np.abs(u) ** self.p * self.grid.node_w))
+        return float((weight * np.abs(u) ** self.p * self.grid.node_w).sum())
 
     def flux_sensitivity(self, u: np.ndarray) -> float:
         """max over cells of (cell_w / h) phi_p'(|s| + t), times max|u|: how
@@ -358,12 +357,12 @@ class DiscreteOperator:
         u, keeps phi_p' finite for p < 2.  At p = 2 this is
         max(cell_w / h) * max|u|."""
         g, p = self.grid, self.p
-        umax = float(np.max(np.abs(u), initial=0.0))
+        umax = float(np.abs(u).max(initial=0.0))
         if umax == 0.0:
             return 0.0
-        t = float(np.finfo(float).eps) * umax / float(np.min(g.h))
+        t = float(np.finfo(float).eps) * umax / float(g.h.min())
         slope = np.abs((u[1:] - u[:-1]) / g.h) + t
-        return float(np.max(self._flux_w * (p - 1.0) * slope ** (p - 2.0))) * umax
+        return float((self._flux_w * (p - 1.0) * slope ** (p - 2.0)).max()) * umax
 
     def principal(
         self,
@@ -401,7 +400,8 @@ class DiscreteOperator:
         wmass = (g.node_w * weight)[g.free]
         if p == 2.0:
             u = np.zeros(g.n)
-            u[g.free] = smallest_generalized_eigen(*self._p2_form(self.vvals + shift), wmass)
+            vvals = self.vvals if shift == 0.0 else self.vvals + shift
+            u[g.free] = smallest_generalized_eigen(*self._p2_form(vvals), wmass)
             return self.quotient(u, weight)[0], u, 1, True
 
         if initial is not None:
@@ -413,7 +413,7 @@ class DiscreteOperator:
             u[g.free] = smallest_generalized_eigen(*form, wmass)
             u /= u.max()  # its largest entry is positive
         u = np.maximum(u, 0.0)
-        if not np.any(u > 0):
+        if not (u > 0).any():
             raise ValueError("initial eigenfunction guess vanishes")
 
         def usable(lam: float, mass: float) -> bool:
@@ -494,7 +494,7 @@ class DiscreteOperator:
             raise ValueError(f"boundary data must be finite and nonnegative, got right={br}")
 
         load = self.load(f)
-        if f is not None and np.any(f.values < 0):
+        if f is not None and (f.values < 0).any():
             raise PreconditionError("forcing f must be nonnegative")
 
         if initial is not None:
@@ -547,10 +547,10 @@ class DiscreteOperator:
         free = ~g.dirichlet_mask
         load = free.astype(float)
         w = self._newton(load, np.zeros(g.n), config, cold=True)[0]
-        if not np.all(w[free] > 0.0):
+        if not (w[free] > 0.0).all():
             return None
         r = self.residual_terms(w, load)[0]
-        mu = float(np.min((1.0 + r[free]) / (g.node_w[free] * w[free] ** (p - 1.0))))
+        mu = float(((1.0 + r[free]) / (g.node_w[free] * w[free] ** (p - 1.0))).min())
         return mu if mu > 0.0 else None
 
     def collatz_lower(
@@ -571,9 +571,9 @@ class DiscreteOperator:
         weighted = free & (load > gate)
         if not weighted.any():
             return -math.inf, False
-        lower = t * (1.0 + float(np.min(r[weighted] / load[weighted])))
+        lower = t * (1.0 + float((r[weighted] / load[weighted]).min()))
         others = free & ~weighted
-        return lower, bool(np.all(r[others] + load[others] >= -gate))
+        return lower, bool((r[others] + load[others] >= -gate).all())
 
     def _lambda_1(self, config: SolverConfig, floor: float) -> float:
         """The principal Dirichlet eigenvalue of Q on the grid, by the
@@ -622,7 +622,7 @@ class DiscreteOperator:
     def classify(self, u: np.ndarray, tol: float) -> SignClassification:
         """The sign classification of the nonnegative nodal field u (see
         classify_sign)."""
-        if np.any(u < 0):
+        if (u < 0).any():
             raise PreconditionError("classify_sign expects a nonnegative field")
         r, scale, _ = self.residual_terms(u, self.load(None))
         rfree = r[~self.grid.dirichlet_mask]
@@ -847,10 +847,10 @@ def smallest_generalized_eigen(diag: np.ndarray, off: np.ndarray, mass: np.ndarr
     PreconditionError when A is not positive definite or the vector solve
     fails.
     """
-    if np.any(mass < 0):
+    if (mass < 0).any():
         raise ValueError("mass diagonal must be nonnegative")
     on = mass > 0
-    if not np.any(on):
+    if not on.any():
         raise ValueError("mass diagonal vanishes identically")
     if diag.size == 1:  # dpttrf takes no empty off-diagonal
         if not diag[0] > 0.0:
@@ -878,11 +878,11 @@ def smallest_generalized_eigen(diag: np.ndarray, off: np.ndarray, mass: np.ndarr
         raise PreconditionError("quadratic form is not positive definite on the level")
     y = dpttrs(*factors, mass)[0]  # A^-1 M 1, whose quotient is y^T M 1 / y^T M y
     with np.errstate(all="ignore"):  # a quotient out of range falls back below
-        scale = np.max(np.abs(y))
+        scale = np.abs(y).max()
         x = y / scale
-        hi = float(np.sum(mass * x) / np.sum(mass * x * x) / scale)
+        hi = float((mass * x).sum() / (mass * x * x).sum() / scale)
     if not 0.0 < hi < math.inf:  # the quotient at a unit vector instead
-        hi, x = float(np.min(diag[on] / mass[on])), np.ones(diag.size)
+        hi, x = float((diag[on] / mass[on]).min()), np.ones(diag.size)
     lo = 0.5 * hi
     while not below(lo):
         hi, lo = lo, lo * 2.0**-16
@@ -896,14 +896,14 @@ def smallest_generalized_eigen(diag: np.ndarray, off: np.ndarray, mass: np.ndarr
             if info != 0 or not change > 1e-13:
                 break
             y, info = dpttrs(*factors, mass * x)
-            y /= np.max(np.abs(y))
-            change, x = np.max(np.abs(y - x)), y
+            y /= np.abs(y).max()
+            change, x = np.abs(y - x).max(), y
         # a non-finite vector stops the rounds too; the checks below refuse it
         if not change > 1e-13 or info != 0 or not all(bisect(0.5 * (lo + hi)) for _ in range(4)):
             break
-    if info != 0 or not np.all(np.isfinite(x)):
+    if info != 0 or not np.isfinite(x).all():
         raise PreconditionError(f"inverse iteration gave no finite vector (LAPACK info {info})")
-    x /= math.sqrt(float(np.sum(mass * x * x)))
+    x /= math.sqrt(float((mass * x * x).sum()))
     return -x if x[np.argmax(np.abs(x))] < 0 else x
 
 
@@ -967,16 +967,16 @@ def wcp_check(
     scale = max(scale1, scale2)
     gate = hypothesis_tol * scale
     failures = []
-    if np.any(r1[free] > r2[free] + gate):
+    if (r1[free] > r2[free] + gate).any():
         failures.append("Q'(u1) <= Q'(u2)")
-    if np.any(r2[free] < -gate):
+    if (r2[free] < -gate).any():
         failures.append("Q'(u2) >= 0")
-    vals_scale = max(float(np.max(np.abs(u1.values))), float(np.max(np.abs(u2.values))), 1.0)
+    vals_scale = max(float(np.abs(u1.values).max()), float(np.abs(u2.values).max()), 1.0)
     bgate = hypothesis_tol * vals_scale
     bmask = grid.dirichlet_mask
-    if np.any(u1.values[bmask] > u2.values[bmask] + bgate):
+    if (u1.values[bmask] > u2.values[bmask] + bgate).any():
         failures.append("u1 <= u2 on the boundary")
-    if np.any(u2.values[bmask] < -bgate):
+    if (u2.values[bmask] < -bgate).any():
         failures.append("u2 >= 0 on the boundary")
     if lambda_1 is None:
         lambda_1 = op.lambda_1_lower(config)
@@ -986,5 +986,5 @@ def wcp_check(
         raise PreconditionError(
             "weak comparison hypotheses failed: " + "; ".join(failures)
         )
-    viol = float(np.max(u1.values - u2.values))
+    viol = float((u1.values - u2.values).max())
     return WcpResult(viol <= WCP_TOL, max(viol, 0.0), lambda_1)

@@ -13,7 +13,8 @@ import pytest
 
 import oracles
 import pcrit
-from pcrit.cli import VALIDATION_SUITES, _write_csv, main
+from pcrit.cli import VALIDATION_SUITES, _write_csv, _write_profile, main
+from pcrit.model import Field, Grid
 
 PCRIT_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(pcrit.__file__)))
 
@@ -535,6 +536,21 @@ class TestEigCommand:
         _write_csv(tmp_path / "rows.csv", header, iter(rows))
         expected = "\n".join([header] + [",".join("%.17g" % x for x in row) for row in rows])
         assert (tmp_path / "rows.csv").read_bytes() == (expected + "\n").encode()
+
+    def test_profile_bytes_are_pinned(self, tmp_path):
+        # integer-valued nodes print without a point, -0.0 keeps its sign,
+        # and 17 digits round-trip both ends of the exponent range
+        grid = Grid(np.array([-1.0, -0.0, 1e-300, 2.0, 1e300]), 0.0)
+        field = Field(grid, np.array([-0.0, 1e-300, 1e300, 3.0, -2.5]))
+        _write_profile(tmp_path / "profile.csv", field)
+        assert (tmp_path / "profile.csv").read_bytes() == (
+            b"node,value\n"
+            b"-1,-0\n"
+            b"-0,1e-300\n"
+            b"1e-300,1.0000000000000001e+300\n"
+            b"2,3\n"
+            b"1.0000000000000001e+300,-2.5\n"
+        )
 
 
 class TestCriticalCommand:

@@ -31,7 +31,7 @@ from pcrit import (
     threshold_tN,
 )
 from pcrit import solver
-from pcrit.criticality import _stretched
+from pcrit.criticality import _stretched, default_probe
 from pcrit.energy import q_parts
 from pcrit.errors import PreconditionError, StateError
 
@@ -209,6 +209,10 @@ class TestThreshold:
         assert red.p == 2.0
 
 
+# criterion 05's p = 2, V = 0 runs by style: (levels, resolution, verdict)
+V0_RUNS = {"line": (15, 801, "critical"), "annuli": (9, 601, "subcritical")}
+
+
 class TestVerdicts:
     def test_whole_line_is_critical(self):
         prob = line_problem()
@@ -243,6 +247,36 @@ class TestVerdicts:
             prob, ex, weight=PotentialSpec.bump(1.0, 0.4, 0.5), resolution=601
         )
         assert rep.verdict == "subcritical"
+
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(style=st.sampled_from(["line", "annuli"]), exponent=st.floats(-3.0, 3.0))
+    def test_verdict_is_invariant_under_r_to_c_r(self, style, exponent):
+        # with V = 0, r -> c r scales every t_N by c^-p; an absolute cut
+        # called the base-0.25 line undetermined and the base-1e3 annuli
+        # critical, while t_last / t_1 stays put
+        prob = line_problem() if style == "line" else ray_problem(3, 2.0)
+        count, resolution, verdict = V0_RUNS[style]
+        ex = make_exhaustion(prob, count, base=10.0**exponent, growth=2.0, style=style)
+        assert criticality_verdict(prob, ex, resolution=resolution).verdict == verdict
+
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(style=st.sampled_from(["line", "annuli"]), exponent=st.floats(-3.0, 3.0))
+    def test_verdict_is_invariant_under_w_to_c_w(self, style, exponent):
+        # W -> c W scales every t_N by 1 / c
+        prob = line_problem() if style == "line" else ray_problem(3, 2.0)
+        count, resolution, verdict = V0_RUNS[style]
+        ex = make_exhaustion(prob, count, base=1.0, growth=2.0, style=style)
+        weight = default_probe(ex.levels[0]).scaled(10.0**exponent)
+        assert criticality_verdict(prob, ex, weight, resolution=resolution).verdict == verdict
+
+    def test_exterior_d3_is_subcritical_at_base_1e3(self):
+        # t_last = 2.8e-6 sat under the absolute cut 1e-4, so this d > p
+        # run with V = 0 was called critical
+        prob = ray_problem(3, 2.0)
+        ex = make_exhaustion(prob, 9, base=1e3, growth=2.0, style="annuli")
+        rep = criticality_verdict(prob, ex, resolution=601)
+        assert rep.verdict == "subcritical"
+        assert rep.t_star_estimate == pytest.approx(2.7851e-6, rel=5e-3)
 
     def test_short_run_is_undetermined(self):
         prob = line_problem()

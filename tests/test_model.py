@@ -18,7 +18,9 @@ from pcrit import (
     PotentialSpec,
     RadialProblem,
     build_graded_grid,
+    build_graded_grids,
     build_grid,
+    log_reduced_level,
     make_exhaustion,
     make_field,
 )
@@ -204,6 +206,49 @@ class TestGradedGrid:
         assert nodes.size == ref.size
         assert np.max(np.abs(nodes - ref)) <= 1e-13 * max(abs(a), abs(b))
         assert np.all(np.diff(nodes) > 0)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        style=st.sampled_from(["line", "annuli", "log", "clipped"]),
+        base=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        window=st.tuples(st.floats(-1.0, 1.0), st.floats(0.01, 0.9)),
+        count=st.integers(1, 10),
+        resolution=st.integers(51, 1601),
+    )
+    def test_shared_march_matches_one_level_builds(self, style, base, window, count, resolution):
+        # one march per side to the farthest end gives every level the nodes
+        # of its own build: d = 1 levels across 0, annuli whose inner ends
+        # fall inside 50 h0 at coarse resolutions, log-frame levels, and a
+        # focus that the smaller levels clip (the certificate's levels start
+        # at the focus, so they have one side only)
+        shift, half = window
+        ks = range(1, count + 1)
+        if style == "line":
+            prob = line_problem()
+            levels = [(-base * 2.0**k, base * 2.0**k) for k in ks]
+            focus = (base * (shift - half), base * (shift + half))
+        elif style == "annuli":
+            prob = ball_problem()
+            levels = [(base / 2.0**k, base * 2.0**k) for k in ks]
+            center = base * 2.0**shift
+            focus = (center * (1.0 - half), center * (1.0 + half))
+        elif style == "log":
+            prob = line_problem(3.0)
+            levels = [log_reduced_level((base / 2.0**k, base * 2.0**k)) for k in ks]
+            focus = (np.log(base) + 0.5 * shift - half, np.log(base) + 0.5 * shift + half)
+        else:
+            prob = ball_problem()
+            levels = [(base, base * 2.0 ** (k + 1)) for k in ks]
+            focus = (base * (1.0 - half), base * 2.0 ** (3.25 + 2.0 * shift))
+        grids = build_graded_grids(prob, levels, focus, resolution)
+        assert len(grids) == count
+        for level, grid in zip(levels, grids):
+            assert np.array_equal(grid.nodes, build_graded_grid(prob, level, focus, resolution).nodes)
+        # levels that clip the focus alike share their interior nodes
+        for (small, large), (lo, hi) in zip(zip(grids, grids[1:]), zip(levels, levels[1:])):
+            if max(focus[0], lo[0]) == max(focus[0], hi[0]) and min(focus[1], lo[1]) == min(focus[1], hi[1]):
+                assert np.isin(small.nodes[1:-1], large.nodes).all()
 
 
 class TestPotentials:

@@ -1,16 +1,17 @@
-"""Structure of the package source: no module reaches into another
-module's private names, no import goes unused, package imports sit at
-module top level, every SolverConfig field is read somewhere, only the
-solver reads the torsion bound or decides Q >= 0, every solver entry
-point samples the potential once per (problem, grid), no driver samples
-one (potential, grid) pair twice, a verdict's positivity certificate is
-computed once, a null sequence ending on a certified level runs no
-nonnegativity eigensolve, a converged p != 2 principal pair ends on an
-inner solve at the full gate, every string option refuses an unknown
-value, no module uses an extended precision dtype, importing pcrit
-imports neither scipy.linalg nor scipy.optimize, a missing LAPACK
-extension file fails the import with its path, and the CLI parses no
-[command] profile itself."""
+"""Structure of the package source: no module reaches into another module's
+private names, no import goes unused, package imports sit at module top
+level, every SolverConfig field is read somewhere, only the solver reads
+the torsion bound or decides Q >= 0, every solver entry point samples
+the potential once per (problem, grid), no driver samples one
+(potential, grid) pair twice, graded levels that share a focus window
+march once per side, a verdict's positivity certificate is computed
+once, a null sequence ending on a certified level runs no nonnegativity
+eigensolve, a converged p != 2 principal pair ends on an inner solve at
+the full gate, every string option refuses an unknown value, no module
+uses an extended precision dtype, importing pcrit imports neither
+scipy.linalg nor scipy.optimize, a missing LAPACK extension file fails
+the import with its path, and the CLI parses no [command] profile
+itself."""
 
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import pytest
 import scipy
 
 import pcrit
-from pcrit import solver
+from pcrit import model, solver
 from pcrit import (
     CertificateRun,
     CompactSetSpec,
@@ -42,6 +43,7 @@ from pcrit import (
     criticality_verdict,
     make_exhaustion,
     make_field,
+    minimal_growth_certificate,
     null_sequence,
     principal_eigenpair,
     q_capacity,
@@ -313,6 +315,45 @@ def test_uK_limit_samples_the_potential_once(compact, sample_counter):
         resolution=201,
     )
     assert len(sample_counter) == 1
+
+
+@pytest.fixture
+def march_calls(monkeypatch):
+    """Records the side (-1 or +1) of each march of the graded grid law."""
+    calls = []
+    march = model._march
+
+    def counted(start, target, sign, h0):
+        calls.append(sign)
+        return march(start, target, sign, h0)
+
+    monkeypatch.setattr(model, "_march", counted)
+    return calls
+
+
+def test_null_sequence_marches_once_per_side(march_calls, sample_counter):
+    # levels 2 to 5 share the probe's focus window (level 1 is uniform):
+    # one march per side, not two per level, while V and the probe are
+    # still sampled once per level
+    DRIVERS["null_sequence"]()
+    assert sorted(march_calls) == [-1.0, 1.0]
+    counts = Counter(spec for spec, _ in sample_counter)
+    assert counts == {LINE.potential: 5, PotentialSpec.bump(0.0, 1.0, 1.0): 5}
+
+
+def test_certificate_marches_once(march_calls):
+    # every level and the focus start at the set's edge, so the levels
+    # share one march outward and none inward
+    grid = Grid(np.geomspace(0.5, 2.0**8, 401), 2)
+    minimal_growth_certificate(
+        SUBCRITICAL,
+        Field(grid, 1.0 / grid.nodes),
+        CompactSetSpec(0.0, 2.0),
+        (3.0, 4.0),
+        ExhaustionSchedule(tuple((0.0, float(2**k)) for k in range(3, 9)), 1.0),
+        resolution=301,
+    )
+    assert march_calls == [1.0]
 
 
 # d = p with levels off 0, where "auto" maps to log coordinates: a
